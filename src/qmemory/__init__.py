@@ -10,7 +10,7 @@ the rest.
 Modules
 -------
 ``densmat``   density-matrix core: validation, partial trace, trace distance,
-              von Neumann entropy, Hermitian eigensolvers.
+              von Neumann entropy, Hermitian eigenvalues.
 ``dynamics``  the master equation: generator, Runge-Kutta integrator, exact
               block propagator, population closed forms, thermal fixed point.
 ``nonmarkov`` distance curves, increase intervals, the accumulated backflow
@@ -38,7 +38,6 @@ from .dynamics import (
     GRID_GAMMAS,
     GRID_OCCUPATIONS,
     GRID_OMEGAS,
-    MicroscopicParams,
     ModelParams,
     Trajectory,
     XSTATE_00,
@@ -104,8 +103,8 @@ __all__ = [
     "hermiticity_defect", "partial_trace_qubit2", "trace_distance",
     "validate_density_matrix", "von_neumann_entropy",
     # dynamics
-    "GRID_GAMMAS", "GRID_OCCUPATIONS", "GRID_OMEGAS", "MicroscopicParams",
-    "ModelParams", "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
+    "GRID_GAMMAS", "GRID_OCCUPATIONS", "GRID_OMEGAS", "ModelParams",
+    "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
     "lindblad_rhs", "parameter_grid", "population_from_excited",
     "population_from_ground", "propagate_xstate_exact",
     "propagate_xstate_published", "superoperator", "thermal_xstate",

@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -270,14 +269,9 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
         flag = 1 if classify_dynamics(p, cfg.eps).regime == NON_MARKOVIAN else 0
         return float(value), d, flag
 
-    # Family members are independent pure computations; the map preserves
-    # input order, so assembly stays deterministic.
-    with ThreadPoolExecutor(max_workers=min(8, len(values))) as pool:
-        evaluated = list(pool.map(evaluate, values.tolist()))
-
     rows = [
         (param, value, float(ti), float(di), flag)
-        for value, d, flag in evaluated
+        for value, d, flag in map(evaluate, values.tolist())
         for ti, di in zip(t.tolist(), d.tolist())
     ]
     echo = _common_echo(cfg)

@@ -35,9 +35,6 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 XFORM_TOL = 1e-9
 
-_JACOBI_OFFDIAG_TOL = 1e-13
-_JACOBI_MAX_SWEEPS = 100
-
 
 @dataclass(frozen=True)
 class XState:
@@ -186,66 +183,10 @@ def partial_trace_qubit2(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
 
 
-def _eigenvalues_2x2(h: np.ndarray) -> np.ndarray:
-    # Closed form for Hermitian 2x2: mean of the diagonal +- radius.
-    mean = 0.5 * (h[0, 0].real + h[1, 1].real)
-    radius = math.hypot(0.5 * (h[0, 0].real - h[1, 1].real), abs(h[0, 1]))
-    return np.array([mean + radius, mean - radius])
-
-
-def _jacobi_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Cyclic Jacobi rotations for a Hermitian matrix of small dimension.
-
-    Sweeps unitary 2x2 rotations over all (p, q) pairs until the off-diagonal
-    Frobenius norm falls below 1e-13 (scaled up only for matrices with
-    Frobenius norm above 1).
-    """
-    a = np.asarray(h, dtype=complex).copy()
-    n = a.shape[0]
-    threshold = _JACOBI_OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
-
-    def offdiag(mat: np.ndarray) -> float:
-        # Summing the off-diagonal entries directly avoids the catastrophic
-        # cancellation of a "total minus diagonal" norm difference.
-        return float(np.linalg.norm(mat - np.diag(np.diag(mat))))
-
-    sweeps = 0
-    while offdiag(a) > threshold:
-        sweeps += 1
-        if sweeps > _JACOBI_MAX_SWEEPS:
-            raise RuntimeError(
-                f"Jacobi sweep limit {_JACOBI_MAX_SWEEPS} reached with off-diagonal "
-                f"norm {offdiag(a):.3e} (threshold {threshold:.3e})"
-            )
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                if abs(g) == 0.0:
-                    continue
-                phi = np.angle(g)
-                delta = 0.5 * (a[p, p].real - a[q, q].real)
-                if delta == 0.0:
-                    t = 1.0
-                else:
-                    t = math.copysign(abs(g), delta) / (
-                        abs(delta) + math.hypot(delta, abs(g))
-                    )
-                cs = 1.0 / math.sqrt(1.0 + t * t)
-                sn = t * cs
-                rot = np.eye(n, dtype=complex)
-                rot[p, p] = cs
-                rot[q, q] = cs
-                rot[p, q] = -sn * np.exp(1j * phi)
-                rot[q, p] = sn * np.exp(-1j * phi)
-                a = rot.conj().T @ a @ rot
-    return np.real(np.diag(a))
-
-
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    Dimension 2 uses the quadratic closed form; dimension 4 (and any other
-    small size) uses cyclic Jacobi rotations.  Raises
+    Computed by LAPACK (``np.linalg.eigvalsh``) for every size.  Raises
     :class:`NonHermitianError` when the symmetry defect exceeds 1e-12.
     """
     h = np.asarray(h, dtype=complex)
@@ -256,9 +197,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}"
         )
-    h = 0.5 * (h + h.conj().T)
-    vals = _eigenvalues_2x2(h) if h.shape[0] == 2 else _jacobi_eigenvalues(h)
-    return np.sort(vals)[::-1]
+    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]
 
 
 def trace_distance(rho: np.ndarray, tau: np.ndarray) -> float:

@@ -80,20 +80,6 @@ def parameter_grid() -> tuple["ModelParams", ...]:
 
 
 @dataclass(frozen=True)
-class MicroscopicParams:
-    """Bath-model constants carried for provenance only.
-
-    The reduced dynamics depends solely on ``(gamma, m, omega)``; these record
-    where a parameter set came from (mode frequency, atomic transition
-    frequency, atom-mode coupling) and are never used in computation.
-    """
-
-    cavity_freq: float
-    atom_freq: float
-    atom_cavity_coupling: float
-
-
-@dataclass(frozen=True)
 class ModelParams:
     """Model parameters: decay rate ``gamma > 0``, mean reservoir occupancy
     ``m >= 0``, exchange coupling ``omega >= 0``."""
@@ -101,7 +87,6 @@ class ModelParams:
     gamma: float
     m: float
     omega: float
-    microscopic: MicroscopicParams | None = None
 
     def __post_init__(self) -> None:
         for name in ("gamma", "m", "omega"):

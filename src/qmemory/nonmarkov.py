@@ -7,9 +7,11 @@ a population difference and collapses to the closed form
     D(t) = exp(-gamma (1 + 2m) t) * cos^2(omega t),
 
 verified against the two-population route to 1e-12 by the test suite.  The
-memory measure accumulates D over its intervals of increase (detected by a
-sign scan of dD/dt refined by bisection); it is zero exactly when the exchange
-coupling vanishes and grows monotonically with it.
+memory measure accumulates D over its intervals of increase, which are known
+exactly: D rises from each zero ``t_k = (pi/2 + k pi) / omega`` to the next
+peak ``s_k = (pi - atan(R / 2 omega) + k pi) / omega``, ``R = gamma (1 + 2m)``.
+The measure is zero exactly when the exchange coupling vanishes and grows
+monotonically with it.
 
 For arbitrary product-state pairs (the maximizer) no closed form exists; the
 difference of the two full states is evolved through the eigendecomposition of
@@ -36,7 +38,9 @@ NON_MARKOVIAN = "NonMarkovian"
 
 CANONICAL_PAIR_LABEL = "|10>/|00>"
 
-# Time localization of interval endpoints.
+# Largest number of increase intervals the canonical measure will build.
+MAX_INTERVALS = 100_000
+# Time localization of the maximizer's interval endpoints.
 _BISECT_TOL = 1e-10
 # Sampled-curve rises below this are float noise, not information backflow.
 _GAIN_FLOOR = 1e-12
@@ -45,7 +49,7 @@ _MODES_RTOL = 1e-9
 
 
 def default_scan_step(params: ModelParams) -> float:
-    """Scan resolution: 1e-2 of the fastest time scale in the problem."""
+    """Maximizer sampling step: 1e-2 of the fastest time scale in the problem."""
     return 0.01 / max(params.omega, params.relaxation_rate)
 
 
@@ -143,113 +147,75 @@ def trace_distance_rate(params: ModelParams, t):
     return float(value) if tt.ndim == 0 else value
 
 
-# --- interval detection ------------------------------------------------------
-
-def _bisect_sign_change(positive, lo: float, hi: float) -> float:
-    """Locate a flip of the predicate ``positive`` inside (lo, hi) to 1e-10."""
-    ref = positive(lo)
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if positive(mid) == ref:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _scan_grid(dt: float, t_max: float) -> np.ndarray:
-    grid = np.arange(0.0, t_max, dt)
-    return np.append(grid, t_max)
-
+# --- increase intervals ------------------------------------------------------
 
 def blp_measure(
     params: ModelParams,
     dt: float | None = None,
     t_max: float | None = None,
 ) -> BlpResult:
-    """Memory measure for the canonical pair from the analytic rate.
+    """Memory measure for the canonical pair from its exact increase intervals.
 
-    Scans ``sigma`` at resolution ``dt``, refines every sign change by
-    bisection to 1e-10 in t, and sums ``D(end) - D(start)`` over the increase
-    intervals inside ``[0, t_max]``.  The tail bound is the envelope value
-    ``exp(-gamma (1 + 2m) t_max)``, which D can never exceed.
+    D rises on ``[t_k, s_k]`` (see the module docstring); every interval with
+    ``t_k < t_max`` contributes ``D(min(s_k, t_max)) - D(t_k)``.  The tail
+    bound is the envelope value ``exp(-gamma (1 + 2m) t_max)``, which D can
+    never exceed.  ``dt`` is validated but has no effect: the intervals need
+    no sampling.  Raises :class:`InvalidGridError` when ``[0, t_max]`` holds
+    more than :data:`MAX_INTERVALS` intervals.
     """
-    if dt is None:
-        dt = default_scan_step(params)
     if t_max is None:
         t_max = default_truncation_time(params)
-    if not (dt > 0 and t_max > 0 and math.isfinite(dt) and math.isfinite(t_max)):
+    dt_ok = dt is None or (dt > 0 and math.isfinite(dt))
+    if not (dt_ok and t_max > 0 and math.isfinite(t_max)):
         raise InvalidGridError(f"dt and t_max must be positive and finite, got {dt!r}, {t_max!r}")
+    omega = params.omega
+    approx_count = omega * t_max / math.pi
+    if not (math.isfinite(approx_count) and approx_count <= MAX_INTERVALS):
+        raise InvalidGridError(
+            f"[0, t_max={t_max!r}] holds about {approx_count:.3g} increase intervals "
+            f"(omega * t_max / pi), above the limit of {MAX_INTERVALS} intervals"
+        )
 
-    grid = _scan_grid(dt, t_max)
-    positive_arr = np.asarray(trace_distance_rate(params, grid)) > 0.0
-
-    def positive(t: float) -> bool:
-        return trace_distance_rate(params, float(t)) > 0.0
-
-    intervals = []
-    open_start: float | None = None
-    for i in range(grid.size - 1):
-        if positive_arr[i + 1] == positive_arr[i]:
-            continue
-        crossing = _bisect_sign_change(positive, float(grid[i]), float(grid[i + 1]))
-        if positive_arr[i + 1] and open_start is None:
-            open_start = crossing
-        elif not positive_arr[i + 1] and open_start is not None:
-            intervals.append(_make_interval(params, open_start, crossing))
-            open_start = None
-    if open_start is not None:
-        intervals.append(_make_interval(params, open_start, float(t_max)))
-
-    n_value = math.fsum(iv.gain for iv in intervals)
+    k = np.arange(math.ceil(approx_count), dtype=float)
+    starts = (0.5 * math.pi + k * math.pi) / omega
+    starts = starts[starts < t_max]
+    peak_phase = math.pi - math.atan2(params.relaxation_rate, 2.0 * omega)
+    ends = np.minimum((peak_phase + k[: starts.size] * math.pi) / omega, t_max)
+    gains = np.maximum(
+        trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
+        0.0,
+    )
+    intervals = tuple(
+        IncreaseInterval(t_start=a, t_end=b, gain=g)
+        for a, b, g in zip(starts.tolist(), ends.tolist(), gains.tolist())
+    )
     return BlpResult(
-        n_value=n_value,
-        intervals=tuple(intervals),
+        n_value=math.fsum(iv.gain for iv in intervals),
+        intervals=intervals,
         pair_label=CANONICAL_PAIR_LABEL,
         truncation_time=float(t_max),
         tail_bound=math.exp(-params.relaxation_rate * t_max),
     )
 
 
-def _make_interval(params: ModelParams, start: float, end: float) -> IncreaseInterval:
-    gain = trace_distance_closed_form(params, end) - trace_distance_closed_form(params, start)
-    return IncreaseInterval(t_start=start, t_end=end, gain=max(gain, 0.0))
-
-
 def first_revival_time(params: ModelParams) -> float | None:
     """First time the distance rate flips from nonpositive to positive.
 
-    ``None`` when the exchange coupling is zero (monotone decay).  For
-    ``omega > 0`` the flip sits at ``pi / (2 omega)``, where the distance
-    touches zero; the scan horizon is stretched to cover it even when it lies
-    beyond the default truncation.
+    ``None`` when the exchange coupling is zero (monotone decay); otherwise
+    ``pi / (2 omega)``, where the distance touches zero.
     """
-    if params.omega == 0.0:
-        return None
-    horizon = max(default_truncation_time(params), 2.0 * math.pi / params.omega)
-    dt = default_scan_step(params)
-    grid = _scan_grid(dt, horizon)
-    positive_arr = np.asarray(trace_distance_rate(params, grid)) > 0.0
-
-    def positive(t: float) -> bool:
-        return trace_distance_rate(params, float(t)) > 0.0
-
-    for i in range(grid.size - 1):
-        if positive_arr[i + 1] and not positive_arr[i]:
-            return _bisect_sign_change(positive, float(grid[i]), float(grid[i + 1]))
-    return None
+    return None if params.omega == 0.0 else math.pi / (2.0 * params.omega)
 
 
 def classify_dynamics(
     params: ModelParams,
     eps: float = 1e-3,
-    dt: float | None = None,
     t_max: float | None = None,
 ) -> Classification:
     """Classify against a threshold: NonMarkovian iff ``n_value > eps``."""
     if not (eps >= 0 and math.isfinite(eps)):
         raise InvariantViolation(f"eps must be finite and nonnegative, got {eps!r}")
-    result = blp_measure(params, dt=dt, t_max=t_max)
+    result = blp_measure(params, t_max=t_max)
     regime = NON_MARKOVIAN if result.n_value > eps else MARKOVIAN
     return Classification(regime=regime, n_value=result.n_value, eps=eps, result=result)
 
@@ -337,11 +303,19 @@ def _mode_tail_bound(params: ModelParams, coeff: np.ndarray, vec: np.ndarray,
     return amplitude
 
 
-def _pair_curve(params: ModelParams, delta0: np.ndarray, grid: np.ndarray):
-    """Distance curve of a pair difference on ``grid`` plus a point evaluator."""
+def _scan_grid(dt: float, t_max: float) -> np.ndarray:
+    grid = np.arange(0.0, t_max, dt)
+    return np.append(grid, t_max)
+
+
+def _pair_curve(params: ModelParams, delta0: np.ndarray, mode_factors: np.ndarray):
+    """Distance curve of a pair difference plus a point evaluator.
+
+    ``mode_factors`` is ``exp(outer(lam, grid))``, shared by every pair.
+    """
     lam, vec, vec_inv = _liouvillian_modes(params)
     coeff = vec_inv @ delta0.reshape(16)
-    evolved = vec @ (np.exp(np.outer(lam, grid)) * coeff[:, None])
+    evolved = vec @ (mode_factors * coeff[:, None])
     dvals = _reduced_distance(_PTRACE @ evolved)
 
     def at(t: float) -> float:
@@ -416,14 +390,15 @@ def blp_measure_maximized(
 
     canonical_angles = {((0.0, math.pi), (math.pi, math.pi))}
     grid = _scan_grid(dt, t_max)
+    mode_factors = np.exp(np.outer(_liouvillian_modes(params)[0], grid))
 
-    candidates = [(blp_measure(params, dt=dt, t_max=t_max), None)]
+    candidates = [(blp_measure(params, t_max=t_max), None)]
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             (ang_a, lab_a, rho_a), (ang_b, lab_b, rho_b) = states[i], states[j]
             if (ang_a, ang_b) in canonical_angles:
                 continue  # identical to the canonical pair, already included
-            dvals, at, coeff = _pair_curve(params, rho_a - rho_b, grid)
+            dvals, at, coeff = _pair_curve(params, rho_a - rho_b, mode_factors)
             gains = [
                 float(dvals[hi] - dvals[lo]) for lo, hi in _discrete_intervals(dvals)
             ]
@@ -443,7 +418,7 @@ def blp_measure_maximized(
         return best_value  # canonical pair wins; analytic result already exact
 
     label, delta0, coeff = best_payload
-    dvals, at, _ = _pair_curve(params, delta0, grid)
+    dvals, at, _ = _pair_curve(params, delta0, mode_factors)
     intervals = []
     for lo, hi in _discrete_intervals(dvals):
         if lo == 0:

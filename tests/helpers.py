@@ -56,6 +56,21 @@ EXACT_U_AT_PI_OVER_OMEGA = 0.20787957635076193
 PUBLISHED_U_AT_PI_OVER_OMEGA = 0.0
 
 
+# --- independent oracles -----------------------------------------------------
+
+def blp_geometric_series(params: ModelParams) -> float:
+    """Untruncated memory measure of the canonical pair, summed in closed form.
+
+    Interval k rises from a zero of D to the peak at
+    ``s_k = s_0 + k pi / omega``, gaining ``4 omega^2 / (4 omega^2 + R^2)
+    e^{-R s_k}``; the gains form a geometric series of ratio ``e^{-R pi / omega}``.
+    """
+    rate, omega = params.relaxation_rate, params.omega
+    s_0 = (math.pi - math.atan(rate / (2.0 * omega))) / omega
+    weight = 4.0 * omega**2 / (4.0 * omega**2 + rate**2)
+    return weight * math.exp(-rate * s_0) / -math.expm1(-rate * math.pi / omega)
+
+
 # --- deterministic random factories ------------------------------------------
 
 def random_params(rng: np.random.Generator) -> ModelParams:

@@ -1,5 +1,6 @@
 """Command-line interface: formats, config resolution, exit codes, determinism."""
 import filecmp
+import hashlib
 import math
 import os
 import re
@@ -271,6 +272,17 @@ class TestBlp:
             assert 0.0 < t_start < t_end
             assert gain > 0.0
 
+    def test_interval_limit_rejected_quickly(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemory", "blp", "--gamma", "0.001", "--omega", "1000"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+        assert proc.returncode == 1
+        assert "100000" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestEntanglement:
     def test_default_columns(self, tmp_path):
@@ -397,6 +409,19 @@ class TestDeterminism:
             assert run_cli(*args, "--out", str(first)).returncode == 0
             assert run_cli(*args, "--out", str(second)).returncode == 0
             assert filecmp.cmp(first, second, shallow=False)
+
+    def test_golden_digests(self, tmp_path):
+        cases = {
+            "afc1f2755af27e9acfb1b64238ea518e3dfefeca2e0e0c9de35be6ba5e5c53af": ["blp"],
+            "dae413d69b8ea28abb88443f051023a788255132b238d0ad0113235aef773756": [
+                "sweep", "--param", "omega", "--from", "0", "--to", "1.2",
+                "--points", "7", "--t-max", "20", "--steps", "41",
+            ],
+        }
+        for digest, args in cases.items():
+            out = tmp_path / "golden.csv"
+            assert run_cli(*args, "--out", str(out)).returncode == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, args
 
     def test_blp_stdout_deterministic(self):
         assert run_cli("blp").stdout == run_cli("blp").stdout

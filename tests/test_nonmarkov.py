@@ -23,7 +23,7 @@ from qmemory import (
     trace_distance_rate,
     validate_density_matrix,
 )
-from qmemory.nonmarkov import CANONICAL_PAIR_LABEL
+from qmemory.nonmarkov import CANONICAL_PAIR_LABEL, MAX_INTERVALS
 from qmemory.errors import InvalidGridError, InvariantViolation
 
 from helpers import (
@@ -40,6 +40,7 @@ from helpers import (
     N_OMEGA_01,
     N_OMEGA_05,
     T_STAR,
+    blp_geometric_series,
     random_params,
 )
 
@@ -164,6 +165,45 @@ class TestBlpMeasure:
         ):
             with pytest.raises(InvalidGridError):
                 blp_measure(CANONICAL, **kwargs)
+
+    def test_matches_geometric_series(self):
+        rng = np.random.default_rng(47)
+        # omega / R log-uniform up to 1e4 (about 95 000 intervals), plus that corner
+        ratios = np.append(np.exp(rng.uniform(math.log(0.05), math.log(1e4), 50)), 1e4)
+        for ratio in ratios.tolist():
+            gamma = float(rng.uniform(0.05, 1.0))
+            m = float(rng.uniform(0.0, 3.0))
+            params = ModelParams(gamma, m, ratio * gamma * (1.0 + 2.0 * m))
+            assert blp_measure(params).n_value == pytest.approx(
+                blp_geometric_series(params), rel=0, abs=1e-9
+            )
+
+    def test_interval_count_is_number_of_zeros_before_truncation(self):
+        rng = np.random.default_rng(48)
+        for _ in range(200):
+            params = random_params(rng)
+            t_max = float(rng.uniform(0.1, 60.0))
+            zeros = 0
+            while params.omega > 0 and (0.5 + zeros) * math.pi / params.omega < t_max:
+                zeros += 1
+            intervals = blp_measure(params, t_max=t_max).intervals
+            assert len(intervals) == zeros
+            assert all(iv.t_end <= t_max for iv in intervals)
+            if trace_distance_rate(params, t_max) > 0.0:  # cut inside a rise
+                assert intervals[-1].t_end == t_max
+        assert blp_measure(CANONICAL, t_max=T_STAR).intervals == ()
+        (only,) = blp_measure(CANONICAL, t_max=T_STAR * (1.0 + 1e-12)).intervals
+        assert only.t_end == T_STAR * (1.0 + 1e-12)
+
+    def test_scan_step_has_no_effect(self):
+        assert blp_measure(CANONICAL, dt=0.5) == blp_measure(CANONICAL)
+
+    def test_interval_limit(self):
+        assert MAX_INTERVALS == 100_000
+        with pytest.raises(InvalidGridError, match="100000"):
+            blp_measure(ModelParams(0.001, 0.0, 1000.0))
+        with pytest.raises(InvalidGridError, match="100000"):
+            blp_measure(ModelParams(1.0, 0.0, 1.0), t_max=math.pi * (MAX_INTERVALS + 1))
 
     def test_default_grid_helpers(self):
         assert default_scan_step(CANONICAL) == pytest.approx(0.0125)
