@@ -70,7 +70,6 @@ from .errors import (
     NotXFormError,
     OmegaZeroError,
     QmemoryError,
-    StepUnderflowError,
 )
 from .nonmarkov import (
     BlpResult,
@@ -115,7 +114,7 @@ __all__ = [
     # errors
     "DimensionMismatchError", "InvalidGridError", "InvariantViolation",
     "NegativeEigenvalueError", "NonHermitianError", "NotXFormError",
-    "OmegaZeroError", "QmemoryError", "StepUnderflowError",
+    "OmegaZeroError", "QmemoryError",
     # nonmarkov
     "BlpResult", "Classification", "IncreaseInterval", "MARKOVIAN",
     "NON_MARKOVIAN", "blp_measure", "blp_measure_maximized",

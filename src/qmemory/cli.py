@@ -263,17 +263,12 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
     values = np.linspace(lo, hi, points)
     t = _time_grid(cfg)
 
-    def evaluate(value: float):
-        p = replace(cfg.params, **{param: float(value)})
+    rows = []
+    for value in values.tolist():
+        p = replace(cfg.params, **{param: value})
         d = np.asarray(trace_distance_closed_form(p, t))
         flag = 1 if classify_dynamics(p, cfg.eps).regime == NON_MARKOVIAN else 0
-        return float(value), d, flag
-
-    rows = [
-        (param, value, float(ti), float(di), flag)
-        for value, d, flag in map(evaluate, values.tolist())
-        for ti, di in zip(t.tolist(), d.tolist())
-    ]
+        rows.extend((param, value, ti, di, flag) for ti, di in zip(t.tolist(), d.tolist()))
     echo = _common_echo(cfg)
     del echo[param]  # the swept parameter lives in the sweep_value column
     echo.update({"param": param, "from": float(lo), "to": float(hi), "points": points})

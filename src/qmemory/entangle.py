@@ -30,6 +30,7 @@ import numpy as np
 
 from .dynamics import ModelParams, population_from_excited, population_from_ground
 from .errors import InvariantViolation, OmegaZeroError
+from .nonmarkov import first_revival_time
 
 
 class EntanglementVariant(Enum):
@@ -71,8 +72,8 @@ def entanglement_entropy(
     if np.any(tt < 0.0):
         raise InvariantViolation(f"time must be nonnegative, got {t!r}")
     flat = np.atleast_1d(tt)
-    # The populations are probabilities; round-off from the eigendecomposition
-    # can push them ~1e-16 outside [0, 1], which would make -p log2 p negative.
+    # The populations are probabilities; round-off in their closed forms can
+    # push them ~1e-16 outside [0, 1], which would make -p log2 p negative.
     p_plus = np.clip(
         np.atleast_1d(np.asarray(population_from_excited(params, flat))), 0.0, 1.0
     )
@@ -113,13 +114,15 @@ def revival_instant(params: ModelParams) -> float:
 
     There the oscillation factor crosses zero, the excited populations of the
     two preparations coincide, and the trace distance touches zero before its
-    first revival.  Undefined without exchange coupling.
+    first revival (:func:`~qmemory.nonmarkov.first_revival_time`).  Undefined
+    without exchange coupling.
     """
-    if params.omega == 0.0:
+    t_rev = first_revival_time(params)
+    if t_rev is None:
         raise OmegaZeroError(
             "no revival exists at zero exchange coupling (distance decays monotonically)"
         )
-    return math.pi / (2.0 * params.omega)
+    return t_rev
 
 
 def entanglement_at_revival(

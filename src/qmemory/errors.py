@@ -28,10 +28,6 @@ class NegativeEigenvalueError(QmemoryError, ValueError):
     """An eigenvalue is negative beyond the tolerated round-off slack."""
 
 
-class StepUnderflowError(QmemoryError, RuntimeError):
-    """Step-doubling error control pushed the step below the floor (1e-12)."""
-
-
 class InvalidGridError(QmemoryError, ValueError):
     """A time grid is empty, unordered, or does not start at zero."""
 

@@ -71,6 +71,20 @@ def blp_geometric_series(params: ModelParams) -> float:
     return weight * math.exp(-rate * s_0) / -math.expm1(-rate * math.pi / omega)
 
 
+def swap_geometric_series(params: ModelParams) -> float:
+    """Untruncated memory measure of the ``|10>/|01>`` pair, in closed form.
+
+    Its distance ``e^{-R t} |cos 2 omega t|`` rises from each zero to the peak
+    at ``s_k = s_0 + k pi / (2 omega)``, gaining ``2 omega / sqrt(4 omega^2 +
+    R^2) e^{-R s_k}``; the gains form a geometric series of ratio
+    ``e^{-R pi / (2 omega)}``.
+    """
+    rate, omega = params.relaxation_rate, params.omega
+    s_0 = (math.pi - math.atan(rate / (2.0 * omega))) / (2.0 * omega)
+    weight = 2.0 * omega / math.sqrt(4.0 * omega**2 + rate**2)
+    return weight * math.exp(-rate * s_0) / -math.expm1(-rate * math.pi / (2.0 * omega))
+
+
 # --- deterministic random factories ------------------------------------------
 
 def random_params(rng: np.random.Generator) -> ModelParams:
