@@ -215,14 +215,23 @@ def superoperator(params: ModelParams) -> np.ndarray:
 
 # --- RK4 integration ---------------------------------------------------------
 
-def _rk4_span(liouv: np.ndarray, y: np.ndarray, h: float, n_steps: int) -> np.ndarray:
-    for _ in range(n_steps):
-        k1 = liouv @ y
-        k2 = liouv @ (y + 0.5 * h * k1)
-        k3 = liouv @ (y + 0.5 * h * k2)
-        k4 = liouv @ (y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _rk4_steps(terms: np.ndarray, y: np.ndarray, h: float, n: int) -> np.ndarray:
+    """``n`` classic RK4 steps ``y -> P y`` of size ``h``.
+
+    For the linear, constant generator ``L`` one step is ``P = I + E`` with
+    ``E = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; row ``k - 1`` of ``terms``
+    is ``L^k / k!`` flattened, ``k = 1..4``.  ``P^n y`` is taken by binary
+    powering on the increment (``P^2 = I + 2E + E^2``), so that the small
+    entries of ``E`` are never rounded against the identity.
+    """
+    inc = (np.array([h, h * h, h**3, h**4]) @ terms).reshape(16, 16)
+    while True:
+        if n & 1:
+            y = y + inc @ y
+        n >>= 1
+        if not n:
+            return y
+        inc = 2.0 * inc + inc @ inc
 
 
 def integrate_master(
@@ -235,15 +244,18 @@ def integrate_master(
     """Integrate the master equation with classic fixed-step RK4.
 
     This is the independent numerical oracle that ``validate`` sets against
-    the closed-form propagator.
+    the closed-form propagator.  The generator is linear and constant, so a
+    span of ``n`` steps is advanced by the ``n``-th power of the RK4 step
+    matrix, taken by repeated squaring: about ``log2(n)`` 16x16 products
+    instead of ``4n`` matrix-vector products.
 
     Parameters
     ----------
     rho0 : valid 4x4 density matrix at ``t_grid[0] = 0``.
-    t_grid : strictly increasing sample times starting at 0.
-    max_step : override for the internal step bound; by default the step
-        satisfies ``h <= min(grid spacing, 1e-3 / relaxation rate)`` and also
-        resolves the exchange frequency to the same fraction.
+    t_grid : strictly increasing finite sample times starting at 0.
+    max_step : override for the internal step bound, finite and positive; by
+        default the step satisfies ``h <= min(grid spacing, 1e-3 / relaxation
+        rate)`` and also resolves the exchange frequency to the same fraction.
 
     Every sample is Hermitized by averaging with its adjoint and renormalized
     when the trace drift exceeds 1e-12 (drift magnitude logged); the worst raw
@@ -252,8 +264,8 @@ def integrate_master(
     """
     rho0 = validate_density_matrix(rho0, dim=4)
     times = np.asarray(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise InvalidGridError("t_grid must be a nonempty 1-D array")
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise InvalidGridError("t_grid must be a nonempty 1-D array of finite times")
     if times[0] != 0.0:
         raise InvalidGridError(f"t_grid must start at 0, got {times[0]!r}")
     if times.size > 1 and not np.all(np.diff(times) > 0):
@@ -265,8 +277,13 @@ def integrate_master(
             h_bound = min(h_bound, STEP_RESOLUTION / params.omega)
     else:
         h_bound = float(max_step)
+        if not (math.isfinite(h_bound) and h_bound > 0.0):
+            raise InvalidGridError(f"max_step must be finite and positive, got {max_step!r}")
 
     liouv = superoperator(params)
+    terms = np.stack(
+        [np.linalg.matrix_power(liouv, k) / math.factorial(k) for k in range(1, 5)]
+    ).reshape(4, 256)
     y = rho0.reshape(16).astype(complex)
     samples = [rho0.copy()]
     worst_drift = 0.0
@@ -275,7 +292,7 @@ def integrate_master(
     for left, right in zip(times[:-1], times[1:]):
         span = float(right - left)
         n = max(1, math.ceil(span / h_bound))
-        y = _rk4_span(liouv, y, span / n, n)
+        y = _rk4_steps(terms, y, span / n, n)
 
         raw = y.reshape(4, 4)
         defect = hermiticity_defect(raw)

@@ -85,6 +85,21 @@ def swap_geometric_series(params: ModelParams) -> float:
     return weight * math.exp(-rate * s_0) / -math.expm1(-rate * math.pi / (2.0 * omega))
 
 
+def rk4_sequential(liouv: np.ndarray, y: np.ndarray, h: float, n_steps: int) -> np.ndarray:
+    """``n_steps`` classic RK4 steps of ``dy/dt = L y``, one stage at a time.
+
+    The plain four-stage loop, kept as the reference for the integrator's
+    folded step-matrix power.
+    """
+    for _ in range(n_steps):
+        k1 = liouv @ y
+        k2 = liouv @ (y + 0.5 * h * k1)
+        k3 = liouv @ (y + 0.5 * h * k2)
+        k4 = liouv @ (y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
 # --- deterministic random factories ------------------------------------------
 
 def random_params(rng: np.random.Generator) -> ModelParams:

@@ -67,21 +67,21 @@ def charpoly_eigenvalue_oracle(a: np.ndarray) -> np.ndarray:
     coeffs = _charpoly_coefficients(a)
     radius = float(np.max(np.sum(np.abs(a), axis=1)))
     xs = np.linspace(-radius - 1.0, radius + 1.0, 40001)
-    ys = np.array([_poly(coeffs, x) for x in xs])
+    ys = np.polyval(coeffs, xs)  # Horner, the same recurrence as _poly
     roots = []
-    for i in range(xs.size - 1):
+    signs = np.sign(ys)
+    for i in np.flatnonzero((ys[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0)):
         if ys[i] == 0.0:
             roots.append(float(xs[i]))
             continue
-        if np.sign(ys[i]) * np.sign(ys[i + 1]) < 0:
-            lo, hi = float(xs[i]), float(xs[i + 1])
-            for _ in range(100):
-                mid = 0.5 * (lo + hi)
-                if _poly(coeffs, lo) * _poly(coeffs, mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            roots.append(0.5 * (lo + hi))
+        lo, hi = float(xs[i]), float(xs[i + 1])
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if _poly(coeffs, lo) * _poly(coeffs, mid) <= 0:
+                hi = mid
+            else:
+                lo = mid
+        roots.append(0.5 * (lo + hi))
     if len(roots) != n:
         raise AssertionError(f"oracle isolated {len(roots)} of {n} roots")
     return np.sort(np.array(roots))[::-1]

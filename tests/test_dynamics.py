@@ -1,5 +1,6 @@
 """Generator, integrator, exact propagator, and published-solution probes."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -37,9 +38,11 @@ from helpers import (
     PUBLISHED_C0,
     PUBLISHED_D0,
     PUBLISHED_U_AT_PI_OVER_OMEGA,
+    random_density,
     random_params,
     random_qubit_density,
     random_valid_xstate,
+    rk4_sequential,
 )
 
 
@@ -319,9 +322,47 @@ class TestIntegrator:
         with pytest.raises(InvalidGridError):
             integrate_master(rho0, CANONICAL, [[0.0, 1.0]])
 
+    def test_negative_max_step_rejected(self):
+        with pytest.raises(InvalidGridError, match="max_step must be finite and positive"):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0], max_step=-1.0)
+
+    def test_zero_max_step_rejected(self):
+        with pytest.raises(InvalidGridError, match="max_step must be finite and positive"):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0], max_step=0.0)
+
+    def test_nan_max_step_rejected(self):
+        with pytest.raises(InvalidGridError, match="max_step must be finite and positive"):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0], max_step=math.nan)
+
+    def test_infinite_grid_time_rejected(self):
+        with pytest.raises(InvalidGridError, match="finite times"):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, math.inf])
+
     def test_initial_state_validation(self):
         with pytest.raises(InvariantViolation):
             integrate_master(np.eye(4, dtype=complex), CANONICAL, [0.0, 1.0])
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 7, 1316])
+    def test_step_matrix_power_is_sequential_rk4(self, n_steps):
+        # one span of exactly n_steps steps: ceil(span / max_step) == n_steps
+        span = 0.25
+        max_step = span / n_steps * (1.0 + 1e-12)
+        rng = np.random.default_rng(85)
+        for params in parameter_grid():
+            rho0 = random_density(rng, 4)
+            traj = integrate_master(rho0, params, [0.0, span], max_step=max_step)
+            expected = rk4_sequential(
+                superoperator(params), rho0.reshape(16), span / n_steps, n_steps
+            ).reshape(4, 4)
+            assert np.max(np.abs(traj.samples[-1] - expected)) < 1e-13
+
+    def test_large_step_count_is_fast_and_exact(self):
+        # 10^7 RK4 steps in one span; a step-by-step loop takes minutes
+        start = time.perf_counter()
+        traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 100.0], max_step=1e-5)
+        assert time.perf_counter() - start < 5.0
+        expected = embed_xstate(propagate_xstate_exact(XSTATE_10, CANONICAL, 100.0))
+        assert np.max(np.abs(traj.samples[-1] - expected)) < 1e-9
 
     def test_single_point_grid(self):
         traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0])
