@@ -279,6 +279,10 @@ def integrate_master(
         h_bound = float(max_step)
         if not (math.isfinite(h_bound) and h_bound > 0.0):
             raise InvalidGridError(f"max_step must be finite and positive, got {max_step!r}")
+        if not math.isfinite(float(times[-1]) / h_bound):
+            raise InvalidGridError(
+                f"t_grid[-1] / max_step is not a finite step count for max_step={max_step!r}"
+            )
 
     liouv = superoperator(params)
     terms = np.stack(

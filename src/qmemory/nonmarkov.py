@@ -13,15 +13,25 @@ peak ``s_k = (pi - atan(R / 2 omega) + k pi) / omega``, ``R = gamma (1 + 2m)``.
 The measure is zero exactly when the exchange coupling vanishes and grows
 monotonically with it.
 
-For arbitrary product-state pairs (the maximizer) no closed form exists; the
-difference of the two full states is evolved through the eigendecomposition of
-the 16x16 generator and the sampled distance curve is analyzed directly.
+For arbitrary product-state pairs (the maximizer) no closed form is used: a
+pair difference is traceless, so its reduced difference is
+``[[r0, r1], [conj(r1), -r0]]`` and ``D = sqrt(r0^2 + |r1|^2)``, with both
+rows read off the eigendecomposition of the 16x16 generator.  Every candidate's
+curve is sampled in one batched contraction of ``exp(outer(t, lam))`` with the
+pairs' mode coefficients, a block of pairs at a time, and its rises give an
+estimate.  Refining a rise's endpoints can add at most a bound set by the
+grid spacing and the curve's largest speed, so candidates are refined only
+while their estimate plus bound can still reach the best refined value.  The
+candidate pairs vary atom 2 as well; their maximum is not the BLP measure of
+atom 1's dynamical map, which fixes the environment's initial state.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,6 +43,8 @@ from .dynamics import (
 )
 from .errors import InvalidGridError, InvariantViolation
 
+logger = logging.getLogger(__name__)
+
 MARKOVIAN = "Markovian"
 NON_MARKOVIAN = "NonMarkovian"
 
@@ -40,6 +52,15 @@ CANONICAL_PAIR_LABEL = "|10>/|00>"
 
 # Largest number of increase intervals the canonical measure will build.
 MAX_INTERVALS = 100_000
+# Largest polar grid the maximizer accepts; its cost grows as grid_size**4.
+MAX_GRID_SIZE = 13
+# Largest number of samples (t_max / dt) on one candidate distance curve.
+MAX_SCAN_POINTS = 1_000_000
+# Budget per block of pairs in the batched candidate pass, at 16 bytes per
+# pair and time sample; it sets the memory, not the result.
+_CHUNK_BYTES = 400_000
+# Generator eigenvalues closer than this (relative) count as one mode.
+_DEGENERACY_RTOL = 1e-12
 # Time localization of the maximizer's interval endpoints.
 _BISECT_TOL = 1e-10
 # Sampled-curve rises below this are float noise, not information backflow.
@@ -58,21 +79,28 @@ def default_truncation_time(params: ModelParams) -> float:
     return 30.0 / params.relaxation_rate
 
 
-@dataclass(frozen=True)
-class IncreaseInterval:
-    """One maximal interval on which the trace distance increases."""
-
+class _Interval(NamedTuple):
     t_start: float
     t_end: float
     gain: float
 
-    def __post_init__(self) -> None:
-        if not (self.t_start < self.t_end):
-            raise InvariantViolation(
-                f"interval endpoints out of order: [{self.t_start!r}, {self.t_end!r}]"
-            )
-        if self.gain < 0:
-            raise InvariantViolation(f"interval gain must be nonnegative, got {self.gain!r}")
+
+class IncreaseInterval(_Interval):
+    """One maximal interval on which the trace distance increases.
+
+    An immutable named tuple rather than a frozen dataclass: a measure can
+    hold up to :data:`MAX_INTERVALS` of them, and a tuple costs less than half
+    as much to build.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, t_start: float, t_end: float, gain: float):
+        if not (t_start < t_end):
+            raise InvariantViolation(f"interval endpoints out of order: [{t_start!r}, {t_end!r}]")
+        if gain < 0:
+            raise InvariantViolation(f"interval gain must be nonnegative, got {gain!r}")
+        return super().__new__(cls, t_start, t_end, gain)
 
 
 @dataclass(frozen=True)
@@ -185,12 +213,10 @@ def blp_measure(
         trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
         0.0,
     )
-    intervals = tuple(
-        IncreaseInterval(t_start=a, t_end=b, gain=g)
-        for a, b, g in zip(starts.tolist(), ends.tolist(), gains.tolist())
-    )
+    gains = gains.tolist()
+    intervals = tuple(map(IncreaseInterval, starts.tolist(), ends.tolist(), gains))
     return BlpResult(
-        n_value=math.fsum(iv.gain for iv in intervals),
+        n_value=math.fsum(gains),
         intervals=intervals,
         pair_label=CANONICAL_PAIR_LABEL,
         truncation_time=float(t_max),
@@ -269,14 +295,6 @@ def bloch_polar_state(theta: float) -> np.ndarray:
     return np.outer(amp, amp).astype(complex)
 
 
-def _reduced_distance(red: np.ndarray) -> np.ndarray:
-    """Trace distance values from vectorized 2x2 reduced differences (4 x T)."""
-    mean = 0.5 * (red[0] + red[3]).real
-    half_gap = 0.5 * (red[0] - red[3]).real
-    radius = np.sqrt(half_gap**2 + np.abs(red[1]) ** 2)
-    return 0.5 * (np.abs(mean + radius) + np.abs(mean - radius))
-
-
 def _mode_tail_bound(params: ModelParams, coeff: np.ndarray, vec: np.ndarray,
                      lam: np.ndarray, t_max: float) -> float:
     """Bound on gains past ``t_max`` for a general pair, from generator modes.
@@ -308,51 +326,191 @@ def _scan_grid(dt: float, t_max: float) -> np.ndarray:
     return np.append(grid, t_max)
 
 
-def _pair_curve(params: ModelParams, delta0: np.ndarray, mode_factors: np.ndarray):
-    """Distance curve of a pair difference plus a point evaluator.
+def _candidate_pairs(grid_size: int):
+    """Labels and 16 x P matrix of vectorized differences of the candidate pairs.
 
-    ``mode_factors`` is ``exp(outer(lam, grid))``, shared by every pair.
+    The states are ``|s(th1)> x |s(th2)>`` with both angles on a
+    ``grid_size``-point polar grid; the pairs are the unordered ones, minus the
+    one equal to the canonical pair.
     """
-    lam, vec, vec_inv = _liouvillian_modes(params)
-    coeff = vec_inv @ delta0.reshape(16)
-    evolved = vec @ (mode_factors * coeff[:, None])
-    dvals = _reduced_distance(_PTRACE @ evolved)
-
-    def at(t: float) -> float:
-        state = vec @ (np.exp(lam * t) * coeff)
-        return float(_reduced_distance((_PTRACE @ state)[:, None])[0])
-
-    return dvals, at, coeff
-
-
-def _discrete_intervals(dvals: np.ndarray):
-    """Index ranges (i, j) of maximal strictly increasing runs of a curve."""
-    rising = np.diff(dvals) > 0.0
-    runs = []
-    i = 0
-    while i < rising.size:
-        if rising[i]:
-            j = i
-            while j < rising.size and rising[j]:
-                j += 1
-            runs.append((i, j))
-            i = j
-        else:
-            i += 1
-    return runs
+    thetas = np.linspace(0.0, math.pi, grid_size).tolist()
+    angles = [(th1, th2) for th1 in thetas for th2 in thetas]
+    states = np.array([
+        np.kron(bloch_polar_state(th1), bloch_polar_state(th2)).reshape(16)
+        for th1, th2 in angles
+    ])
+    first, second = np.triu_indices(len(angles), k=1)
+    # (0, pi) vs (pi, pi) is |10> vs |00>, evaluated analytically instead
+    keep = ~((first == grid_size - 1) & (second == len(angles) - 1))
+    first, second = first[keep], second[keep]
+    names = [f"theta({th1:.4f},{th2:.4f})" for th1, th2 in angles]
+    labels = [f"{names[i]}/{names[j]}" for i, j in zip(first.tolist(), second.tolist())]
+    return labels, (states[first] - states[second]).T
 
 
-def _refine_extremum(f, lo: float, hi: float, mode: str) -> float:
-    """Ternary search for a local extremum of ``f`` inside [lo, hi]."""
-    want_min = mode == "min"
-    while hi - lo > _BISECT_TOL:
-        third = (hi - lo) / 3.0
-        f1, f2 = f(lo + third), f(hi - third)
-        if (f1 <= f2) == want_min:
-            hi = hi - third
-        else:
-            lo = lo + third
-    return 0.5 * (lo + hi)
+def _mode_factors(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``exp(outer(lam, t))`` as stacked real and imaginary parts (32 x K)."""
+    factors = np.exp(np.outer(lam, t))
+    return np.concatenate([factors.real, factors.imag])
+
+
+def _pair_weights(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Real weights (32 x 3P) that turn :func:`_mode_factors` into reduced rows.
+
+    ``rows`` holds the two reduced-state rows ``(_PTRACE @ vec)[:2]`` and
+    ``coeffs`` the pairs' mode coefficients (16 x P).  With ``x = rows[k] c``,
+    ``Re r_k = [Re x, -Im x] . factors`` and ``Im r_k = [Im x, Re x] . factors``;
+    the columns give ``r0``, ``Re r1`` and ``Im r1`` of every pair, in blocks.
+    """
+    a, b = rows[0][:, None] * coeffs, rows[1][:, None] * coeffs
+    return np.block([[a.real, b.real, b.imag], [-a.imag, -b.imag, b.real]])
+
+
+def _distance(weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Reduced trace distances (P x K) from :func:`_pair_weights` and factors.
+
+    A pair difference is traceless, so its reduced difference is
+    ``[[r0, r1], [conj(r1), -r0]]`` with real ``r0``, and its trace distance is
+    ``sqrt(r0^2 + |r1|^2)``.
+    """
+    parts = weights.T @ factors
+    parts *= parts
+    count = parts.shape[0] // 3
+    return np.sqrt(parts[:count] + parts[count:2 * count] + parts[2 * count:])
+
+
+def _rising_runs(dvals: np.ndarray):
+    """Maximal strictly rising runs of each row of ``dvals`` (P x T).
+
+    Returns index arrays ``(row, lo, hi)``: the run climbs from
+    ``dvals[row, lo]`` to ``dvals[row, hi]``, ordered by row, then time.
+    """
+    size = dvals.shape[1]
+    rising = np.zeros(dvals.shape, dtype=np.int8)
+    rising[:, :-1] = np.diff(dvals, axis=1) > 0.0  # last slot False ends every run
+    edges = np.diff(rising.reshape(-1), prepend=np.int8(0))
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return starts // size, starts % size, stops % size
+
+
+def _slope_bound(lam: np.ndarray, rows: np.ndarray):
+    """Bound on the speed ``|dD/dt|`` of pair distance curves, from a time on.
+
+    A pair with mode coefficients ``c`` has reduced rows ``r(t) = sum_i
+    rows[:, i] c_i e^{lam_i t}``, so ``L(t) = sum_i (|rows[0, i] c_i| +
+    |rows[1, i] c_i|) |lam_i| e^{Re lam_i t}`` bounds the speed of ``D =
+    sqrt(r0^2 + |r1|^2)`` on ``[t, inf)``.  Modes whose eigenvalues agree to
+    rounding move as one: their amplitudes are added before the moduli are
+    taken, and each split ``delta_i`` from the group's eigenvalue ``lam_g`` adds
+    the bound ``delta_i (1 + (|lam_g| + delta_i) t) e^{max(Re lam_i, Re lam_g) t}``
+    on the change of ``lam e^{lam t}``, times the mode's own amplitude.
+    Returns ``bound(coeffs, pair, times)``: L at ``times[k]`` for the pair
+    with coefficients ``coeffs[:, pair[k]]``.
+    """
+    tol = _DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(lam))))
+    rep = np.array([np.flatnonzero(np.abs(lam - x) <= tol)[0] for x in lam])
+    group = (rep[None, :] == np.arange(lam.size)[:, None]).astype(float)
+    split = np.abs(lam - lam[rep])
+    crest = np.maximum(lam.real, lam.real[rep])
+
+    def bound(coeffs: np.ndarray, pair: np.ndarray, times: np.ndarray) -> np.ndarray:
+        a, b = rows[0][:, None] * coeffs, rows[1][:, None] * coeffs
+        joint = (np.abs(group @ a) + np.abs(group @ b)).T[pair]
+        own = (np.abs(a) + np.abs(b)).T[pair]
+        t = times[:, None]
+        return np.sum(
+            joint * np.abs(lam) * np.exp(t * lam.real)
+            + own * split * (1.0 + (np.abs(lam[rep]) + split) * t) * np.exp(t * crest),
+            axis=1,
+        )
+
+    return bound
+
+
+def _sampled_estimates(params: ModelParams, coeffs: np.ndarray, grid: np.ndarray):
+    """Sampled memory measure of every pair, each with a bound on its refinement.
+
+    The pairs' distance curves on ``grid`` are built a block of pairs at a
+    time from one shared ``exp(outer(lam, grid))``.  A pair's estimate sums the
+    rises of its sampled runs above the float-noise floor.  Refining a run
+    (:func:`_refined_intervals`) moves each interior endpoint by at most one
+    grid spacing ``h``, so it adds at most ``h (L(t_lo - h) + L(t_hi - h))``
+    to the rise, with ``L`` from :func:`_slope_bound`.  A rise above the floor
+    adds that plus the floor, which covers the rounding between the sampled and
+    the refined evaluation; a rise below the floor counts only if the addition
+    can lift it above.  Returns ``(estimates, bounds)``; refined minus estimate
+    is at most bound.
+    """
+    lam, vec, _ = _liouvillian_modes(params)
+    rows = (_PTRACE @ vec)[:2]
+    factors = _mode_factors(lam, grid)
+    slope_bound = _slope_bound(lam, rows)
+    spacing = float(np.max(np.diff(grid)))
+    last = grid.size - 1
+    count = coeffs.shape[1]
+    estimates = np.empty(count)
+    bounds = np.empty(count)
+    width = max(1, _CHUNK_BYTES // (16 * grid.size))
+    for first in range(0, count, width):
+        block = coeffs[:, first:first + width]
+        dvals = _distance(_pair_weights(rows, block), factors)
+        pair, lo, hi = _rising_runs(dvals)
+        gains = dvals[pair, hi] - dvals[pair, lo]
+        # L just before each endpoint; an endpoint at either end of the grid stays put
+        ends = np.concatenate([lo, hi])
+        speed = np.where(np.concatenate([lo > 0, hi < last]),
+                         slope_bound(block, np.tile(pair, 2), grid[ends - 1]), 0.0)
+        moves = spacing * (speed[:lo.size] + speed[lo.size:])
+        kept = gains > _GAIN_FLOOR
+        reach = gains + moves
+        slack = np.where(kept, moves + _GAIN_FLOOR, np.where(reach > _GAIN_FLOOR, reach, 0.0))
+        splits = np.cumsum(np.bincount(pair[kept], minlength=block.shape[1]))[:-1]
+        estimates[first:first + width] = [
+            math.fsum(g.tolist()) for g in np.split(gains[kept], splits)
+        ]
+        bounds[first:first + width] = np.bincount(pair, weights=slack,
+                                                  minlength=block.shape[1])
+    return estimates, bounds
+
+
+def _refined_intervals(params: ModelParams, coeff: np.ndarray, grid: np.ndarray) -> tuple:
+    """Increase intervals of one pair, each sampled run's endpoints refined.
+
+    An interior start (end) is refined by ternary search for the minimum
+    (maximum) between its two grid neighbours, to :data:`_BISECT_TOL`, for all
+    endpoints at once; rises below the float-noise floor are dropped.
+    """
+    lam, vec, _ = _liouvillian_modes(params)
+    weights = _pair_weights((_PTRACE @ vec)[:2], coeff[:, None])
+
+    def distance(t: np.ndarray) -> np.ndarray:
+        return _distance(weights, _mode_factors(lam, t))[0]
+
+    _, lo, hi = _rising_runs(distance(grid)[None, :])
+    inner_lo, inner_hi = lo > 0, hi < grid.size - 1
+    index = np.concatenate([lo[inner_lo], hi[inner_hi]])
+    want_min = np.arange(index.size) < np.count_nonzero(inner_lo)
+    left, right = grid[index - 1], grid[index + 1]
+    while True:
+        active = right - left > _BISECT_TOL
+        if not np.any(active):
+            break
+        third = (right - left) / 3.0
+        f1, f2 = np.split(distance(np.concatenate([left + third, right - third])), 2)
+        shrink_right = (f1 <= f2) == want_min
+        right = np.where(active & shrink_right, right - third, right)
+        left = np.where(active & ~shrink_right, left + third, left)
+    refined = 0.5 * (left + right)
+
+    t_start, t_end = grid[lo], grid[hi]
+    t_start[inner_lo] = refined[want_min]
+    t_end[inner_hi] = refined[~want_min]
+    gains = distance(t_end) - distance(t_start)
+    return tuple(
+        IncreaseInterval(t_start=a, t_end=b, gain=g)
+        for a, b, g in zip(t_start.tolist(), t_end.tolist(), gains.tolist())
+        if g > _GAIN_FLOOR
+    )
 
 
 def blp_measure_maximized(
@@ -365,83 +523,71 @@ def blp_measure_maximized(
 
     Candidates are all unordered pairs of ``|s(th1)> x |s(th2)>`` with both
     angles on a ``grid_size``-point polar grid (azimuth 0), plus always the
-    canonical ``|10>``/``|00>`` pair (evaluated analytically).  Ties are broken
-    toward the lexicographically smallest pair label.  The winner's interval
-    endpoints are refined by ternary search on the sampled distance curve;
-    rises below 1e-12 are discarded as float noise, so fully divisible
-    dynamics reports exactly 0.
+    canonical ``|10>``/``|00>`` pair (evaluated analytically).  These pairs
+    vary atom 2 as well, so the value is a maximum over this family, not the
+    BLP measure of atom 1's dynamical map.
+
+    Every candidate's distance curve is sampled with step ``dt`` in one
+    batched contraction, giving an estimate and a bound on how far refining its
+    interval endpoints can raise it.  Candidates are refined in decreasing
+    order of estimate plus bound until that sum falls below the best refined
+    value, so no unrefined candidate can beat the winner.  Ties are broken
+    toward the lexicographically smallest pair label.  Rises below 1e-12 are
+    discarded as float noise, so fully divisible dynamics reports exactly 0.
+
+    Raises :class:`InvariantViolation` for ``grid_size < 2`` and
+    :class:`InvalidGridError` above :data:`MAX_GRID_SIZE` or when
+    ``t_max / dt`` exceeds :data:`MAX_SCAN_POINTS`.
     """
     if grid_size < 2:
         raise InvariantViolation(f"grid_size must be at least 2, got {grid_size!r}")
+    if grid_size > MAX_GRID_SIZE:
+        raise InvalidGridError(
+            f"grid_size {grid_size!r} is above the limit of {MAX_GRID_SIZE} "
+            f"(the cost grows as grid_size**4)"
+        )
     if dt is None:
         dt = default_scan_step(params)
     if t_max is None:
         t_max = default_truncation_time(params)
     if not (dt > 0 and t_max > 0 and math.isfinite(dt) and math.isfinite(t_max)):
         raise InvalidGridError(f"dt and t_max must be positive and finite, got {dt!r}, {t_max!r}")
+    points = float(t_max) / float(dt)
+    if not points <= MAX_SCAN_POINTS:
+        raise InvalidGridError(
+            f"t_max / dt = {points:.3g} sample points per candidate curve, "
+            f"above the limit of {MAX_SCAN_POINTS} points"
+        )
 
-    thetas = np.linspace(0.0, math.pi, grid_size)
-    states = []
-    for th1 in thetas:
-        for th2 in thetas:
-            label = f"theta({th1:.4f},{th2:.4f})"
-            states.append(((float(th1), float(th2)), label,
-                           np.kron(bloch_polar_state(th1), bloch_polar_state(th2))))
-
-    canonical_angles = {((0.0, math.pi), (math.pi, math.pi))}
     grid = _scan_grid(dt, t_max)
-    mode_factors = np.exp(np.outer(_liouvillian_modes(params)[0], grid))
+    labels, deltas = _candidate_pairs(grid_size)
+    lam, vec, vec_inv = _liouvillian_modes(params)
+    coeffs = vec_inv @ deltas
+    estimates, bounds = _sampled_estimates(params, coeffs, grid)
+    ceilings = (estimates + bounds).tolist()
 
-    candidates = [(blp_measure(params, t_max=t_max), None)]
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            (ang_a, lab_a, rho_a), (ang_b, lab_b, rho_b) = states[i], states[j]
-            if (ang_a, ang_b) in canonical_angles:
-                continue  # identical to the canonical pair, already included
-            dvals, at, coeff = _pair_curve(params, rho_a - rho_b, mode_factors)
-            gains = [
-                float(dvals[hi] - dvals[lo]) for lo, hi in _discrete_intervals(dvals)
-            ]
-            n_est = math.fsum(g for g in gains if g > _GAIN_FLOOR)
-            candidates.append((n_est, (f"{lab_a}/{lab_b}", rho_a - rho_b, coeff)))
+    canonical = blp_measure(params, t_max=t_max)
+    best_n, best_label, best_intervals, best_index = (
+        canonical.n_value, canonical.pair_label, canonical.intervals, None)
+    refined = 0
+    for p in sorted(range(len(labels)), key=lambda p: (-ceilings[p], labels[p])):
+        if ceilings[p] < best_n:
+            break
+        intervals = ()  # a zero ceiling leaves no rise that refinement can keep
+        if ceilings[p] > 0.0:
+            refined += 1
+            intervals = _refined_intervals(params, coeffs[:, p], grid)
+        n_value = math.fsum(iv.gain for iv in intervals)
+        if (-n_value, labels[p]) < (-best_n, best_label):
+            best_n, best_label, best_intervals, best_index = n_value, labels[p], intervals, p
+    logger.debug("maximizer refined %d of %d candidate pairs", refined, len(labels) + 1)
 
-    def sort_key(entry):
-        value, payload = entry
-        n = value.n_value if isinstance(value, BlpResult) else value
-        label = CANONICAL_PAIR_LABEL if payload is None else payload[0]
-        return (-n, label)
-
-    candidates.sort(key=sort_key)
-    best_value, best_payload = candidates[0]
-
-    if best_payload is None:
-        return best_value  # canonical pair wins; analytic result already exact
-
-    label, delta0, coeff = best_payload
-    dvals, at, _ = _pair_curve(params, delta0, mode_factors)
-    intervals = []
-    for lo, hi in _discrete_intervals(dvals):
-        if lo == 0:
-            t_start = float(grid[0])
-        else:
-            t_start = _refine_extremum(
-                at, float(grid[lo - 1]), float(grid[min(lo + 1, grid.size - 1)]), "min"
-            )
-        if hi == grid.size - 1:
-            t_end = float(grid[-1])
-        else:
-            t_end = _refine_extremum(
-                at, float(grid[hi - 1]), float(grid[hi + 1]), "max"
-            )
-        gain = at(t_end) - at(t_start)
-        if gain > _GAIN_FLOOR:
-            intervals.append(IncreaseInterval(t_start=t_start, t_end=t_end, gain=gain))
-
-    lam, vec, _ = _liouvillian_modes(params)
+    if best_index is None:
+        return canonical  # canonical pair wins; analytic result already exact
     return BlpResult(
-        n_value=math.fsum(iv.gain for iv in intervals),
-        intervals=tuple(intervals),
-        pair_label=label,
+        n_value=best_n,
+        intervals=best_intervals,
+        pair_label=best_label,
         truncation_time=float(t_max),
-        tail_bound=_mode_tail_bound(params, coeff, vec, lam, float(t_max)),
+        tail_bound=_mode_tail_bound(params, coeffs[:, best_index], vec, lam, float(t_max)),
     )

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from qmemory import ModelParams, XState
+from qmemory.nonmarkov import _GAIN_FLOOR, _PTRACE, _liouvillian_modes
 
 # --- frozen oracle values ----------------------------------------------------
 
@@ -98,6 +99,54 @@ def rk4_sequential(liouv: np.ndarray, y: np.ndarray, h: float, n_steps: int) -> 
         k4 = liouv @ (y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return y
+
+
+def reduced_distance(red: np.ndarray) -> np.ndarray:
+    """Trace distances from vectorized 2x2 reduced differences (4 x T), in full.
+
+    Keeps the mean term ``(red[0] + red[3]) / 2`` that vanishes for pair
+    differences.
+    """
+    mean = 0.5 * (red[0] + red[3]).real
+    half_gap = 0.5 * (red[0] - red[3]).real
+    radius = np.sqrt(half_gap**2 + np.abs(red[1]) ** 2)
+    return 0.5 * (np.abs(mean + radius) + np.abs(mean - radius))
+
+
+def discrete_intervals(dvals: np.ndarray) -> list:
+    """Index ranges (i, j) of the maximal strictly increasing runs of a curve."""
+    rising = np.diff(dvals) > 0.0
+    runs = []
+    i = 0
+    while i < rising.size:
+        if rising[i]:
+            j = i
+            while j < rising.size and rising[j]:
+                j += 1
+            runs.append((i, j))
+            i = j
+        else:
+            i += 1
+    return runs
+
+
+def per_pair_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """Sampled memory-measure estimate of each pair, one pair at a time.
+
+    The reference for the maximizer's batched pass: each column of ``deltas``
+    (a vectorized 4x4 pair difference) is evolved in full through the
+    generator's modes, reduced to atom 1 by the partial trace, and its sampled
+    rises above the noise floor are summed.
+    """
+    lam, vec, vec_inv = _liouvillian_modes(params)
+    mode_factors = np.exp(np.outer(lam, grid))
+    estimates = []
+    for delta in deltas.T:
+        coeff = vec_inv @ delta
+        dvals = reduced_distance(_PTRACE @ (vec @ (mode_factors * coeff[:, None])))
+        gains = [float(dvals[j] - dvals[i]) for i, j in discrete_intervals(dvals)]
+        estimates.append(math.fsum(g for g in gains if g > _GAIN_FLOOR))
+    return np.array(estimates)
 
 
 # --- deterministic random factories ------------------------------------------

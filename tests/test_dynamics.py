@@ -334,6 +334,20 @@ class TestIntegrator:
         with pytest.raises(InvalidGridError, match="max_step must be finite and positive"):
             integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0], max_step=math.nan)
 
+    def test_subnormal_max_step_rejected(self):
+        # 5e-324 is finite and positive, but 1 / 5e-324 overflows to inf steps
+        with pytest.raises(InvalidGridError, match="finite step count"):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0], max_step=5e-324)
+
+    def test_tiny_max_step_still_integrates(self):
+        # 1e300 steps: a finite count, advanced by binary powering
+        start = time.perf_counter()
+        traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 100.0],
+                                max_step=1e-300)
+        assert time.perf_counter() - start < 1.0
+        expected = embed_xstate(propagate_xstate_exact(XSTATE_10, CANONICAL, 100.0))
+        assert np.max(np.abs(traj.samples[-1] - expected)) < 1e-12
+
     def test_infinite_grid_time_rejected(self):
         with pytest.raises(InvalidGridError, match="finite times"):
             integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, math.inf])

@@ -1,5 +1,6 @@
 """Trace-distance dynamics, interval accumulation, and pair maximization."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,17 @@ from qmemory import (
     trace_distance_rate,
     validate_density_matrix,
 )
-from qmemory.nonmarkov import CANONICAL_PAIR_LABEL, MAX_INTERVALS
+from qmemory.nonmarkov import (
+    CANONICAL_PAIR_LABEL,
+    MAX_GRID_SIZE,
+    MAX_INTERVALS,
+    MAX_SCAN_POINTS,
+    _candidate_pairs,
+    _liouvillian_modes,
+    _refined_intervals,
+    _sampled_estimates,
+    _scan_grid,
+)
 from qmemory.errors import InvalidGridError, InvariantViolation
 
 from helpers import (
@@ -41,6 +52,7 @@ from helpers import (
     N_OMEGA_05,
     T_STAR,
     blp_geometric_series,
+    per_pair_estimates,
     random_params,
     swap_geometric_series,
 )
@@ -310,6 +322,23 @@ class TestBlochPolarState:
             assert np.max(np.abs(rho @ rho - rho)) < 1e-15
 
 
+# omega / R = 1.05, where the sampled estimate of the |10>/|01> pair falls
+# short of its series by more than its lead over a smoother competitor
+SWAP_DEFECT_POINT = ModelParams(0.49335523078582455, 0.18559001921664953, 0.7119513917476399)
+
+
+def assert_orthogonal_pure_winner(label, grid_size):
+    """The winning pair's two product states are pure and mutually orthogonal."""
+    thetas = {f"{th:.4f}": th for th in np.linspace(0.0, math.pi, grid_size).tolist()}
+    pairs = re.fullmatch(r"theta\(([\d.]+),([\d.]+)\)/theta\(([\d.]+),([\d.]+)\)", label)
+    angles = [thetas[text] for text in pairs.groups()]
+    rho_a, rho_b = (np.kron(bloch_polar_state(a), bloch_polar_state(b))
+                    for a, b in (angles[:2], angles[2:]))
+    assert abs(np.trace(rho_a @ rho_b)) < 1e-12
+    for rho in (rho_a, rho_b):
+        assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
+
+
 class TestMaximizedMeasure:
     def test_frozen_winner(self):
         series = swap_geometric_series(CANONICAL)
@@ -341,21 +370,97 @@ class TestMaximizedMeasure:
         assert result.n_value == 0.0
         assert result.intervals == ()
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="winner chosen from sampled estimates that under-count V-shaped minima "
-        "near omega/R = 1 (documented in perfbench/README.md)",
-    )
     def test_not_below_swap_pair(self):
         # grid 5 contains the |10>/|01> pair, so N may not fall below its series
-        params = ModelParams(0.49335523078582455, 0.18559001921664953, 0.7119513917476399)
-        result = blp_measure_maximized(params, grid_size=5)
-        assert result.n_value >= swap_geometric_series(params) - 1e-9
+        result = blp_measure_maximized(SWAP_DEFECT_POINT, grid_size=5)
+        assert result.n_value >= swap_geometric_series(SWAP_DEFECT_POINT) - 1e-9
+
+    def test_near_resonance_not_below_analytic_pairs(self):
+        # omega / R in [1, 1.2], where the swap pair's V-shaped minima cost its
+        # sampled estimate most
+        rng = np.random.default_rng(73)
+        for _ in range(8):
+            gamma, m = float(rng.uniform(0.1, 0.5)), float(rng.uniform(0.0, 2.0))
+            params = ModelParams(gamma, m, float(rng.uniform(1.0, 1.2)) * gamma * (1 + 2 * m))
+            result = blp_measure_maximized(params, grid_size=5)
+            floor = max(swap_geometric_series(params), blp_geometric_series(params))
+            assert result.n_value >= floor - 1e-9
+
+    def test_winner_is_orthogonal_pure_pair(self):
+        # Wissmann et al., PRA 86, 062108 (2012): optimal pairs are orthogonal
+        for params in (CANONICAL, SWAP_DEFECT_POINT):
+            result = blp_measure_maximized(params, grid_size=5)
+            assert_orthogonal_pure_winner(result.pair_label, grid_size=5)
+
+    def test_batched_estimates_match_per_pair_route(self):
+        rng = np.random.default_rng(71)
+        labels, deltas = _candidate_pairs(3)
+        for _ in range(20):
+            params = random_params(rng)
+            dt = default_scan_step(params)
+            grid = _scan_grid(dt, min(default_truncation_time(params), 3000 * dt))
+            coeffs = _liouvillian_modes(params)[2] @ deltas
+            estimates, _ = _sampled_estimates(params, coeffs, grid)
+            reference = per_pair_estimates(params, deltas, grid)
+            assert np.max(np.abs(estimates - reference)) <= 1e-13
+
+            def best(values):
+                # mirror-image pairs tie exactly; rounding must not decide between them
+                return min(label for label, value in zip(labels, values)
+                           if value >= np.max(values) - 1e-13)
+
+            assert best(estimates) == best(reference)
+
+    @pytest.mark.parametrize("params, grid_size, t_max", [
+        (CANONICAL, 3, None),
+        (CANONICAL, 3, 0.5),  # some curves rise across the whole window
+        (ModelParams(0.3, 1.0, 0.9), 3, None),
+        (ModelParams(0.5, 0.0, 2.0), 3, None),
+        (ModelParams(0.1, 2.0, 0.05), 3, None),
+        (ModelParams(0.2, 0.5, 0.0), 3, None),
+        (ModelParams(0.2, 0.5, 1e-6), 3, None),
+        (SWAP_DEFECT_POINT, 5, None),
+    ])
+    def test_refinement_gain_within_bound(self, params, grid_size, t_max):
+        # refine every candidate: each gains at most its bound over its estimate,
+        # and the maximizer, which refines only some, picks the best of all
+        t_max = t_max or default_truncation_time(params)
+        grid = _scan_grid(default_scan_step(params), t_max)
+        labels, deltas = _candidate_pairs(grid_size)
+        coeffs = _liouvillian_modes(params)[2] @ deltas
+        estimates, bounds = _sampled_estimates(params, coeffs, grid)
+        refined = [
+            math.fsum(iv.gain for iv in _refined_intervals(params, coeffs[:, p], grid))
+            for p in range(len(labels))
+        ]
+        assert np.all(np.array(refined) - estimates <= bounds)
+        canonical = blp_measure(params, t_max=t_max)
+        best_n, best_label = min(
+            [(-n, label) for n, label in zip(refined, labels)]
+            + [(-canonical.n_value, CANONICAL_PAIR_LABEL)]
+        )
+        result = blp_measure_maximized(params, grid_size=grid_size, t_max=t_max)
+        assert result.pair_label == best_label
+        assert result.n_value == -best_n
 
     def test_grid_size_validation(self):
         for bad in (1, 0, -2):
             with pytest.raises(InvariantViolation):
                 blp_measure_maximized(CANONICAL, grid_size=bad)
+
+    def test_grid_size_limit(self):
+        assert MAX_GRID_SIZE == 13
+        # a short window keeps the largest accepted grid quick
+        result = blp_measure_maximized(CANONICAL, grid_size=MAX_GRID_SIZE, t_max=2.0)
+        assert result.n_value >= blp_measure(CANONICAL, t_max=2.0).n_value
+        with pytest.raises(InvalidGridError, match="limit of 13"):
+            blp_measure_maximized(CANONICAL, grid_size=MAX_GRID_SIZE + 1)
+
+    def test_scan_point_limit(self):
+        assert MAX_SCAN_POINTS == 1_000_000
+        for dt in (1e-9, 5e-324, 75.0 / (MAX_SCAN_POINTS + 1)):
+            with pytest.raises(InvalidGridError, match="1000000"):
+                blp_measure_maximized(CANONICAL, grid_size=3, dt=dt, t_max=75.0)
 
     def test_invalid_grid_arguments(self):
         with pytest.raises(InvalidGridError):
