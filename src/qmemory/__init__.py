@@ -12,7 +12,8 @@ Modules
 ``densmat``   density-matrix core: validation, partial trace, trace distance,
               von Neumann entropy, Hermitian eigenvalues.
 ``dynamics``  the master equation: generator, Runge-Kutta integrator, exact
-              block propagator, population closed forms, thermal fixed point.
+              propagator by coherence sector, population closed forms,
+              thermal fixed point.
 ``nonmarkov`` distance curves, increase intervals, the accumulated backflow
               measure, classification, and its maximization over preparations.
 ``entangle``  entanglement entropy in both published readings, steady values.
@@ -47,6 +48,7 @@ from .dynamics import (
     parameter_grid,
     population_from_excited,
     population_from_ground,
+    propagate_exact,
     propagate_xstate_exact,
     propagate_xstate_published,
     superoperator,
@@ -105,7 +107,7 @@ __all__ = [
     "GRID_GAMMAS", "GRID_OCCUPATIONS", "GRID_OMEGAS", "ModelParams",
     "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
     "lindblad_rhs", "parameter_grid", "population_from_excited",
-    "population_from_ground", "propagate_xstate_exact",
+    "population_from_ground", "propagate_exact", "propagate_xstate_exact",
     "propagate_xstate_published", "superoperator", "thermal_xstate",
     "xstate_rhs",
     # entangle

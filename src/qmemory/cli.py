@@ -26,16 +26,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import ModelParams
+from .dynamics import MAX_PARAMETER, ModelParams
 from .entangle import EntanglementVariant, entanglement_entropy
-from .errors import InvariantViolation, QmemoryError
+from .errors import InvalidGridError, InvariantViolation, QmemoryError
 from .nonmarkov import (
+    MAX_INTERVALS,
     NON_MARKOVIAN,
     classify_dynamics,
     trace_distance_closed_form,
     trace_distance_rate,
 )
 from .validate import run_validation
+
+# Largest number of CSV data rows one invocation may emit.
+MAX_ROWS = 10**6
 
 _DEFAULTS = {
     "gamma": 0.2,
@@ -76,6 +80,9 @@ class RunConfig:
             raise InvariantViolation(f"steps must be an integer >= 2, got {self.steps!r}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise InvariantViolation(f"t_max must be positive and finite, got {self.t_max!r}")
+        if self.t_max > MAX_PARAMETER:
+            raise InvariantViolation(
+                f"t_max = {self.t_max!r} is above the limit of {MAX_PARAMETER:g}")
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise InvariantViolation(f"eps must be nonnegative and finite, got {self.eps!r}")
 
@@ -239,7 +246,15 @@ def _common_echo(cfg: RunConfig) -> dict:
     }
 
 
-def _time_grid(cfg: RunConfig) -> np.ndarray:
+def _time_grid(cfg: RunConfig, curves: int = 1) -> np.ndarray:
+    """The shared sample times, once ``curves`` curves of them fit in
+    :data:`MAX_ROWS` rows; checked before anything is allocated."""
+    rows = curves * cfg.steps
+    if rows > MAX_ROWS:
+        raise InvariantViolation(
+            f"{curves} x {cfg.steps} steps = {rows} CSV rows, "
+            f"above the limit of {MAX_ROWS} rows"
+        )
     return np.linspace(0.0, cfg.t_max, cfg.steps)
 
 
@@ -260,14 +275,24 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
         raise InvariantViolation(f"--points must be >= 1, got {points!r}")
     if not (lo <= hi):
         raise InvariantViolation(f"--from must not exceed --to, got {lo!r} > {hi!r}")
+    for end in (lo, hi):  # every parameter limit is an interval, so the family is valid
+        replace(cfg.params, **{param: end})
+    t = _time_grid(cfg, points)
     values = np.linspace(lo, hi, points)
-    t = _time_grid(cfg)
 
     rows = []
+    intervals = 0
     for value in values.tolist():
         p = replace(cfg.params, **{param: value})
         d = np.asarray(trace_distance_closed_form(p, t))
-        flag = 1 if classify_dynamics(p, cfg.eps).regime == NON_MARKOVIAN else 0
+        verdict = classify_dynamics(p, cfg.eps)
+        intervals += len(verdict.result.intervals)
+        if intervals > MAX_INTERVALS:
+            raise InvalidGridError(
+                f"the family's memory measures hold more than {MAX_INTERVALS} increase "
+                f"intervals in all, above the limit of {MAX_INTERVALS} intervals"
+            )
+        flag = 1 if verdict.regime == NON_MARKOVIAN else 0
         rows.extend((param, value, ti, di, flag) for ti, di in zip(t.tolist(), d.tolist()))
     echo = _common_echo(cfg)
     del echo[param]  # the swept parameter lives in the sweep_value column
@@ -305,7 +330,7 @@ def parse_gammas(raw: str | None) -> list[float] | None:
 
 
 def cmd_entanglement(cfg: RunConfig, gammas: list[float] | None) -> int:
-    t = _time_grid(cfg)
+    t = _time_grid(cfg, 1 if gammas is None else len(gammas))
     echo = _common_echo(cfg)
     if gammas is None:
         e = np.asarray(entanglement_entropy(cfg.params, t, cfg.variant))

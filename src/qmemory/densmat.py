@@ -130,7 +130,7 @@ def extract_xstate(rho: np.ndarray, tol: float = XFORM_TOL) -> XState:
 def hermiticity_defect(mat: np.ndarray) -> float:
     """Largest entry-wise deviation of ``mat`` from its own adjoint."""
     mat = np.asarray(mat, dtype=complex)
-    return float(np.max(np.abs(mat - mat.conj().T))) if mat.size else 0.0
+    return float(abs(mat - mat.conj().T).max()) if mat.size else 0.0
 
 
 def validate_density_matrix(
@@ -186,18 +186,20 @@ def partial_trace_qubit2(rho: np.ndarray) -> np.ndarray:
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
-    Computed by LAPACK (``np.linalg.eigvalsh``) for every size.  Raises
-    :class:`NonHermitianError` when the symmetry defect exceeds 1e-12.
+    Computed by LAPACK (``np.linalg.eigvalsh``, which reads the lower
+    triangle) for every size.  Raises :class:`NonHermitianError` when the
+    symmetry defect exceeds 1e-12 (times ``max |h|`` where that is above 1).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
     defect = hermiticity_defect(h)
-    if defect > HERMITICITY_TOL * max(1.0, float(np.max(np.abs(h)))):
+    # the tolerance is relative to max |h| only above 1, so that is read only then
+    if defect > HERMITICITY_TOL and defect > HERMITICITY_TOL * float(abs(h).max()):
         raise NonHermitianError(
             f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}"
         )
-    return np.linalg.eigvalsh(0.5 * (h + h.conj().T))[::-1]
+    return np.linalg.eigvalsh(h)[::-1]
 
 
 def trace_distance(rho: np.ndarray, tau: np.ndarray) -> float:

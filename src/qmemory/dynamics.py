@@ -11,15 +11,28 @@ product basis ``|11>, |10>, |01>, |00>`` the generator is
 
 with ``D[L](rho) = L rho L^dag - (L^dag L rho + rho L^dag L)/2``.
 
-The X-state family is closed under this flow.  The component rate equations
-decouple into blocks, which is what the trusted propagator exploits:
+The generator commutes with a joint z-rotation of both atoms, so a matrix
+element ``|i><j|`` only mixes with elements of the same coherence number
+``k = n_i - n_j`` (``n`` counts excitations; Buca and Prosen, New J. Phys. 14,
+073007 (2012)).  The sectors k = -2..2 have sizes 1, 4, 6, 4, 1, and each has a
+closed form:
 
-* ``w`` and ``Re z`` decay at ``gamma (1 + 2m)``;
-* ``u = b - c`` and ``y = Im z`` perform a damped rotation at angular
-  frequency ``2 omega``;
-* the population sums ``(a, b + c, d)`` never see ``omega``: each atom
-  relaxes under its own single-atom map, so they evolve under the product of
-  two such maps, in closed form.
+* k = 0 and k = +-2 hold the X-state family, which the flow keeps closed:
+  ``w`` and ``Re z`` decay at ``R = gamma (1 + 2m)``; ``u = b - c`` and
+  ``y = Im z`` perform a damped rotation at angular frequency ``2 omega``; the
+  population sums ``(a, b + c, d)`` never see ``omega``: each atom relaxes
+  under its own single-atom map, so they evolve under the product of two such
+  maps.
+* k = +1 holds ``x = (rho(11,10), rho(11,01), rho(10,00), rho(01,00))``.  With
+  ``c1 = x2 + x3`` (atom 1's coherence), ``c2 = x1 + x4``, ``e1 = x2 - x3`` and
+  ``e2 = x1 - x4``, the pairs ``(c1 +- c2, e2 +- e1)`` evolve under
+  ``-R I + N+-``, ``N+- = [[R/2, i omega], [i omega -+ gamma, -R/2]]``.  Since
+  ``N+-^2 = mu+-^2 I`` with ``mu+-^2 = R^2/4 - omega^2 -+ i gamma omega``,
+
+      exp(t (-R I + N+-)) = e^{-R t} (cosh(mu+- t) I + sinh(mu+- t) / mu+- N+-),
+
+  and ``mu- = conj(mu+)``.  ``mu+-`` never vanishes for ``gamma > 0``, so the
+  block has no defective case.  k = -1 is the adjoint of k = +1.
 
 Two quantities recur everywhere: the relaxation rate ``gamma (1 + 2m)`` and
 the thermal occupation ``q = m / (1 + 2m)`` of a single atom.
@@ -31,6 +44,7 @@ solely so the defect is reproducible; see the ``validate`` CLI subcommand.
 """
 from __future__ import annotations
 
+import cmath
 import logging
 import math
 from dataclasses import dataclass
@@ -41,6 +55,7 @@ import numpy as np
 from .densmat import (
     TRACE_TOL,
     XState,
+    embed_xstate,
     hermiticity_defect,
     validate_density_matrix,
 )
@@ -65,6 +80,13 @@ XSTATE_00 = XState(0.0, 0.0, 0.0, 1.0)
 GRID_GAMMAS = (0.1, 0.2, 0.5)
 GRID_OCCUPATIONS = (0.0, 0.5, 2.0)
 GRID_OMEGAS = (0.0, 0.3, 0.8)
+
+# Largest accepted gamma, m, omega and relaxation rate gamma (1 + 2m): squares
+# and products of rates, and rates times CLI times, stay finite.
+MAX_PARAMETER = 1e100
+# Smallest accepted gamma: with omega at most MAX_PARAMETER, the real part of
+# the k = 1 root (about gamma / 2 at strong coupling) stays a normal float.
+MIN_GAMMA = 1e-200
 
 
 def parameter_grid() -> tuple["ModelParams", ...]:
@@ -93,10 +115,18 @@ class ModelParams:
                 raise InvariantViolation(f"{name} must be a finite number, got {v!r}")
         if self.gamma <= 0:
             raise InvariantViolation(f"gamma must be positive, got {self.gamma!r}")
+        if self.gamma < MIN_GAMMA:
+            raise InvariantViolation(
+                f"gamma = {self.gamma!r} is below the limit of {MIN_GAMMA:g}")
         if self.m < 0:
             raise InvariantViolation(f"m must be nonnegative, got {self.m!r}")
         if self.omega < 0:
             raise InvariantViolation(f"omega must be nonnegative, got {self.omega!r}")
+        for name, v in (("gamma", self.gamma), ("m", self.m), ("omega", self.omega),
+                        ("gamma (1 + 2m)", self.relaxation_rate)):
+            if v > MAX_PARAMETER:
+                raise InvariantViolation(
+                    f"{name} = {v!r} is above the limit of {MAX_PARAMETER:g}")
 
     @property
     def relaxation_rate(self) -> float:
@@ -285,8 +315,9 @@ def integrate_master(
             )
 
     liouv = superoperator(params)
+    square = liouv @ liouv
     terms = np.stack(
-        [np.linalg.matrix_power(liouv, k) / math.factorial(k) for k in range(1, 5)]
+        [liouv, square / 2.0, square @ liouv / 6.0, square @ square / 24.0]
     ).reshape(4, 256)
     y = rho0.reshape(16).astype(complex)
     samples = [rho0.copy()]
@@ -390,6 +421,72 @@ def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:
         z=complex(decay * complex(x0.z).real, y),
         w=complex(x0.w) * decay,
     ).validate()
+
+
+def coherence_root(params: ModelParams) -> complex:
+    """``mu+ = sqrt(R^2/4 - omega^2 - i gamma omega)``, principal branch: the
+    k = 1 rates are ``-R +- mu+`` and ``-R +- conj(mu+)``, ``0 < Re mu+ <= R/2``.
+
+    The rates are scaled by ``s = max(R, omega)`` before they are squared, so
+    tiny rates do not underflow to a vanishing root.
+    """
+    scale = max(params.relaxation_rate, params.omega)
+    rate, gamma, omega = (v / scale for v in (params.relaxation_rate, params.gamma, params.omega))
+    return scale * cmath.sqrt(complex(0.25 * rate * rate - omega * omega, -gamma * omega))
+
+
+def coherence_combinations(mat: np.ndarray) -> tuple:
+    """``(c1, c2, e1, e2)`` of the k = +1 elements of ``mat`` (shape 4 x 4 x ...):
+    atom 1's coherence ``c1``, atom 2's ``c2``, and their partners ``e1``, ``e2``."""
+    return (mat[0, 2] + mat[1, 3], mat[0, 1] + mat[2, 3],
+            mat[0, 2] - mat[1, 3], mat[0, 1] - mat[2, 3])
+
+
+def coherence_factors(params: ModelParams, t):
+    """``e^{-R t} cosh(mu+ t)`` and ``e^{-R t} sinh(mu+ t) / mu+`` (scalar or array ``t``).
+
+    Taken as ``e^{(mu+ - R) t}`` times ``(1 + e^{-2 mu+ t}) / 2`` and ``(1 -
+    e^{-2 mu+ t}) / (2 mu+)``: every exponential decays, and ``expm1`` keeps
+    the second exact for small ``mu+ t``.  Conjugate them for ``mu-``.
+    """
+    mu = coherence_root(params)
+    tt = np.asarray(t, dtype=float)
+    lead = 0.5 * np.exp((mu - params.relaxation_rate) * tt)
+    fall = np.expm1(-2.0 * mu * tt)  # e^{-2 mu+ t} - 1
+    return lead * (2.0 + fall), -lead * fall / mu
+
+
+def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
+    """Closed-form propagation of any valid 4x4 state, sector by sector.
+
+    The X part (k = 0, +-2) goes through :func:`propagate_xstate_exact`, the
+    k = +1 elements through the block exponentials of the module docstring,
+    and k = -1 is their adjoint.  A scalar ``t`` gives one state, a 1-D array
+    a stack; the flow is completely positive, so only ``rho0`` is validated.
+    """
+    rho0 = validate_density_matrix(rho0, dim=4)
+    tt = np.asarray(t, dtype=float)
+    a, b, c, d = np.diag(rho0).real.tolist()
+    x0 = XState(a=a, b=b, c=c, d=d, z=complex(rho0[1, 2]), w=complex(rho0[0, 3]))
+    rho = np.array([embed_xstate(propagate_xstate_exact(x0, params, ti))
+                    for ti in tt.reshape(-1).tolist()]).reshape(tt.shape + (4, 4))
+
+    rate, gamma, omega = params.relaxation_rate, params.gamma, params.omega
+    cosh, sinh = coherence_factors(params, tt)
+    c1, c2, e1, e2 = coherence_combinations(rho0)
+    sectors = []
+    for sign, ch, sh in ((1.0, cosh, sinh), (-1.0, np.conj(cosh), np.conj(sinh))):
+        u, v = c1 + sign * c2, e2 + sign * e1
+        sectors.append(((ch + 0.5 * rate * sh) * u + 1j * omega * sh * v,
+                        (1j * omega - sign * gamma) * sh * u + (ch - 0.5 * rate * sh) * v))
+    (u_p, v_p), (u_m, v_m) = sectors
+    c1, c2 = 0.5 * (u_p + u_m), 0.5 * (u_p - u_m)
+    e2, e1 = 0.5 * (v_p + v_m), 0.5 * (v_p - v_m)
+    for (i, j), value in (((0, 2), c1 + e1), ((1, 3), c1 - e1),
+                          ((0, 1), c2 + e2), ((2, 3), c2 - e2)):
+        rho[..., i, j] = 0.5 * value
+        rho[..., j, i] = np.conj(rho[..., i, j])
+    return rho
 
 
 def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XState:

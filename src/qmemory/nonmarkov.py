@@ -13,33 +13,39 @@ peak ``s_k = (pi - atan(R / 2 omega) + k pi) / omega``, ``R = gamma (1 + 2m)``.
 The measure is zero exactly when the exchange coupling vanishes and grows
 monotonically with it.
 
-For arbitrary product-state pairs (the maximizer) no closed form is used: a
-pair difference is traceless, so its reduced difference is
-``[[r0, r1], [conj(r1), -r0]]`` and ``D = sqrt(r0^2 + |r1|^2)``, with both
-rows read off the eigendecomposition of the 16x16 generator.  Every candidate's
-curve is sampled in one batched contraction of ``exp(outer(t, lam))`` with the
-pairs' mode coefficients, a block of pairs at a time, and its rises give an
-estimate.  Refining a rise's endpoints can add at most a bound set by the
-grid spacing and the curve's largest speed, so candidates are refined only
-while their estimate plus bound can still reach the best refined value.  The
-candidate pairs vary atom 2 as well; their maximum is not the BLP measure of
-atom 1's dynamical map, which fixes the environment's initial state.
+For arbitrary product-state pairs (the maximizer) a pair difference is
+traceless, so its reduced difference is ``[[r0, r1], [conj(r1), -r0]]`` and
+``D = sqrt(r0^2 + |r1|^2)``.  Both rows are closed forms by coherence sector
+(see :mod:`qmemory.dynamics`): ``r0`` comes from the k = 0 sector and is
+``e^{-R t}`` times a constant plus a rotation at ``2 omega``; ``r1``, atom 1's
+coherence, comes from the k = 1 sector and combines the real and imaginary
+parts of two block functions.  Every candidate's curve is therefore one real
+contraction of seven shared basis functions with the pair's weights, a block
+of pairs at a time, and its sampled rises give an estimate.  Refining a
+rise's endpoints can add at most a bound set by the grid spacing and the
+curve's largest speed, which the sector forms bound in closed form, so
+candidates are refined only while their estimate plus bound can still reach
+the best refined value.  The candidate pairs vary atom 2 as well; their
+maximum is not the BLP measure of atom 1's dynamical map, which fixes the
+environment's initial state.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (
     ModelParams,
+    coherence_combinations,
+    coherence_factors,
+    coherence_root,
     population_from_excited,
     population_from_ground,
-    superoperator,
 )
 from .errors import InvalidGridError, InvariantViolation
 
@@ -56,17 +62,16 @@ MAX_INTERVALS = 100_000
 MAX_GRID_SIZE = 13
 # Largest number of samples (t_max / dt) on one candidate distance curve.
 MAX_SCAN_POINTS = 1_000_000
-# Budget per block of pairs in the batched candidate pass, at 16 bytes per
-# pair and time sample; it sets the memory, not the result.
-_CHUNK_BYTES = 400_000
-# Generator eigenvalues closer than this (relative) count as one mode.
-_DEGENERACY_RTOL = 1e-12
-# Time localization of the maximizer's interval endpoints.
+# Budget per block of pairs in the batched candidate pass, at 24 bytes (three
+# real rows) per pair and time sample; it bounds the memory of a block's
+# curves and rising runs, not the result.
+_CHUNK_BYTES = 1_000_000
+# Time localization of the maximizer's interval endpoints, and the same
+# relative to t_max where floats near t_max are coarser than that.
 _BISECT_TOL = 1e-10
+_BISECT_RTOL = 1e-14
 # Sampled-curve rises below this are float noise, not information backflow.
 _GAIN_FLOOR = 1e-12
-# Relative accuracy demanded of the generator eigendecomposition.
-_MODES_RTOL = 1e-9
 
 
 def default_scan_step(params: ModelParams) -> float:
@@ -103,22 +108,73 @@ class IncreaseInterval(_Interval):
         return super().__new__(cls, t_start, t_end, gain)
 
 
+class _Intervals(Sequence):
+    """Increase intervals kept as three lists of floats and read as a tuple of
+    :class:`IncreaseInterval`, each built only when read.
+
+    A classification needs only their count and gain sum.  Built eagerly, up
+    to :data:`MAX_INTERVALS` records cost time, and as objects the garbage
+    collector tracks they trigger its full collections in later calls.
+    """
+
+    __slots__ = ("starts", "ends", "gains")
+
+    def __init__(self, starts: list, ends: list, gains: list):
+        self.starts, self.ends, self.gains = starts, ends, gains
+
+    @classmethod
+    def of(cls, records) -> "_Intervals":
+        records = tuple(records)
+        return cls(*([record[i] for record in records] for i in range(3)))
+
+    def __len__(self) -> int:
+        return len(self.gains)
+
+    def __iter__(self):
+        return map(IncreaseInterval, self.starts, self.ends, self.gains)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(IncreaseInterval, self.starts[index], self.ends[index],
+                             self.gains[index]))
+        return IncreaseInterval(self.starts[index], self.ends[index], self.gains[index])
+
+    def __eq__(self, other) -> bool:
+        return tuple(self) == (tuple(other) if isinstance(other, _Intervals) else other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other):
+        return tuple(self) + other
+
+    def __radd__(self, other):
+        return other + tuple(self)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class BlpResult:
     """Accumulated memory measure with its supporting intervals.
 
     ``n_value`` is exactly the sum of interval gains; ``tail_bound`` bounds
     whatever the truncation at ``truncation_time`` can have missed.
+    ``intervals`` reads as a tuple of :class:`IncreaseInterval`; records given
+    in any sequence are stored in that form.
     """
 
     n_value: float
-    intervals: tuple
+    intervals: Sequence
     pair_label: str
     truncation_time: float
     tail_bound: float
 
     def __post_init__(self) -> None:
-        total = math.fsum(iv.gain for iv in self.intervals)
+        if not isinstance(self.intervals, _Intervals):
+            object.__setattr__(self, "intervals", _Intervals.of(self.intervals))
+        total = math.fsum(self.intervals.gains)
         if abs(self.n_value - total) > 1e-12:
             raise InvariantViolation(
                 f"n_value {self.n_value!r} differs from interval-gain sum {total!r}"
@@ -204,7 +260,7 @@ def blp_measure(
             f"(omega * t_max / pi), above the limit of {MAX_INTERVALS} intervals"
         )
 
-    k = np.arange(math.ceil(approx_count), dtype=float)
+    k = np.arange(math.ceil(approx_count - 0.5), dtype=float)  # zeros before t_max
     starts = (0.5 * math.pi + k * math.pi) / omega
     starts = starts[starts < t_max]
     peak_phase = math.pi - math.atan2(params.relaxation_rate, 2.0 * omega)
@@ -214,10 +270,9 @@ def blp_measure(
         0.0,
     )
     gains = gains.tolist()
-    intervals = tuple(map(IncreaseInterval, starts.tolist(), ends.tolist(), gains))
     return BlpResult(
         n_value=math.fsum(gains),
-        intervals=intervals,
+        intervals=_Intervals(starts.tolist(), ends.tolist(), gains),
         pair_label=CANONICAL_PAIR_LABEL,
         truncation_time=float(t_max),
         tail_bound=math.exp(-params.relaxation_rate * t_max),
@@ -248,43 +303,6 @@ def classify_dynamics(
 
 # --- arbitrary product pairs (maximizer) -------------------------------------
 
-@lru_cache(maxsize=16)
-def _liouvillian_modes(params: ModelParams):
-    """Eigendecomposition of the 16x16 generator, with a reconstruction check.
-
-    The generator is diagonalizable throughout the tested parameter space
-    (identical local baths plus symmetric exchange); if a parameter set ever
-    produced a defective generator this raises rather than silently degrading.
-    """
-    liouv = superoperator(params)
-    lam, vec = np.linalg.eig(liouv)
-    vec_inv = np.linalg.inv(vec)
-    scale = max(1.0, float(np.max(np.abs(liouv))))
-    residual = float(np.max(np.abs(vec @ np.diag(lam) @ vec_inv - liouv)))
-    if residual > _MODES_RTOL * scale:
-        raise RuntimeError(
-            f"generator eigendecomposition residual {residual:.3e} exceeds "
-            f"{_MODES_RTOL:.0e} x scale; generator may be defective at {params}"
-        )
-    for arr in (lam, vec, vec_inv):
-        arr.setflags(write=False)
-    return lam, vec, vec_inv
-
-
-def _partial_trace_map() -> np.ndarray:
-    """4x16 matrix taking vec(rho4) row-major to vec(reduced rho2)."""
-    pmap = np.zeros((4, 16))
-    for i in range(2):
-        for j in range(2):
-            for s in range(2):
-                pmap[2 * i + j, 4 * (2 * i + s) + (2 * j + s)] = 1.0
-    return pmap
-
-
-_PTRACE = _partial_trace_map()
-_PTRACE.setflags(write=False)
-
-
 def bloch_polar_state(theta: float) -> np.ndarray:
     """Single-atom pure state at polar angle ``theta``, azimuth 0.
 
@@ -293,32 +311,6 @@ def bloch_polar_state(theta: float) -> np.ndarray:
     """
     amp = np.array([math.cos(0.5 * theta), math.sin(0.5 * theta)])
     return np.outer(amp, amp).astype(complex)
-
-
-def _mode_tail_bound(params: ModelParams, coeff: np.ndarray, vec: np.ndarray,
-                     lam: np.ndarray, t_max: float) -> float:
-    """Bound on gains past ``t_max`` for a general pair, from generator modes.
-
-    Mode-wise: ||delta(t)||_1 <= sum_i |c_i| ||v_i||_1 e^{Re lam_i t}; future
-    peaks of the reduced distance are below half of that, recurring no more
-    often than the revival spacing, so a geometric sum with the slowest
-    nonzero rate bounds the total.
-    """
-    live = -lam.real > 1e-12
-    if not np.any(live):
-        return 0.0
-    norms = np.array([
-        float(np.sum(np.linalg.svd(vec[:, i].reshape(4, 4), compute_uv=False)))
-        for i in range(16)
-    ])
-    amplitude = 0.5 * float(
-        np.sum(np.abs(coeff[live]) * norms[live] * np.exp(lam.real[live] * t_max))
-    )
-    gap = float(np.min(-lam.real[live]))
-    if params.omega > 0.0:
-        spacing = math.pi / (2.0 * params.omega)
-        return amplitude / max(1.0 - math.exp(-gap * spacing), 1e-15)
-    return amplitude
 
 
 def _scan_grid(dt: float, t_max: float) -> np.ndarray:
@@ -348,35 +340,60 @@ def _candidate_pairs(grid_size: int):
     return labels, (states[first] - states[second]).T
 
 
-def _mode_factors(lam: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``exp(outer(lam, t))`` as stacked real and imaginary parts (32 x K)."""
-    factors = np.exp(np.outer(lam, t))
-    return np.concatenate([factors.real, factors.imag])
+def _sector_basis(params: ModelParams, t: np.ndarray) -> np.ndarray:
+    """The seven real functions (7 x K) that every pair's reduced rows combine.
 
-
-def _pair_weights(rows: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Real weights (32 x 3P) that turn :func:`_mode_factors` into reduced rows.
-
-    ``rows`` holds the two reduced-state rows ``(_PTRACE @ vec)[:2]`` and
-    ``coeffs`` the pairs' mode coefficients (16 x P).  With ``x = rows[k] c``,
-    ``Re r_k = [Re x, -Im x] . factors`` and ``Im r_k = [Im x, Re x] . factors``;
-    the columns give ``r0``, ``Re r1`` and ``Im r1`` of every pair, in blocks.
+    Rows: ``e^{-R t}`` times ``1``, ``cos 2 omega t`` and ``sin 2 omega t``
+    (the k = 0 sector), then the real and imaginary parts of
+    ``e^{-R t} (cosh(mu+ t) + R/2 sinh(mu+ t) / mu+)`` and of
+    ``e^{-R t} sinh(mu+ t) / mu+`` (the k = 1 sector).
     """
-    a, b = rows[0][:, None] * coeffs, rows[1][:, None] * coeffs
-    return np.block([[a.real, b.real, b.imag], [-a.imag, -b.imag, b.real]])
+    envelope = np.exp(-params.relaxation_rate * t)
+    phase = 2.0 * params.omega * t
+    cosh, sinh = coherence_factors(params, t)
+    leading = cosh + 0.5 * params.relaxation_rate * sinh
+    return np.stack([envelope, envelope * np.cos(phase), envelope * np.sin(phase),
+                     leading.real, leading.imag, sinh.real, sinh.imag])
 
 
-def _distance(weights: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Reduced trace distances (P x K) from :func:`_pair_weights` and factors.
+def _pair_weights(params: ModelParams, deltas: np.ndarray):
+    """Weights of vectorized pair differences (16 x P, row-major) on the basis.
+
+    A traceless difference has the reduced atom-1 difference
+    ``[[r0, r1], [conj(r1), -r0]]``.  Its k = 0 part gives ``r0 = e^{-R t}
+    (alpha + beta cos 2 omega t + eta sin 2 omega t)`` with ``alpha = (2a + b +
+    c) / 2``, ``beta = (b - c) / 2`` and ``eta = -Im z``; its k = 1 part gives
+    ``r1 = c1 P_re + i c2 P_im + i omega e2 S_re - omega e1 S_im`` in the rows of
+    :func:`_sector_basis`, since ``mu- = conj(mu+)`` turns the sum and the
+    difference of the two blocks into real and imaginary parts.  Returns the
+    weights (P x 3 x 7; rows ``r0``, ``Re r1``, ``Im r1``) and the amplitudes
+    (6 x P) ``|alpha|``, ``|alpha + beta|``, ``|(beta, eta)|``, ``|c1|``, ``|c2|``
+    and ``omega (|e1| + |e2|)`` that weight the rows of :func:`_slope_bound`.
+    """
+    d = deltas.reshape(4, 4, -1)
+    k0 = np.stack([(d[0, 0] + 0.5 * (d[1, 1] + d[2, 2])).real,
+                   0.5 * (d[1, 1] - d[2, 2]).real, -d[1, 2].imag])
+    c1, c2, e1, e2 = coherence_combinations(d)
+    k1 = np.stack([c1, 1j * c2, 1j * params.omega * e2, -params.omega * e1])
+    weights = np.zeros((deltas.shape[1], 3, 7))
+    weights[:, 0, :3] = k0.T
+    weights[:, 1, 3:] = k1.real.T
+    weights[:, 2, 3:] = k1.imag.T
+    amplitudes = np.stack([np.abs(k0[0]), np.abs(k0[0] + k0[1]), np.hypot(k0[1], k0[2]),
+                           np.abs(c1), np.abs(c2), np.abs(k1[2]) + np.abs(k1[3])])
+    return weights, amplitudes
+
+
+def _distance(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Reduced trace distances (P x K) from :func:`_pair_weights` and the basis.
 
     A pair difference is traceless, so its reduced difference is
     ``[[r0, r1], [conj(r1), -r0]]`` with real ``r0``, and its trace distance is
     ``sqrt(r0^2 + |r1|^2)``.
     """
-    parts = weights.T @ factors
+    parts = (weights.reshape(-1, 7) @ basis).reshape(weights.shape[0], 3, -1)
     parts *= parts
-    count = parts.shape[0] // 3
-    return np.sqrt(parts[:count] + parts[count:2 * count] + parts[2 * count:])
+    return np.sqrt(parts[:, 0] + parts[:, 1] + parts[:, 2])
 
 
 def _rising_runs(dvals: np.ndarray):
@@ -393,45 +410,84 @@ def _rising_runs(dvals: np.ndarray):
     return starts // size, starts % size, stops % size
 
 
-def _slope_bound(lam: np.ndarray, rows: np.ndarray):
-    """Bound on the speed ``|dD/dt|`` of pair distance curves, from a time on.
+def _slope_bound(params: ModelParams):
+    """Bounds on the speed ``|dD/dt|`` of pair distance curves, by sector.
 
-    A pair with mode coefficients ``c`` has reduced rows ``r(t) = sum_i
-    rows[:, i] c_i e^{lam_i t}``, so ``L(t) = sum_i (|rows[0, i] c_i| +
-    |rows[1, i] c_i|) |lam_i| e^{Re lam_i t}`` bounds the speed of ``D =
-    sqrt(r0^2 + |r1|^2)`` on ``[t, inf)``.  Modes whose eigenvalues agree to
-    rounding move as one: their amplitudes are added before the moduli are
-    taken, and each split ``delta_i`` from the group's eigenvalue ``lam_g`` adds
-    the bound ``delta_i (1 + (|lam_g| + delta_i) t) e^{max(Re lam_i, Re lam_g) t}``
-    on the change of ``lam e^{lam t}``, times the mode's own amplitude.
-    Returns ``bound(coeffs, pair, times)``: L at ``times[k]`` for the pair
-    with coefficients ``coeffs[:, pair[k]]``.
+    Each term of :func:`_pair_weights` has a derivative bound ``g(t)`` per unit
+    of its amplitude (rows 0-2 for ``r0``, 3-5 for ``r1``).  With ``mu+ = rho +
+    i y`` and the k = 1 rates ``-kappa = rho - R`` and ``-kappa' = -rho - R``,
+    the derivatives of the k = 1 rows are ``F = p(mu) e^{(mu - R) t} + p(-mu)
+    e^{(-mu - R) t}``, ``p(mu) = mu/2 - R/4 - R^2/(4 mu)``, and ``G = ((mu - R)
+    e^{(mu - R) t} + (mu + R) e^{(-mu - R) t}) / (2 mu)``.  The bounds:
+
+    * ``r0``: ``alpha`` and ``alpha + beta``: ``R e^{-R t}``; ``(beta, eta)``:
+      ``sqrt(R^2 + 4 omega^2) e^{-R t}`` beside ``alpha``, or, writing ``r0 =
+      e^{-R t} (alpha + beta + beta (cos 2 omega t - 1) + eta sin 2 omega t)``,
+      ``(2 omega + 2 R min(1, omega t)) e^{-R t}`` beside ``alpha + beta``.  The
+      smaller sum counts; the second vanishes with ``omega`` where D does;
+    * ``c1``: ``|F| <= |p(mu)| e^{-kappa t} + |p(-mu)| e^{-kappa' t}``;
+    * ``c2``: ``|Im F|``, which also obeys a bound that vanishes with ``y =
+      -gamma omega / (2 rho)``, as the coupling of atom 2's coherence into atom
+      1's does (bounding the two blocks apart would lose that cancellation as
+      ``omega -> 0``).  F is real for real ``mu``, so ``|Im F(mu+)| <= |y| max
+      |dF/dmu|`` on the segment from ``rho`` to ``mu+``; from ``sinh(mu t) / mu
+      = int_0^t cosh(mu s) ds`` and ``|cosh(mu s)| <= cosh(rho s)`` that is at
+      most ``|y| (2 + B t) e^{-kappa t}``, ``B = R/2 + (|rho^2 - R^2/2| + |y|
+      (|y| + 2 rho)) / (2 rho)``.  The smaller of the two counts;
+    * ``omega e1``, ``omega e2``: ``|G| <= |mu - R| / (2 |mu|) e^{-kappa t} +
+      |mu + R| / (2 |mu|) e^{-kappa' t}``.
+
+    Returns ``(speed, tail)``: ``speed(t)`` (6 x K) is the supremum of each
+    ``g`` over ``[t, inf)``, so the speed from ``t`` on is at most ``L(t) =
+    hypot(*_row_bounds(amplitudes, speed(t)))``, since ``|dD/dt| <= sqrt(r0'^2 +
+    |r1'|^2)``; ``tail(t)`` (6,) bounds each ``g``'s integral over ``[t, inf)``,
+    so ``sum(_row_bounds(amplitudes, tail(t_max)))`` bounds the total variation,
+    and with it every gain, after ``t_max``.
     """
-    tol = _DEGENERACY_RTOL * max(1.0, float(np.max(np.abs(lam))))
-    rep = np.array([np.flatnonzero(np.abs(lam - x) <= tol)[0] for x in lam])
-    group = (rep[None, :] == np.arange(lam.size)[:, None]).astype(float)
-    split = np.abs(lam - lam[rep])
-    crest = np.maximum(lam.real, lam.real[rep])
+    rate, omega = params.relaxation_rate, params.omega
+    mu = coherence_root(params)
+    rho, y = mu.real, abs(mu.imag)
+    slow, fast = rate - rho, rate + rho
+    rise = math.hypot(rate, 2.0 * omega)
+    f_slow, f_fast = (abs(0.5 * m - 0.25 * rate - 0.25 * rate * (rate / m)) for m in (mu, -mu))
+    g_slow, g_fast = abs(mu - rate) / (2.0 * abs(mu)), abs(mu + rate) / (2.0 * abs(mu))
+    # B, kept free of squares so that tiny rates do not underflow
+    slope = 0.5 * (rate + abs(rho - 0.5 * rate * (rate / rho)) + (y / rho) * (y + 2.0 * rho))
+    peak = 1.0 / slow - 2.0 / slope  # where (2 + slope s) e^{-slow s} is largest
 
-    def bound(coeffs: np.ndarray, pair: np.ndarray, times: np.ndarray) -> np.ndarray:
-        a, b = rows[0][:, None] * coeffs, rows[1][:, None] * coeffs
-        joint = (np.abs(group @ a) + np.abs(group @ b)).T[pair]
-        own = (np.abs(a) + np.abs(b)).T[pair]
-        t = times[:, None]
-        return np.sum(
-            joint * np.abs(lam) * np.exp(t * lam.real)
-            + own * split * (1.0 + (np.abs(lam[rep]) + split) * t) * np.exp(t * crest),
-            axis=1,
-        )
+    def speed(t: np.ndarray) -> np.ndarray:
+        e_rate, e_slow, e_fast = np.exp(-rate * t), np.exp(-slow * t), np.exp(-fast * t)
+        late = np.maximum(t, peak)
+        turn = 2.0 * (omega + rate * np.minimum(1.0, omega * t)) * e_rate  # non-increasing
+        f = f_slow * e_slow + f_fast * e_fast
+        mixed = np.minimum(f, y * (2.0 + slope * late) * np.exp(-slow * late))
+        return np.stack([rate * e_rate, rise * e_rate, turn, f, mixed,
+                         g_slow * e_slow + g_fast * e_fast])
 
-    return bound
+    def tail(t: float) -> np.ndarray:
+        e_rate, e_slow, e_fast = (math.exp(-k * t) / k for k in (rate, slow, fast))
+        turn = 2.0 * (omega + rate * min(1.0, omega * (t + 1.0 / rate)))
+        f = f_slow * e_slow + f_fast * e_fast
+        mixed = min(f, y * e_slow * (2.0 + slope * t + slope / slow))
+        return np.array([rate * e_rate, rise * e_rate, turn * e_rate,
+                         f, mixed, g_slow * e_slow + g_fast * e_fast])
+
+    return speed, tail
 
 
-def _sampled_estimates(params: ModelParams, coeffs: np.ndarray, grid: np.ndarray):
+def _row_bounds(amplitudes: np.ndarray, rows: np.ndarray):
+    """Bounds on ``|r0'|`` and ``|r1'|`` (or their integrals) from the
+    amplitudes of :func:`_pair_weights` and the rows of :func:`_slope_bound`."""
+    r0 = np.minimum(amplitudes[0] * rows[0] + amplitudes[2] * rows[1],
+                    amplitudes[1] * rows[0] + amplitudes[2] * rows[2])
+    return r0, amplitudes[3] * rows[3] + amplitudes[4] * rows[4] + amplitudes[5] * rows[5]
+
+
+def _sampled_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray):
     """Sampled memory measure of every pair, each with a bound on its refinement.
 
     The pairs' distance curves on ``grid`` are built a block of pairs at a
-    time from one shared ``exp(outer(lam, grid))``.  A pair's estimate sums the
+    time from one shared :func:`_sector_basis`.  A pair's estimate sums the
     rises of its sampled runs above the float-noise floor.  Refining a run
     (:func:`_refined_intervals`) moves each interior endpoint by at most one
     grid spacing ``h``, so it adds at most ``h (L(t_lo - h) + L(t_hi - h))``
@@ -441,62 +497,63 @@ def _sampled_estimates(params: ModelParams, coeffs: np.ndarray, grid: np.ndarray
     can lift it above.  Returns ``(estimates, bounds)``; refined minus estimate
     is at most bound.
     """
-    lam, vec, _ = _liouvillian_modes(params)
-    rows = (_PTRACE @ vec)[:2]
-    factors = _mode_factors(lam, grid)
-    slope_bound = _slope_bound(lam, rows)
+    basis = _sector_basis(params, grid)
+    weights, amplitudes = _pair_weights(params, deltas)
+    speed, _ = _slope_bound(params)
+    speed_table = speed(grid)
     spacing = float(np.max(np.diff(grid)))
     last = grid.size - 1
-    count = coeffs.shape[1]
+    count = deltas.shape[1]
     estimates = np.empty(count)
     bounds = np.empty(count)
-    width = max(1, _CHUNK_BYTES // (16 * grid.size))
+    width = max(1, _CHUNK_BYTES // (24 * grid.size))
     for first in range(0, count, width):
-        block = coeffs[:, first:first + width]
-        dvals = _distance(_pair_weights(rows, block), factors)
+        dvals = _distance(weights[first:first + width], basis)
         pair, lo, hi = _rising_runs(dvals)
         gains = dvals[pair, hi] - dvals[pair, lo]
         # L just before each endpoint; an endpoint at either end of the grid stays put
         ends = np.concatenate([lo, hi])
-        speed = np.where(np.concatenate([lo > 0, hi < last]),
-                         slope_bound(block, np.tile(pair, 2), grid[ends - 1]), 0.0)
-        moves = spacing * (speed[:lo.size] + speed[lo.size:])
+        bound = np.hypot(*_row_bounds(amplitudes[:, np.tile(pair + first, 2)],
+                                      speed_table[:, ends - 1]))
+        speeds = np.where(np.concatenate([lo > 0, hi < last]), bound, 0.0)
+        moves = spacing * (speeds[:lo.size] + speeds[lo.size:])
         kept = gains > _GAIN_FLOOR
         reach = gains + moves
         slack = np.where(kept, moves + _GAIN_FLOOR, np.where(reach > _GAIN_FLOOR, reach, 0.0))
-        splits = np.cumsum(np.bincount(pair[kept], minlength=block.shape[1]))[:-1]
+        splits = np.cumsum(np.bincount(pair[kept], minlength=dvals.shape[0]))[:-1]
         estimates[first:first + width] = [
             math.fsum(g.tolist()) for g in np.split(gains[kept], splits)
         ]
-        bounds[first:first + width] = np.bincount(pair, weights=slack,
-                                                  minlength=block.shape[1])
+        bounds[first:first + width] = np.bincount(pair, weights=slack, minlength=dvals.shape[0])
     return estimates, bounds
 
 
-def _refined_intervals(params: ModelParams, coeff: np.ndarray, grid: np.ndarray) -> tuple:
+def _refined_intervals(params: ModelParams, delta: np.ndarray, grid: np.ndarray) -> tuple:
     """Increase intervals of one pair, each sampled run's endpoints refined.
 
     An interior start (end) is refined by ternary search for the minimum
-    (maximum) between its two grid neighbours, to :data:`_BISECT_TOL`, for all
-    endpoints at once; rises below the float-noise floor are dropped.
+    (maximum) between its two grid neighbours, for all endpoints at once, to
+    :data:`_BISECT_TOL` or :data:`_BISECT_RTOL` times ``t_max``, whichever is
+    larger; rises below the float-noise floor are dropped.
     """
-    lam, vec, _ = _liouvillian_modes(params)
-    weights = _pair_weights((_PTRACE @ vec)[:2], coeff[:, None])
+    weights, _ = _pair_weights(params, delta[:, None])
 
     def distance(t: np.ndarray) -> np.ndarray:
-        return _distance(weights, _mode_factors(lam, t))[0]
+        return _distance(weights, _sector_basis(params, t))[0]
 
     _, lo, hi = _rising_runs(distance(grid)[None, :])
     inner_lo, inner_hi = lo > 0, hi < grid.size - 1
     index = np.concatenate([lo[inner_lo], hi[inner_hi]])
     want_min = np.arange(index.size) < np.count_nonzero(inner_lo)
     left, right = grid[index - 1], grid[index + 1]
+    tol = max(_BISECT_TOL, _BISECT_RTOL * float(grid[-1]))
     while True:
-        active = right - left > _BISECT_TOL
+        active = right - left > tol
         if not np.any(active):
             break
         third = (right - left) / 3.0
-        f1, f2 = np.split(distance(np.concatenate([left + third, right - third])), 2)
+        values = distance(np.concatenate([left + third, right - third]))
+        f1, f2 = values[:index.size], values[index.size:]
         shrink_right = (f1 <= f2) == want_min
         right = np.where(active & shrink_right, right - third, right)
         left = np.where(active & ~shrink_right, left + third, left)
@@ -534,10 +591,14 @@ def blp_measure_maximized(
     value, so no unrefined candidate can beat the winner.  Ties are broken
     toward the lexicographically smallest pair label.  Rises below 1e-12 are
     discarded as float noise, so fully divisible dynamics reports exactly 0.
+    A winning product pair's ``tail_bound`` is the integral of its speed bound
+    from ``t_max`` on: a bound on the total variation, so on every later gain.
 
     Raises :class:`InvariantViolation` for ``grid_size < 2`` and
-    :class:`InvalidGridError` above :data:`MAX_GRID_SIZE` or when
-    ``t_max / dt`` exceeds :data:`MAX_SCAN_POINTS`.
+    :class:`InvalidGridError` above :data:`MAX_GRID_SIZE`, when ``t_max /
+    dt`` exceeds :data:`MAX_SCAN_POINTS`, or when the canonical pair's
+    measure does (:func:`blp_measure`), which keeps every phase ``omega t``
+    below ``pi`` times :data:`MAX_INTERVALS`.
     """
     if grid_size < 2:
         raise InvariantViolation(f"grid_size must be at least 2, got {grid_size!r}")
@@ -559,14 +620,12 @@ def blp_measure_maximized(
             f"above the limit of {MAX_SCAN_POINTS} points"
         )
 
+    canonical = blp_measure(params, t_max=t_max)  # first, for its interval limit
     grid = _scan_grid(dt, t_max)
     labels, deltas = _candidate_pairs(grid_size)
-    lam, vec, vec_inv = _liouvillian_modes(params)
-    coeffs = vec_inv @ deltas
-    estimates, bounds = _sampled_estimates(params, coeffs, grid)
+    estimates, bounds = _sampled_estimates(params, deltas, grid)
     ceilings = (estimates + bounds).tolist()
 
-    canonical = blp_measure(params, t_max=t_max)
     best_n, best_label, best_intervals, best_index = (
         canonical.n_value, canonical.pair_label, canonical.intervals, None)
     refined = 0
@@ -576,7 +635,7 @@ def blp_measure_maximized(
         intervals = ()  # a zero ceiling leaves no rise that refinement can keep
         if ceilings[p] > 0.0:
             refined += 1
-            intervals = _refined_intervals(params, coeffs[:, p], grid)
+            intervals = _refined_intervals(params, deltas[:, p], grid)
         n_value = math.fsum(iv.gain for iv in intervals)
         if (-n_value, labels[p]) < (-best_n, best_label):
             best_n, best_label, best_intervals, best_index = n_value, labels[p], intervals, p
@@ -584,10 +643,12 @@ def blp_measure_maximized(
 
     if best_index is None:
         return canonical  # canonical pair wins; analytic result already exact
+    _, tail = _slope_bound(params)
+    _, amplitudes = _pair_weights(params, deltas[:, [best_index]])
     return BlpResult(
         n_value=best_n,
         intervals=best_intervals,
         pair_label=best_label,
         truncation_time=float(t_max),
-        tail_bound=_mode_tail_bound(params, coeffs[:, best_index], vec, lam, float(t_max)),
+        tail_bound=float(sum(_row_bounds(amplitudes[:, 0], tail(float(t_max))))),
     )

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from qmemory import ModelParams, XState
-from qmemory.nonmarkov import _GAIN_FLOOR, _PTRACE, _liouvillian_modes
+from qmemory import ModelParams, XState, superoperator
+from qmemory.nonmarkov import _GAIN_FLOOR
 
 # --- frozen oracle values ----------------------------------------------------
 
@@ -101,6 +101,23 @@ def rk4_sequential(liouv: np.ndarray, y: np.ndarray, h: float, n_steps: int) -> 
     return y
 
 
+def generator_modes(params: ModelParams):
+    """Eigenvalues, eigenvectors and inverse eigenvector matrix of the 16x16
+    generator: the numerical oracle for the library's sector closed forms."""
+    lam, vec = np.linalg.eig(superoperator(params))
+    return lam, vec, np.linalg.inv(vec)
+
+
+def partial_trace_map() -> np.ndarray:
+    """4x16 matrix taking vec(rho4) row-major to vec(reduced rho2) of atom 1."""
+    pmap = np.zeros((4, 16))
+    for i in range(2):
+        for j in range(2):
+            for s in range(2):
+                pmap[2 * i + j, 4 * (2 * i + s) + (2 * j + s)] = 1.0
+    return pmap
+
+
 def reduced_distance(red: np.ndarray) -> np.ndarray:
     """Trace distances from vectorized 2x2 reduced differences (4 x T), in full.
 
@@ -138,12 +155,13 @@ def per_pair_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray
     generator's modes, reduced to atom 1 by the partial trace, and its sampled
     rises above the noise floor are summed.
     """
-    lam, vec, vec_inv = _liouvillian_modes(params)
+    lam, vec, vec_inv = generator_modes(params)
+    ptrace = partial_trace_map()
     mode_factors = np.exp(np.outer(lam, grid))
     estimates = []
     for delta in deltas.T:
         coeff = vec_inv @ delta
-        dvals = reduced_distance(_PTRACE @ (vec @ (mode_factors * coeff[:, None])))
+        dvals = reduced_distance(ptrace @ (vec @ (mode_factors * coeff[:, None])))
         gains = [float(dvals[j] - dvals[i]) for i, j in discrete_intervals(dvals)]
         estimates.append(math.fsum(g for g in gains if g > _GAIN_FLOOR))
     return np.array(estimates)

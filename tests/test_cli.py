@@ -1,17 +1,23 @@
 """Command-line interface: formats, config resolution, exit codes, determinism."""
+import contextlib
 import filecmp
 import hashlib
+import io
 import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qmemory import ModelParams, blp_measure, classify_dynamics, NON_MARKOVIAN
+from qmemory import cli
 
 from helpers import CANONICAL, N_CANONICAL, N_OMEGA_01
 
@@ -284,6 +290,43 @@ class TestBlp:
         assert proc.stdout == ""
 
 
+class TestRowLimit:
+    @pytest.mark.parametrize("args", [
+        ["trace-distance", "--steps", "1000000000"],
+        ["sweep", "--param", "omega", "--from", "0", "--to", "1",
+         "--points", "1000000000", "--steps", "1000000000"],
+        ["entanglement", "--steps", "1000000001"],
+        ["entanglement", "--gammas", "0.1,0.2,0.3", "--steps", "333334"],
+    ])
+    def test_rejected_before_allocation(self, args):
+        proc = subprocess.run([sys.executable, "-m", "qmemory", *args],
+                              capture_output=True, text=True, timeout=10)
+        assert cli.MAX_ROWS == 1_000_000
+        assert proc.returncode == 1
+        assert "limit of 1000000 rows" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_limit_itself_is_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_ROWS", 6)
+        out = tmp_path / "s.csv"
+        base = ["sweep", "--param", "m", "--from", "0", "--to", "1", "--out", str(out)]
+        assert cli.main(base + ["--points", "2", "--steps", "3"]) == 0
+        assert sum(not line.startswith("#") for line in out.read_text().splitlines()) == 7
+        assert cli.main(base + ["--points", "7", "--steps", "2"]) == 1
+        assert cli.main(["entanglement", "--steps", "6", "--out", str(out)]) == 0
+        assert cli.main(["entanglement", "--steps", "7", "--out", str(out)]) == 1
+
+    def test_sweep_interval_budget(self):
+        # 1000 members near 95 000 intervals each would take about 20 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "qmemory", "sweep", "--param", "omega", "--from", "1000",
+             "--to", "1040", "--points", "1000", "--gamma", "0.1", "--steps", "2"],
+            capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert "limit of 100000 intervals" in proc.stderr
+
+
 class TestEntanglement:
     def test_default_columns(self, tmp_path):
         out = tmp_path / "e.csv"
@@ -425,3 +468,65 @@ class TestDeterminism:
 
     def test_blp_stdout_deterministic(self):
         assert run_cli("blp").stdout == run_cli("blp").stdout
+
+
+# --- arbitrary arguments ------------------------------------------------------
+
+# Finite values across the whole double range, with its extremes made likely.
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]),
+)
+ANY_COUNT = st.one_of(st.integers(-3, 3000), st.integers(-10**12, 10**12))
+# The costliest accepted call measured is a 500000-member sweep at the row
+# limit: about 30 s on 2 cores.  A call past this budget counts as a hang.
+EXAMPLE_BUDGET_S = 90
+
+
+@st.composite
+def cli_arguments(draw):
+    """An argv for one CSV-producing subcommand with random finite values."""
+    command = draw(st.sampled_from(["trace-distance", "sweep", "blp", "entanglement"]))
+    argv = [command]
+    for flag in ("gamma", "m", "omega", "t-max"):
+        if draw(st.booleans()):
+            argv.append(f"--{flag}={draw(ANY_FLOAT)!r}")
+    if draw(st.booleans()):
+        argv.append(f"--steps={draw(ANY_COUNT)}")
+    if command == "sweep":
+        argv += [f"--param={draw(st.sampled_from(['gamma', 'm', 'omega']))}",
+                 f"--from={draw(ANY_FLOAT)!r}", f"--to={draw(ANY_FLOAT)!r}",
+                 f"--points={draw(ANY_COUNT)}"]
+    if command == "entanglement" and draw(st.booleans()):
+        gammas = draw(st.lists(ANY_FLOAT, min_size=1, max_size=4))
+        argv.append("--gammas=" + ",".join(repr(g) for g in gammas))
+    return argv
+
+
+class _Hang(Exception):
+    pass
+
+
+def _raise_hang(signum, frame):
+    raise _Hang
+
+
+class TestArbitraryArguments:
+    @settings(max_examples=150, derandomize=True)
+    @given(argv=cli_arguments())
+    def test_exit_cleanly_within_budget(self, argv):
+        err = io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _raise_hang)
+        signal.alarm(EXAMPLE_BUDGET_S)
+        try:
+            with tempfile.TemporaryDirectory() as tmp, \
+                    contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = cli.main(argv + ["--out", os.path.join(tmp, "out.csv")])
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -1,6 +1,7 @@
 """Generator, integrator, exact propagator, and published-solution probes."""
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qmemory import (
     parameter_grid,
     population_from_excited,
     population_from_ground,
+    propagate_exact,
     propagate_xstate_exact,
     propagate_xstate_published,
     superoperator,
@@ -29,6 +31,7 @@ from qmemory import (
     validate_density_matrix,
     xstate_rhs,
 )
+from qmemory.dynamics import MAX_PARAMETER, MIN_GAMMA, coherence_root
 from qmemory.errors import InvalidGridError, InvariantViolation
 
 from helpers import (
@@ -38,6 +41,7 @@ from helpers import (
     PUBLISHED_C0,
     PUBLISHED_D0,
     PUBLISHED_U_AT_PI_OVER_OMEGA,
+    generator_modes,
     random_density,
     random_params,
     random_qubit_density,
@@ -58,6 +62,17 @@ class TestModelParams:
             dict(gamma="0.2", m=0.5, omega=0.8),
         ):
             with pytest.raises(InvariantViolation):
+                ModelParams(**kwargs)
+
+    def test_parameter_limits(self):
+        ModelParams(MIN_GAMMA, MAX_PARAMETER / 2.0, MAX_PARAMETER)
+        for kwargs in (
+            dict(gamma=MIN_GAMMA / 2.0, m=0.0, omega=0.0),
+            dict(gamma=2.0 * MAX_PARAMETER, m=0.0, omega=0.0),
+            dict(gamma=1.0, m=MAX_PARAMETER, omega=0.0),  # gamma (1 + 2m) above
+            dict(gamma=1.0, m=0.0, omega=2.0 * MAX_PARAMETER),
+        ):
+            with pytest.raises(InvariantViolation, match="limit"):
                 ModelParams(**kwargs)
 
     def test_derived_rates(self):
@@ -188,15 +203,68 @@ class TestExactPropagator:
         # superoperator, applied to the row-major vectorized state
         rng = np.random.default_rng(77)
         for params in parameter_grid():
-            lam, vec = np.linalg.eig(superoperator(params))
-            vec_inv = np.linalg.inv(vec)
+            lam, vec, vec_inv = generator_modes(params)
+
+            def expected(rho0, t):
+                return (vec @ (np.exp(lam * t) * (vec_inv @ rho0.reshape(16)))).reshape(4, 4)
+
             for _ in range(8):
                 x0 = random_valid_xstate(rng)
                 t = float(rng.uniform(0.0, 40.0 / params.relaxation_rate))
-                y = vec @ (np.exp(lam * t) * (vec_inv @ embed_xstate(x0).reshape(16)))
-                expected = y.reshape(4, 4)
                 got = embed_xstate(propagate_xstate_exact(x0, params, t))
-                assert np.max(np.abs(got - expected)) < 1e-12
+                assert np.max(np.abs(got - expected(embed_xstate(x0), t))) < 1e-12
+            # any full-rank state, every coherence sector populated
+            for _ in range(8):
+                rho0 = random_density(rng, 4)
+                t = float(rng.uniform(0.0, 40.0 / params.relaxation_rate))
+                got = propagate_exact(rho0, params, t)
+                assert np.max(np.abs(got - expected(rho0, t))) < 1e-12
+
+    def test_full_state_semigroup_property(self):
+        rng = np.random.default_rng(78)
+        for _ in range(100):
+            params = random_params(rng)
+            rho0 = random_density(rng, 4)
+            t1, t2 = rng.uniform(0.0, 4.0, size=2)
+            joint = propagate_exact(rho0, params, t1 + t2)
+            steps = propagate_exact(propagate_exact(rho0, params, t1), params, t2)
+            assert np.max(np.abs(joint - steps)) < 1e-11
+
+    def test_full_state_time_arrays_and_limits(self):
+        rng = np.random.default_rng(79)
+        rho0 = random_density(rng, 4)
+        times = np.linspace(0.0, 30.0, 7)
+        stacked = propagate_exact(rho0, CANONICAL, times)
+        assert stacked.shape == (7, 4, 4)
+        for t, rho in zip(times.tolist(), stacked):
+            assert np.max(np.abs(rho - propagate_exact(rho0, CANONICAL, t))) < 1e-15
+        assert np.max(np.abs(stacked[0] - rho0)) < 1e-15
+        # no overflow far out: every sector but the populations has decayed
+        late = propagate_exact(rho0, CANONICAL, 1e300)
+        assert np.max(np.abs(late - embed_xstate(thermal_xstate(CANONICAL)))) < 1e-15
+        for bad_t in (-1.0, math.nan, math.inf):
+            with pytest.raises(InvariantViolation):
+                propagate_exact(rho0, CANONICAL, bad_t)
+        with pytest.raises(InvariantViolation):
+            propagate_exact(rho0 + 0.1 * np.eye(4), CANONICAL, 1.0)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0, 0.5, 1e-30, 30.0])
+    def test_tiny_and_huge_rates_scale(self, omega):
+        # the generator is linear in (gamma, omega), so rho(t; s gamma, s omega)
+        # = rho(s t; gamma, omega); squaring unscaled rates would underflow
+        # (mu+ = 0) or overflow at these scales
+        rng = np.random.default_rng(80)
+        rho0 = random_density(rng, 4)
+        times = np.linspace(0.0, 12.0, 9)
+        reference = propagate_exact(rho0, ModelParams(1.0, 0.3, omega), times)
+        mu = coherence_root(ModelParams(1.0, 0.3, omega))
+        for scale in (1e-170, MIN_GAMMA, 1e70):
+            params = ModelParams(scale, 0.3, scale * omega)
+            assert coherence_root(params) == pytest.approx(scale * mu, rel=1e-14)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = propagate_exact(rho0, params, times / scale)
+            assert np.max(np.abs(got - reference)) < 1e-12
 
     def test_pure_exchange_limit(self):
         # negligible damping: populations Rabi-oscillate between the atoms

@@ -1,6 +1,8 @@
 """Trace-distance dynamics, interval accumulation, and pair maximization."""
 import math
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -30,10 +32,11 @@ from qmemory.nonmarkov import (
     MAX_INTERVALS,
     MAX_SCAN_POINTS,
     _candidate_pairs,
-    _liouvillian_modes,
     _refined_intervals,
     _sampled_estimates,
     _scan_grid,
+    _sector_basis,
+    _slope_bound,
 )
 from qmemory.errors import InvalidGridError, InvariantViolation
 
@@ -52,8 +55,11 @@ from helpers import (
     N_OMEGA_05,
     T_STAR,
     blp_geometric_series,
+    generator_modes,
+    partial_trace_map,
     per_pair_estimates,
     random_params,
+    reduced_distance,
     swap_geometric_series,
 )
 
@@ -211,6 +217,23 @@ class TestBlpMeasure:
     def test_scan_step_has_no_effect(self):
         assert blp_measure(CANONICAL, dt=0.5) == blp_measure(CANONICAL)
 
+    def test_intervals_read_as_records(self):
+        result = blp_measure(CANONICAL)
+        records = tuple(result.intervals)
+        assert len(records) == len(result.intervals) == N_CANONICAL_INTERVALS
+        assert all(isinstance(iv, IncreaseInterval) for iv in records)
+        assert result.intervals == records and records[2:5] == result.intervals[2:5]
+        assert result.intervals[-1] == records[-1]
+        assert hash(result) == hash(blp_measure(CANONICAL))
+        assert repr(result.intervals) == repr(records)
+        # they compare and concatenate as the tuple they read as
+        assert result.intervals != list(records)
+        assert result.intervals + () == () + result.intervals == records
+        iv = IncreaseInterval(t_start=1.0, t_end=2.0, gain=0.25)
+        given = BlpResult(n_value=0.25, intervals=[iv], pair_label="x", truncation_time=10.0,
+                          tail_bound=0.0)
+        assert given.intervals == (iv,) and given == BlpResult(0.25, (iv,), "x", 10.0, 0.0)
+
     def test_interval_limit(self):
         assert MAX_INTERVALS == 100_000
         with pytest.raises(InvalidGridError, match="100000"):
@@ -327,6 +350,14 @@ class TestBlochPolarState:
 SWAP_DEFECT_POINT = ModelParams(0.49335523078582455, 0.18559001921664953, 0.7119513917476399)
 
 
+def sector_term_speeds(rows):
+    """Speeds of the terms :func:`_slope_bound` bounds, from derivatives of the
+    sector basis rows: ``alpha`` (also ``alpha + beta``), ``(beta, eta)`` beside
+    each, ``c1``, ``c2`` and ``omega (e1, e2)``."""
+    return (np.abs(rows[0]), np.hypot(rows[1], rows[2]), np.hypot(rows[1] - rows[0], rows[2]),
+            np.hypot(rows[3], rows[4]), np.abs(rows[4]), np.hypot(rows[5], rows[6]))
+
+
 def assert_orthogonal_pure_winner(label, grid_size):
     """The winning pair's two product states are pure and mutually orthogonal."""
     thetas = {f"{th:.4f}": th for th in np.linspace(0.0, math.pi, grid_size).tolist()}
@@ -399,8 +430,7 @@ class TestMaximizedMeasure:
             params = random_params(rng)
             dt = default_scan_step(params)
             grid = _scan_grid(dt, min(default_truncation_time(params), 3000 * dt))
-            coeffs = _liouvillian_modes(params)[2] @ deltas
-            estimates, _ = _sampled_estimates(params, coeffs, grid)
+            estimates, _ = _sampled_estimates(params, deltas, grid)
             reference = per_pair_estimates(params, deltas, grid)
             assert np.max(np.abs(estimates - reference)) <= 1e-13
 
@@ -427,10 +457,9 @@ class TestMaximizedMeasure:
         t_max = t_max or default_truncation_time(params)
         grid = _scan_grid(default_scan_step(params), t_max)
         labels, deltas = _candidate_pairs(grid_size)
-        coeffs = _liouvillian_modes(params)[2] @ deltas
-        estimates, bounds = _sampled_estimates(params, coeffs, grid)
+        estimates, bounds = _sampled_estimates(params, deltas, grid)
         refined = [
-            math.fsum(iv.gain for iv in _refined_intervals(params, coeffs[:, p], grid))
+            math.fsum(iv.gain for iv in _refined_intervals(params, deltas[:, p], grid))
             for p in range(len(labels))
         ]
         assert np.all(np.array(refined) - estimates <= bounds)
@@ -442,6 +471,77 @@ class TestMaximizedMeasure:
         result = blp_measure_maximized(params, grid_size=grid_size, t_max=t_max)
         assert result.pair_label == best_label
         assert result.n_value == -best_n
+
+    @pytest.mark.parametrize("params, grid_size", [
+        (CANONICAL, 5),
+        (SWAP_DEFECT_POINT, 9),  # the winner has k = 1 content, which decays slowest
+        (ModelParams(0.2, 0.5, 0.002), 5),
+    ])
+    def test_tail_bound_covers_later_gains(self, params, grid_size):
+        # the rises of the winner's curve on (t_max, 4 t_max], from the
+        # generator's modes, sampled four times finer than the maximizer samples
+        result = blp_measure_maximized(params, grid_size=grid_size)
+        labels, deltas = _candidate_pairs(grid_size)
+        t_max = result.truncation_time
+        times = np.linspace(t_max, 4.0 * t_max, 12 * round(t_max / default_scan_step(params)))
+        lam, vec, vec_inv = generator_modes(params)
+        coeff = vec_inv @ deltas[:, labels.index(result.pair_label)]
+        rows = partial_trace_map() @ (vec @ (np.exp(np.outer(lam, times)) * coeff[:, None]))
+        rises = np.diff(reduced_distance(rows))
+        later = math.fsum(rises[rises > 0.0].tolist())
+        assert later <= result.tail_bound
+
+    @pytest.mark.parametrize("omega", [0.0, 1e-6, 0.002, 0.05, 0.8, 3.0])
+    def test_speed_bound_covers_each_sector_term(self, omega):
+        # central differences of the sector basis rows against the per-term
+        # speed bounds, which hold from each time on
+        params = ModelParams(0.2, 0.5, omega)
+        t = np.linspace(0.0, default_truncation_time(params), 4001)[1:]
+        h = 1e-6
+        rows = (_sector_basis(params, t + h) - _sector_basis(params, t - h)) / (2.0 * h)
+        speed, _ = _slope_bound(params)
+        for term, bound in zip(sector_term_speeds(rows), speed(t)):
+            assert np.all(term <= bound * (1.0 + 1e-6) + 1e-12)
+            assert np.all(np.diff(bound) <= 0.0)  # a supremum over [t, inf)
+
+    @pytest.mark.parametrize("omega", [0.0, 1e-6, 0.002, 0.05, 0.8, 3.0])
+    def test_tail_bound_covers_each_sector_term(self, omega):
+        # trapezoid integrals of the per-term speeds over [t0, t0 + 100 / R]
+        # against the tail rows; every term decays at least at R / 2, so the
+        # rest is below e^{-50}
+        params = ModelParams(0.2, 0.5, omega)
+        _, tail = _slope_bound(params)
+        for t0 in (0.0, 0.5 * default_truncation_time(params)):
+            t = np.linspace(t0, t0 + 100.0 / params.relaxation_rate, 200001)
+            h = 1e-6
+            rows = (_sector_basis(params, t + h) - _sector_basis(params, t - h)) / (2.0 * h)
+            for term, bound in zip(sector_term_speeds(rows), tail(t0)):
+                integral = float(np.sum(0.5 * (term[1:] + term[:-1]) * np.diff(t)))
+                assert integral <= bound * (1.0 + 1e-6) + 1e-12
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_tiny_rates_scale(self, omega):
+        # rates near 1e-170 square to 0; the maximizer must give the measure of
+        # the same dynamics at unit rates, on times 1e170 longer
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = blp_measure_maximized(ModelParams(1e-170, 0.0, 1e-170 * omega), grid_size=3)
+        unit = blp_measure_maximized(ModelParams(1.0, 0.0, omega), grid_size=3)
+        assert tiny.n_value == pytest.approx(unit.n_value, abs=1e-9)
+        assert tiny.truncation_time == pytest.approx(1e170 * unit.truncation_time)
+        assert tiny.tail_bound == pytest.approx(unit.tail_bound, rel=1e-9)
+
+    def test_memory_stays_within_blocks_at_strong_coupling(self):
+        # omega / R = 250 at grid 9: about 2e5 rising runs over the 3240 pairs,
+        # whose bounds computed at once take about 60 MB; block by block the
+        # maximizer keeps the scan basis and one block of pairs
+        tracemalloc.start()
+        try:
+            blp_measure_maximized(ModelParams(0.2, 0.0, 50.0), grid_size=9, t_max=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_grid_size_validation(self):
         for bad in (1, 0, -2):
@@ -461,6 +561,13 @@ class TestMaximizedMeasure:
         for dt in (1e-9, 5e-324, 75.0 / (MAX_SCAN_POINTS + 1)):
             with pytest.raises(InvalidGridError, match="1000000"):
                 blp_measure_maximized(CANONICAL, grid_size=3, dt=dt, t_max=75.0)
+
+    def test_phase_limit(self):
+        # within the sample cap, but omega t_max overflows: the canonical
+        # interval limit rejects it before any curve is sampled
+        with pytest.raises(InvalidGridError, match="100000"):
+            blp_measure_maximized(ModelParams(1.0, 0.0, 1e100), grid_size=3, t_max=1e250,
+                                  dt=1e245)
 
     def test_invalid_grid_arguments(self):
         with pytest.raises(InvalidGridError):

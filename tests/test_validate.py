@@ -2,7 +2,17 @@
 import numpy as np
 import pytest
 
-from qmemory import CANONICAL_PARAMS, CheckResult, GENERIC_XSTATE, run_validation
+from qmemory import (
+    CANONICAL_PARAMS,
+    CheckResult,
+    GENERIC_XSTATE,
+    NotXFormError,
+    extract_xstate,
+    hermitian_eigenvalues,
+    run_validation,
+    validate_density_matrix,
+)
+from qmemory.validate import GENERIC_STATE
 
 EXPECTED_NAMES = [
     "exact-propagator-vs-integrator",
@@ -76,3 +86,11 @@ class TestFixtures:
         GENERIC_XSTATE.validate()
         assert GENERIC_XSTATE.z.imag != 0.0
         assert GENERIC_XSTATE.w.imag != 0.0
+
+    def test_generic_full_state_is_full_rank_and_not_x(self):
+        validate_density_matrix(GENERIC_STATE, dim=4)
+        assert hermitian_eigenvalues(GENERIC_STATE)[-1] > 0.05
+        # the k = +-1 coherences the X family lacks are all populated
+        assert min(abs(GENERIC_STATE[i, j]) for i, j in ((0, 1), (0, 2), (1, 3), (2, 3))) > 0.05
+        with pytest.raises(NotXFormError):
+            extract_xstate(GENERIC_STATE)
