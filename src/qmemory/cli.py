@@ -41,26 +41,18 @@ from .validate import run_validation
 # Largest number of CSV data rows one invocation may emit.
 MAX_ROWS = 10**6
 
-_DEFAULTS = {
-    "gamma": 0.2,
-    "m": 0.5,
-    "omega": 0.8,
-    "t_max": 20.0,
-    "steps": 201,
-    "eps": 1e-3,
-    "variant": "eq13",
-    "out": None,
-}
-
-_CONFIG_PARSERS = {
-    "gamma": float,
-    "m": float,
-    "omega": float,
-    "t_max": float,
-    "steps": int,
-    "eps": float,
-    "variant": str,
-    "out": str,
+# Run settings of every data subcommand, from a flag or a config file:
+# key -> (parse, default, help).
+_SETTINGS = {
+    "gamma": (float, 0.2, "single-atom decay rate (> 0)"),
+    "m": (float, 0.5, "reservoir mean occupation (>= 0)"),
+    "omega": (float, 0.8, "exchange coupling strength (>= 0)"),
+    "t_max": (float, 20.0, "end of the sampled time window"),
+    "steps": (int, 201, "number of uniform samples on [0, t-max]"),
+    "eps": (float, 1e-3, "memory-classification threshold"),
+    "variant": (str, "eq13", "entanglement formula: published two-population form "
+                             "(eq13) or reduced-state entropy (entropy)"),
+    "out": (str, None, "output file path (default: stdout)"),
 }
 
 
@@ -108,16 +100,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 parser_class=_Parser)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--gamma", type=float, help="single-atom decay rate (> 0)")
-        p.add_argument("--m", type=float, help="reservoir mean occupation (>= 0)")
-        p.add_argument("--omega", type=float, help="exchange coupling strength (>= 0)")
-        p.add_argument("--t-max", type=float, help="end of the sampled time window")
-        p.add_argument("--steps", type=int, help="number of uniform samples on [0, t-max]")
-        p.add_argument("--eps", type=float, help="memory-classification threshold")
-        p.add_argument("--variant", choices=[v.value for v in EntanglementVariant],
-                       help="entanglement formula: published two-population form "
-                            "(eq13) or reduced-state entropy (entropy)")
-        p.add_argument("--out", help="output file path (default: stdout)")
+        for key, (parse, _, text) in _SETTINGS.items():
+            choices = [v.value for v in EntanglementVariant] if key == "variant" else None
+            p.add_argument("--" + key.replace("_", "-"), type=parse, choices=choices, help=text)
         p.add_argument("--config", help="key = value config file; flags override it")
 
     p = sub.add_parser("trace-distance",
@@ -162,23 +147,22 @@ def load_config_file(path: str) -> dict:
             raise InvariantViolation(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_PARSERS:
+        if key not in _SETTINGS:
             raise InvariantViolation(
-                f"{path}:{lineno}: unknown key {key!r} "
-                f"(known: {', '.join(sorted(_CONFIG_PARSERS))})"
+                f"{path}:{lineno}: unknown key {key!r} (known: {', '.join(sorted(_SETTINGS))})"
             )
         try:
-            settings[key] = _CONFIG_PARSERS[key](value)
+            settings[key] = _SETTINGS[key][0](value)
         except ValueError as exc:
             raise InvariantViolation(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return settings
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    merged = dict(_DEFAULTS)
+    merged = {key: default for key, (_, default, _) in _SETTINGS.items()}
     if getattr(args, "config", None):
         merged.update(load_config_file(args.config))
-    for key in ("gamma", "m", "omega", "t_max", "steps", "eps", "variant", "out"):
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
@@ -235,15 +219,8 @@ def _emit(out_path: str | None, text: str) -> None:
 
 
 def _common_echo(cfg: RunConfig) -> dict:
-    return {
-        "gamma": cfg.params.gamma,
-        "m": cfg.params.m,
-        "omega": cfg.params.omega,
-        "t_max": cfg.t_max,
-        "steps": cfg.steps,
-        "eps": cfg.eps,
-        "variant": cfg.variant.value,
-    }
+    return {**vars(cfg.params), "t_max": cfg.t_max, "steps": cfg.steps, "eps": cfg.eps,
+            "variant": cfg.variant.value}
 
 
 def _time_grid(cfg: RunConfig, curves: int = 1) -> np.ndarray:
@@ -286,7 +263,7 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
         p = replace(cfg.params, **{param: value})
         d = np.asarray(trace_distance_closed_form(p, t))
         verdict = classify_dynamics(p, cfg.eps)
-        intervals += len(verdict.result.intervals)
+        intervals += len(verdict.result.gains)
         if intervals > MAX_INTERVALS:
             raise InvalidGridError(
                 f"the family's memory measures hold more than {MAX_INTERVALS} increase "
@@ -308,10 +285,10 @@ def cmd_blp(cfg: RunConfig) -> int:
     result = verdict.result
     print(
         f"N={result.n_value:.6f} class={verdict.regime} "
-        f"intervals={len(result.intervals)} tail<={result.tail_bound:.3e}"
+        f"intervals={len(result.gains)} tail<={result.tail_bound:.3e}"
     )
     if cfg.out_path is not None:
-        rows = [(iv.t_start, iv.t_end, iv.gain) for iv in result.intervals]
+        rows = zip(result.starts, result.ends, result.gains)
         _emit(cfg.out_path, _csv_text("blp", _common_echo(cfg),
                                       ("t_start", "t_end", "gain"), rows))
     return 0

@@ -142,15 +142,17 @@ def validate_density_matrix(
 ) -> np.ndarray:
     """Assert the density-matrix invariants; return the array on success.
 
-    Checks, in order: shape (square, optionally of dimension ``dim``),
-    Hermiticity within 1e-12, unit trace within 1e-10, and smallest eigenvalue
-    not below ``-positivity_tol``.
+    Checks, in order: shape (square, optionally of dimension ``dim``), finite
+    entries, Hermiticity within 1e-12, unit trace within 1e-10, and smallest
+    eigenvalue not below ``-positivity_tol``.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise DimensionMismatchError(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
+    if not np.isfinite(rho).all():
+        raise InvariantViolation(f"{name} has a non-finite entry")
     defect = hermiticity_defect(rho)
     if defect > HERMITICITY_TOL:
         raise InvariantViolation(
@@ -187,12 +189,15 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Computed by LAPACK (``np.linalg.eigvalsh``, which reads the lower
-    triangle) for every size.  Raises :class:`NonHermitianError` when the
-    symmetry defect exceeds 1e-12 (times ``max |h|`` where that is above 1).
+    triangle) for every size.  Raises :class:`InvariantViolation` for a
+    non-finite entry and :class:`NonHermitianError` when the symmetry defect
+    exceeds 1e-12 (times ``max |h|`` where that is above 1).
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
+    if not np.isfinite(h).all():
+        raise InvariantViolation("matrix has a non-finite entry")
     defect = hermiticity_defect(h)
     # the tolerance is relative to max |h| only above 1, so that is read only then
     if defect > HERMITICITY_TOL and defect > HERMITICITY_TOL * float(abs(h).max()):

@@ -69,6 +69,12 @@ STEP_RESOLUTION = 1e-3
 # Integrator samples get an extra slack decade on positivity compared to the
 # 1e-10 used for hand-constructed states.
 SAMPLE_POSITIVITY_TOL = 1e-9
+# Longest integrator span, in steps of the default policy.  Up to 1e21 such
+# steps every failure on the cross-check grid is a named trace-drift error;
+# from 1e22 on the step-matrix powers overflow.  The round-off that grows
+# with the powers scales with the span times the rates, not with the step
+# count, so a finer ``max_step`` does not move this limit.
+MAX_SPAN_STEPS = 1e21
 
 # Canonical initial states of the watched pair: atom 1 excited / both ground.
 XSTATE_10 = XState(0.0, 1.0, 0.0, 0.0)
@@ -286,6 +292,8 @@ def integrate_master(
     max_step : override for the internal step bound, finite and positive; by
         default the step satisfies ``h <= min(grid spacing, 1e-3 / relaxation
         rate)`` and also resolves the exchange frequency to the same fraction.
+        Either way a span may hold at most :data:`MAX_SPAN_STEPS` default
+        steps and a finite number of steps.
 
     Every sample is Hermitized by averaging with its adjoint and renormalized
     when the trace drift exceeds 1e-12 (drift magnitude logged); the worst raw
@@ -298,21 +306,20 @@ def integrate_master(
         raise InvalidGridError("t_grid must be a nonempty 1-D array of finite times")
     if times[0] != 0.0:
         raise InvalidGridError(f"t_grid must start at 0, got {times[0]!r}")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
+    spans = np.diff(times)
+    if not np.all(spans > 0):
         raise InvalidGridError("t_grid must be strictly increasing")
 
-    if max_step is None:
-        h_bound = STEP_RESOLUTION / params.relaxation_rate
-        if params.omega > 0.0:
-            h_bound = min(h_bound, STEP_RESOLUTION / params.omega)
-    else:
-        h_bound = float(max_step)
-        if not (math.isfinite(h_bound) and h_bound > 0.0):
-            raise InvalidGridError(f"max_step must be finite and positive, got {max_step!r}")
-        if not math.isfinite(float(times[-1]) / h_bound):
-            raise InvalidGridError(
-                f"t_grid[-1] / max_step is not a finite step count for max_step={max_step!r}"
-            )
+    h_default = STEP_RESOLUTION / max(params.relaxation_rate, params.omega)
+    h_bound = h_default if max_step is None else float(max_step)
+    if not (math.isfinite(h_bound) and h_bound > 0.0):
+        raise InvalidGridError(f"max_step must be finite and positive, got {max_step!r}")
+    longest = float(spans.max()) if spans.size else 0.0
+    if not (longest / h_default <= MAX_SPAN_STEPS and math.isfinite(longest / h_bound)):
+        raise InvalidGridError(
+            f"a span of {longest!r} needs {longest / h_bound:.3g} steps of {h_bound!r}; the limit "
+            f"is a finite step count and {MAX_SPAN_STEPS:g} steps of the default {h_default!r}"
+        )
 
     liouv = superoperator(params)
     square = liouv @ liouv
@@ -336,7 +343,7 @@ def integrate_master(
         drift = abs(tr - 1.0)
         worst_defect = max(worst_defect, defect)
         worst_drift = max(worst_drift, drift)
-        if drift > TRACE_TOL:
+        if not drift <= TRACE_TOL:  # NaN too
             raise InvariantViolation(
                 f"integrator trace drift {drift:.3e} at t={right:g} exceeds "
                 f"{TRACE_TOL:.0e} before renormalization"
@@ -397,6 +404,8 @@ def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:
     rate = params.relaxation_rate
     decay = math.exp(-rate * t)
     phase = 2.0 * params.omega * t
+    if not math.isfinite(phase):
+        raise InvariantViolation(f"phase 2 omega t overflows at t={t!r}, omega={params.omega!r}")
     cos_p, sin_p = math.cos(phase), math.sin(phase)
 
     u0 = x0.b - x0.c

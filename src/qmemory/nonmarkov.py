@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,79 +107,41 @@ class IncreaseInterval(_Interval):
         return super().__new__(cls, t_start, t_end, gain)
 
 
-class _Intervals(Sequence):
-    """Increase intervals kept as three lists of floats and read as a tuple of
-    :class:`IncreaseInterval`, each built only when read.
-
-    A classification needs only their count and gain sum.  Built eagerly, up
-    to :data:`MAX_INTERVALS` records cost time, and as objects the garbage
-    collector tracks they trigger its full collections in later calls.
-    """
-
-    __slots__ = ("starts", "ends", "gains")
-
-    def __init__(self, starts: list, ends: list, gains: list):
-        self.starts, self.ends, self.gains = starts, ends, gains
-
-    @classmethod
-    def of(cls, records) -> "_Intervals":
-        records = tuple(records)
-        return cls(*([record[i] for record in records] for i in range(3)))
-
-    def __len__(self) -> int:
-        return len(self.gains)
-
-    def __iter__(self):
-        return map(IncreaseInterval, self.starts, self.ends, self.gains)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(map(IncreaseInterval, self.starts[index], self.ends[index],
-                             self.gains[index]))
-        return IncreaseInterval(self.starts[index], self.ends[index], self.gains[index])
-
-    def __eq__(self, other) -> bool:
-        return tuple(self) == (tuple(other) if isinstance(other, _Intervals) else other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __add__(self, other):
-        return tuple(self) + other
-
-    def __radd__(self, other):
-        return other + tuple(self)
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
-
-
 @dataclass(frozen=True)
 class BlpResult:
     """Accumulated memory measure with its supporting intervals.
 
-    ``n_value`` is exactly the sum of interval gains; ``tail_bound`` bounds
-    whatever the truncation at ``truncation_time`` can have missed.
-    ``intervals`` reads as a tuple of :class:`IncreaseInterval`; records given
-    in any sequence are stored in that form.
+    The increase intervals are three float columns ``starts``, ``ends`` and
+    ``gains``; ``n_value`` is exactly the sum of ``gains``, and ``tail_bound``
+    bounds whatever the truncation at ``truncation_time`` can have missed.
+    Records are built only when :attr:`intervals` is read: up to
+    :data:`MAX_INTERVALS` of them cost time, and as objects the garbage
+    collector tracks they trigger its full collections in later calls.
     """
 
     n_value: float
-    intervals: Sequence
+    starts: tuple
+    ends: tuple
+    gains: tuple
     pair_label: str
     truncation_time: float
     tail_bound: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.intervals, _Intervals):
-            object.__setattr__(self, "intervals", _Intervals.of(self.intervals))
-        total = math.fsum(self.intervals.gains)
+        if not len(self.starts) == len(self.ends) == len(self.gains):
+            raise InvariantViolation("interval columns starts, ends and gains differ in length")
+        total = math.fsum(self.gains)
         if abs(self.n_value - total) > 1e-12:
             raise InvariantViolation(
                 f"n_value {self.n_value!r} differs from interval-gain sum {total!r}"
             )
         if self.n_value < 0 or self.tail_bound < 0 or self.truncation_time <= 0:
             raise InvariantViolation("n_value/tail_bound/truncation_time out of range")
+
+    @property
+    def intervals(self) -> tuple:
+        """The intervals as :class:`IncreaseInterval` records, built when read."""
+        return tuple(map(IncreaseInterval, self.starts, self.ends, self.gains))
 
 
 @dataclass(frozen=True)
@@ -269,10 +230,12 @@ def blp_measure(
         trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
         0.0,
     )
-    gains = gains.tolist()
+    gains = tuple(gains.tolist())
     return BlpResult(
         n_value=math.fsum(gains),
-        intervals=_Intervals(starts.tolist(), ends.tolist(), gains),
+        starts=tuple(starts.tolist()),
+        ends=tuple(ends.tolist()),
+        gains=gains,
         pair_label=CANONICAL_PAIR_LABEL,
         truncation_time=float(t_max),
         tail_bound=math.exp(-params.relaxation_rate * t_max),
@@ -534,7 +497,8 @@ def _refined_intervals(params: ModelParams, delta: np.ndarray, grid: np.ndarray)
     An interior start (end) is refined by ternary search for the minimum
     (maximum) between its two grid neighbours, for all endpoints at once, to
     :data:`_BISECT_TOL` or :data:`_BISECT_RTOL` times ``t_max``, whichever is
-    larger; rises below the float-noise floor are dropped.
+    larger; rises below the float-noise floor are dropped.  Returns the
+    ``(starts, ends, gains)`` columns of :class:`BlpResult`.
     """
     weights, _ = _pair_weights(params, delta[:, None])
 
@@ -563,11 +527,11 @@ def _refined_intervals(params: ModelParams, delta: np.ndarray, grid: np.ndarray)
     t_start[inner_lo] = refined[want_min]
     t_end[inner_hi] = refined[~want_min]
     gains = distance(t_end) - distance(t_start)
-    return tuple(
-        IncreaseInterval(t_start=a, t_end=b, gain=g)
-        for a, b, g in zip(t_start.tolist(), t_end.tolist(), gains.tolist())
-        if g > _GAIN_FLOOR
-    )
+    kept = gains > _GAIN_FLOOR
+    t_start, t_end, gains = t_start[kept], t_end[kept], gains[kept]
+    if not np.all(t_start < t_end):
+        raise InvariantViolation("refined interval endpoints out of order")
+    return tuple(t_start.tolist()), tuple(t_end.tolist()), tuple(gains.tolist())
 
 
 def blp_measure_maximized(
@@ -626,19 +590,19 @@ def blp_measure_maximized(
     estimates, bounds = _sampled_estimates(params, deltas, grid)
     ceilings = (estimates + bounds).tolist()
 
-    best_n, best_label, best_intervals, best_index = (
-        canonical.n_value, canonical.pair_label, canonical.intervals, None)
+    best_n, best_label, best_columns, best_index = (
+        canonical.n_value, canonical.pair_label, None, None)
     refined = 0
     for p in sorted(range(len(labels)), key=lambda p: (-ceilings[p], labels[p])):
         if ceilings[p] < best_n:
             break
-        intervals = ()  # a zero ceiling leaves no rise that refinement can keep
+        columns = ((), (), ())  # a zero ceiling leaves no rise that refinement can keep
         if ceilings[p] > 0.0:
             refined += 1
-            intervals = _refined_intervals(params, deltas[:, p], grid)
-        n_value = math.fsum(iv.gain for iv in intervals)
+            columns = _refined_intervals(params, deltas[:, p], grid)
+        n_value = math.fsum(columns[2])
         if (-n_value, labels[p]) < (-best_n, best_label):
-            best_n, best_label, best_intervals, best_index = n_value, labels[p], intervals, p
+            best_n, best_label, best_columns, best_index = n_value, labels[p], columns, p
     logger.debug("maximizer refined %d of %d candidate pairs", refined, len(labels) + 1)
 
     if best_index is None:
@@ -646,8 +610,8 @@ def blp_measure_maximized(
     _, tail = _slope_bound(params)
     _, amplitudes = _pair_weights(params, deltas[:, [best_index]])
     return BlpResult(
-        n_value=best_n,
-        intervals=best_intervals,
+        best_n,
+        *best_columns,
         pair_label=best_label,
         truncation_time=float(t_max),
         tail_bound=float(sum(_row_bounds(amplitudes[:, 0], tail(float(t_max))))),

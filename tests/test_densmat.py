@@ -132,6 +132,12 @@ class TestHermitianEigenvalues:
         with pytest.raises(NonHermitianError):
             hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_non_finite(self):
+        # inf - inf in the symmetry defect would warn before any check fails
+        for value in (math.inf, math.nan):
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                hermitian_eigenvalues(np.full((2, 2), value))
+
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatchError):
             hermitian_eigenvalues(np.zeros((2, 3)))
@@ -225,6 +231,17 @@ class TestValidateDensityMatrix:
             validate_density_matrix(rho)  # default slack 1e-10
         validate_density_matrix(rho, positivity_tol=1e-9)
 
+    def test_rejects_nan_4x4(self):
+        # NaN passes every comparison-based check and then stalls the eigensolver
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            validate_density_matrix(np.full((4, 4), math.nan), dim=4)
+
+    def test_rejects_non_finite_2x2(self):
+        # every NaN comparison is False, so no comparison-based check fails
+        for value in (math.nan, math.inf):
+            with pytest.raises(InvariantViolation, match="non-finite"):
+                validate_density_matrix(np.full((2, 2), value))
+
 
 class TestPartialTrace:
     def test_product_state_recovers_first_factor(self):
@@ -280,6 +297,10 @@ class TestTraceDistance:
         assert abs(trace_distance(rho, rho)) < 1e-12
         assert d_rt <= trace_distance(rho, chi) + trace_distance(chi, tau) + 1e-12
 
+    def test_rejects_nan_operand(self):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            trace_distance(np.full((2, 2), math.nan), np.eye(2) / 2.0)
+
     def test_validates_inputs(self):
         good = np.diag([0.5, 0.5]).astype(complex)
         with pytest.raises(InvariantViolation):
@@ -312,6 +333,10 @@ class TestVonNeumannEntropy:
     def test_clamps_round_off_negatives(self):
         rho = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
         assert abs(von_neumann_entropy(rho)) < 1e-9
+
+    def test_rejects_nan(self):
+        with pytest.raises(InvariantViolation, match="non-finite"):
+            von_neumann_entropy(np.full((2, 2), math.nan))
 
     def test_rejects_genuinely_negative(self):
         with pytest.raises(NegativeEigenvalueError):

@@ -31,7 +31,14 @@ from qmemory import (
     validate_density_matrix,
     xstate_rhs,
 )
-from qmemory.dynamics import MAX_PARAMETER, MIN_GAMMA, coherence_root
+from qmemory import dynamics
+from qmemory.dynamics import (
+    MAX_PARAMETER,
+    MAX_SPAN_STEPS,
+    MIN_GAMMA,
+    STEP_RESOLUTION,
+    coherence_root,
+)
 from qmemory.errors import InvalidGridError, InvariantViolation
 
 from helpers import (
@@ -248,6 +255,14 @@ class TestExactPropagator:
         with pytest.raises(InvariantViolation):
             propagate_exact(rho0 + 0.1 * np.eye(4), CANONICAL, 1.0)
 
+    def test_phase_overflow_rejected(self):
+        # 2 omega t overflows to inf, where math.cos has no value
+        params = ModelParams(0.2, 0.5, 2.0)
+        with pytest.raises(InvariantViolation, match="phase"):
+            propagate_xstate_exact(XSTATE_10, params, 1e308)
+        with pytest.raises(InvariantViolation, match="phase"):
+            propagate_exact(embed_xstate(XSTATE_10), params, 1e308)
+
     @pytest.mark.parametrize("omega", [0.0, 1.0, 0.5, 1e-30, 30.0])
     def test_tiny_and_huge_rates_scale(self, omega):
         # the generator is linear in (gamma, omega), so rho(t; s gamma, s omega)
@@ -415,6 +430,24 @@ class TestIntegrator:
         assert time.perf_counter() - start < 1.0
         expected = embed_xstate(propagate_xstate_exact(XSTATE_10, CANONICAL, 100.0))
         assert np.max(np.abs(traj.samples[-1] - expected)) < 1e-12
+
+    @pytest.mark.parametrize("t_end", [1e25, 1e308])
+    def test_span_limit_on_default_steps(self, t_end):
+        # 1e25 needs 2e28 default steps, whose powers overflow; 1e308 needs more
+        # steps than a float holds; both are beyond the limit, with or without max_step
+        rho0 = np.eye(4, dtype=complex) / 4.0
+        params = ModelParams(0.2, 0.5, 2.0)
+        for max_step in (None, 1e-3):
+            with pytest.raises(InvalidGridError, match="finite step count and 1e\\+21"):
+                integrate_master(rho0, params, [0.0, t_end], max_step=max_step)
+        limit = MAX_SPAN_STEPS * STEP_RESOLUTION / 2.0 * (1.0 - 1e-15)
+        with pytest.raises(InvariantViolation, match="trace drift"):  # named, no overflow
+            integrate_master(rho0, params, [0.0, limit])
+
+    def test_nan_trace_drift_rejected(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_rk4_steps", lambda terms, y, h, n: y * math.nan)
+        with pytest.raises(InvariantViolation, match="trace drift nan"):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0])
 
     def test_infinite_grid_time_rejected(self):
         with pytest.raises(InvalidGridError, match="finite times"):

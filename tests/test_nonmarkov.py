@@ -26,6 +26,7 @@ from qmemory import (
     trace_distance_rate,
     validate_density_matrix,
 )
+from qmemory import cli, nonmarkov
 from qmemory.nonmarkov import (
     CANONICAL_PAIR_LABEL,
     MAX_GRID_SIZE,
@@ -230,9 +231,22 @@ class TestBlpMeasure:
         assert result.intervals != list(records)
         assert result.intervals + () == () + result.intervals == records
         iv = IncreaseInterval(t_start=1.0, t_end=2.0, gain=0.25)
-        given = BlpResult(n_value=0.25, intervals=[iv], pair_label="x", truncation_time=10.0,
-                          tail_bound=0.0)
-        assert given.intervals == (iv,) and given == BlpResult(0.25, (iv,), "x", 10.0, 0.0)
+        given = BlpResult(n_value=0.25, starts=(1.0,), ends=(2.0,), gains=(0.25,),
+                          pair_label="x", truncation_time=10.0, tail_bound=0.0)
+        assert given.intervals == (iv,)
+        assert given == BlpResult(0.25, (1.0,), (2.0,), (0.25,), "x", 10.0, 0.0)
+
+    def test_classification_builds_no_records(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("an IncreaseInterval record was built")
+
+        monkeypatch.setattr(nonmarkov, "IncreaseInterval", refuse)
+        verdict = classify_dynamics(ModelParams(0.01, 0.0, 3.0))
+        assert len(verdict.result.gains) == 2865
+        assert cli.main(["blp"]) == 0
+        assert "intervals=19" in capsys.readouterr().out
+        sweep = ["sweep", "--param", "omega", "--from", "0", "--to", "3", "--points", "2"]
+        assert cli.main(sweep + ["--steps", "2"]) == 0
 
     def test_interval_limit(self):
         assert MAX_INTERVALS == 100_000
@@ -261,25 +275,30 @@ class TestResultRecords:
             IncreaseInterval(t_start=1.0, t_end=2.0, gain=-0.1)
 
     def test_result_consistency(self):
-        iv = IncreaseInterval(t_start=1.0, t_end=2.0, gain=0.25)
+        columns = dict(starts=(1.0,), ends=(2.0,), gains=(0.25,))
         BlpResult(
-            n_value=0.25, intervals=(iv,), pair_label="x", truncation_time=10.0,
+            n_value=0.25, **columns, pair_label="x", truncation_time=10.0,
             tail_bound=0.0,
         )
         with pytest.raises(InvariantViolation):
             BlpResult(
-                n_value=0.30, intervals=(iv,), pair_label="x", truncation_time=10.0,
+                n_value=0.30, **columns, pair_label="x", truncation_time=10.0,
                 tail_bound=0.0,
             )
         with pytest.raises(InvariantViolation):
             BlpResult(
-                n_value=0.25, intervals=(iv,), pair_label="x", truncation_time=10.0,
+                n_value=0.25, **columns, pair_label="x", truncation_time=10.0,
                 tail_bound=-1e-3,
             )
         with pytest.raises(InvariantViolation):
             BlpResult(
-                n_value=0.25, intervals=(iv,), pair_label="x", truncation_time=0.0,
+                n_value=0.25, **columns, pair_label="x", truncation_time=0.0,
                 tail_bound=0.0,
+            )
+        with pytest.raises(InvariantViolation, match="differ in length"):
+            BlpResult(
+                n_value=0.25, starts=(1.0, 3.0), ends=(2.0,), gains=(0.25,),
+                pair_label="x", truncation_time=10.0, tail_bound=0.0,
             )
 
 
@@ -459,7 +478,7 @@ class TestMaximizedMeasure:
         labels, deltas = _candidate_pairs(grid_size)
         estimates, bounds = _sampled_estimates(params, deltas, grid)
         refined = [
-            math.fsum(iv.gain for iv in _refined_intervals(params, deltas[:, p], grid))
+            math.fsum(_refined_intervals(params, deltas[:, p], grid)[2])
             for p in range(len(labels))
         ]
         assert np.all(np.array(refined) - estimates <= bounds)
