@@ -53,7 +53,6 @@ from .dynamics import (
     propagate_xstate_published,
     superoperator,
     thermal_xstate,
-    xstate_rhs,
 )
 from .entangle import (
     EntanglementVariant,
@@ -109,7 +108,6 @@ __all__ = [
     "lindblad_rhs", "parameter_grid", "population_from_excited",
     "population_from_ground", "propagate_exact", "propagate_xstate_exact",
     "propagate_xstate_published", "superoperator", "thermal_xstate",
-    "xstate_rhs",
     # entangle
     "EntanglementVariant", "binary_entropy", "entanglement_at_revival",
     "entanglement_entropy", "revival_instant", "steady_entanglement",

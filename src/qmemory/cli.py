@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 invalid arguments, 2 validation failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -40,6 +41,8 @@ from .validate import run_validation
 
 # Largest number of CSV data rows one invocation may emit.
 MAX_ROWS = 10**6
+# CSV lines per write: few system calls even when stdout is unbuffered.
+_WRITE_BLOCK = 4096
 
 # Run settings of every data subcommand, from a flag or a config file:
 # key -> (parse, default, help).
@@ -200,22 +203,20 @@ def _echo_value(value) -> str:
     return str(value)
 
 
-def _csv_text(command: str, echo: dict, header: tuple, rows) -> str:
-    lines = [f"# qmemory {__version__}", f"# command: {command}"]
-    for key in sorted(echo):
-        lines.append(f"# {key} = {_echo_value(echo[key])}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(cell) for cell in row))
-    return "\n".join(lines) + "\n"
-
-
-def _emit(out_path: str | None, text: str) -> None:
+def _write_csv(out_path: str | None, command: str, echo: dict, header: tuple, rows) -> None:
+    """Write the ``#`` lines, the header and the rows, formatted as they are
+    written in blocks of :data:`_WRITE_BLOCK` lines; every check that can fail
+    has run before the first byte."""
+    head = [f"# qmemory {__version__}", f"# command: {command}",
+            *(f"# {key} = {_echo_value(echo[key])}" for key in sorted(echo)), ",".join(header)]
+    lines = itertools.chain(head, (",".join(map(_fmt_cell, row)) for row in rows))
+    blocks = iter(lambda: "".join(line + "\n" for line in itertools.islice(lines, _WRITE_BLOCK)),
+                  "")
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
 
 
 def _common_echo(cfg: RunConfig) -> dict:
@@ -239,11 +240,10 @@ def _time_grid(cfg: RunConfig, curves: int = 1) -> np.ndarray:
 
 def cmd_trace_distance(cfg: RunConfig) -> int:
     t = _time_grid(cfg)
-    d = np.asarray(trace_distance_closed_form(cfg.params, t))
-    sigma = np.asarray(trace_distance_rate(cfg.params, t))
-    rows = list(zip(t.tolist(), d.tolist(), sigma.tolist()))
-    _emit(cfg.out_path, _csv_text("trace-distance", _common_echo(cfg),
-                                  ("t", "D", "sigma"), rows))
+    d = trace_distance_closed_form(cfg.params, t)
+    sigma = trace_distance_rate(cfg.params, t)
+    _write_csv(cfg.out_path, "trace-distance", _common_echo(cfg), ("t", "D", "sigma"),
+               zip(t, d, sigma))
     return 0
 
 
@@ -257,11 +257,10 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
     t = _time_grid(cfg, points)
     values = np.linspace(lo, hi, points)
 
-    rows = []
+    members = []
     intervals = 0
     for value in values.tolist():
         p = replace(cfg.params, **{param: value})
-        d = np.asarray(trace_distance_closed_form(p, t))
         verdict = classify_dynamics(p, cfg.eps)
         intervals += len(verdict.result.gains)
         if intervals > MAX_INTERVALS:
@@ -269,14 +268,14 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
                 f"the family's memory measures hold more than {MAX_INTERVALS} increase "
                 f"intervals in all, above the limit of {MAX_INTERVALS} intervals"
             )
-        flag = 1 if verdict.regime == NON_MARKOVIAN else 0
-        rows.extend((param, value, ti, di, flag) for ti, di in zip(t.tolist(), d.tolist()))
+        members.append((value, trace_distance_closed_form(p, t),
+                        1 if verdict.regime == NON_MARKOVIAN else 0))
     echo = _common_echo(cfg)
     del echo[param]  # the swept parameter lives in the sweep_value column
     echo.update({"param": param, "from": float(lo), "to": float(hi), "points": points})
-    _emit(cfg.out_path, _csv_text(
-        "sweep", echo, ("sweep_param", "sweep_value", "t", "D", "N_flag"), rows
-    ))
+    rows = ((param, value, ti, di, flag) for value, d, flag in members for ti, di in zip(t, d))
+    _write_csv(cfg.out_path, "sweep", echo, ("sweep_param", "sweep_value", "t", "D", "N_flag"),
+               rows)
     return 0
 
 
@@ -288,9 +287,8 @@ def cmd_blp(cfg: RunConfig) -> int:
         f"intervals={len(result.gains)} tail<={result.tail_bound:.3e}"
     )
     if cfg.out_path is not None:
-        rows = zip(result.starts, result.ends, result.gains)
-        _emit(cfg.out_path, _csv_text("blp", _common_echo(cfg),
-                                      ("t_start", "t_end", "gain"), rows))
+        _write_csv(cfg.out_path, "blp", _common_echo(cfg), ("t_start", "t_end", "gain"),
+                   zip(result.starts, result.ends, result.gains))
     return 0
 
 
@@ -310,19 +308,16 @@ def cmd_entanglement(cfg: RunConfig, gammas: list[float] | None) -> int:
     t = _time_grid(cfg, 1 if gammas is None else len(gammas))
     echo = _common_echo(cfg)
     if gammas is None:
-        e = np.asarray(entanglement_entropy(cfg.params, t, cfg.variant))
-        d = np.asarray(trace_distance_closed_form(cfg.params, t))
-        rows = list(zip(t.tolist(), e.tolist(), d.tolist()))
-        _emit(cfg.out_path, _csv_text("entanglement", echo, ("t", "E", "D"), rows))
+        e = entanglement_entropy(cfg.params, t, cfg.variant)
+        d = trace_distance_closed_form(cfg.params, t)
+        _write_csv(cfg.out_path, "entanglement", echo, ("t", "E", "D"), zip(t, e, d))
         return 0
-    rows = []
-    for gamma in gammas:
-        p = replace(cfg.params, gamma=gamma)
-        e = np.asarray(entanglement_entropy(p, t, cfg.variant))
-        rows.extend((gamma, float(ti), float(ei)) for ti, ei in zip(t.tolist(), e.tolist()))
+    family = [(gamma, entanglement_entropy(replace(cfg.params, gamma=gamma), t, cfg.variant))
+              for gamma in gammas]
     del echo["gamma"]  # per-row column instead
     echo["gammas"] = ",".join(repr(g) for g in gammas)
-    _emit(cfg.out_path, _csv_text("entanglement", echo, ("gamma", "t", "E"), rows))
+    rows = ((gamma, ti, ei) for gamma, e in family for ti, ei in zip(t, e))
+    _write_csv(cfg.out_path, "entanglement", echo, ("gamma", "t", "E"), rows)
     return 0
 
 
@@ -353,10 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "entanglement":
             return cmd_entanglement(cfg, parse_gammas(args.gammas))
         raise InvariantViolation(f"unknown command {args.command!r}")  # pragma: no cover
-    except QmemoryError as exc:
-        print(f"qmemory: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (QmemoryError, ValueError) as exc:
         print(f"qmemory: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

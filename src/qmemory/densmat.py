@@ -117,14 +117,8 @@ def extract_xstate(rho: np.ndarray, tol: float = XFORM_TOL) -> XState:
             f"entry ({idx[0]}, {idx[1]}) = {rho[idx[0], idx[1]]:.3e} lies outside "
             f"the X pattern (magnitude above tol={tol:.0e})"
         )
-    return XState(
-        a=rho[0, 0].real,
-        b=rho[1, 1].real,
-        c=rho[2, 2].real,
-        d=rho[3, 3].real,
-        z=complex(rho[1, 2]),
-        w=complex(rho[0, 3]),
-    )
+    a, b, c, d = rho.diagonal().real.tolist()
+    return XState(a=a, b=b, c=c, d=d, z=complex(rho[1, 2]), w=complex(rho[0, 3]))
 
 
 def hermiticity_defect(mat: np.ndarray) -> float:

@@ -34,6 +34,9 @@ closed form:
   and ``mu- = conj(mu+)``.  ``mu+-`` never vanishes for ``gamma > 0``, so the
   block has no defective case.  k = -1 is the adjoint of k = +1.
 
+:func:`propagate_exact` evaluates every sector over a whole array of times;
+:func:`propagate_xstate_exact` is its view of one X state at one time.
+
 Two quantities recur everywhere: the relaxation rate ``gamma (1 + 2m)`` and
 the thermal occupation ``q = m / (1 + 2m)`` of a single atom.
 
@@ -56,6 +59,7 @@ from .densmat import (
     TRACE_TOL,
     XState,
     embed_xstate,
+    extract_xstate,
     hermiticity_defect,
     validate_density_matrix,
 )
@@ -174,18 +178,6 @@ class Trajectory:
         object.__setattr__(self, "times", times)
 
 
-@dataclass(frozen=True)
-class XStateDeriv:
-    """Component-wise time derivative of an X state (populations sum to 0)."""
-
-    da: float
-    db: float
-    dc: float
-    dd: float
-    dz: complex
-    dw: complex
-
-
 # --- Lindblad generator -----------------------------------------------------
 
 def _lowering(atom: int) -> np.ndarray:
@@ -293,7 +285,8 @@ def integrate_master(
         default the step satisfies ``h <= min(grid spacing, 1e-3 / relaxation
         rate)`` and also resolves the exchange frequency to the same fraction.
         Either way a span may hold at most :data:`MAX_SPAN_STEPS` default
-        steps and a finite number of steps.
+        steps and a finite number of steps.  A step beyond RK4's stability
+        limit whose powers overflow raises :class:`InvariantViolation`.
 
     Every sample is Hermitized by averaging with its adjoint and renormalized
     when the trace drift exceeds 1e-12 (drift magnitude logged); the worst raw
@@ -334,7 +327,14 @@ def integrate_master(
     for left, right in zip(times[:-1], times[1:]):
         span = float(right - left)
         n = max(1, math.ceil(span / h_bound))
-        y = _rk4_steps(terms, y, span / n, n)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                y = _rk4_steps(terms, y, span / n, n)
+        except FloatingPointError:
+            raise InvariantViolation(
+                f"RK4 steps of {span / n!r} overflow by t={right:g}: max_step={max_step!r} "
+                f"is beyond RK4's stability limit for these rates"
+            ) from None
 
         raw = y.reshape(4, 4)
         defect = hermiticity_defect(raw)
@@ -366,71 +366,7 @@ def integrate_master(
     )
 
 
-# --- X-state rate equations and trusted propagator ---------------------------
-
-def xstate_rhs(x: XState, params: ModelParams) -> XStateDeriv:
-    """Component-wise rate equations on the X-state family.
-
-    Matches embedding the state, applying :func:`lindblad_rhs`, and reading
-    the X components back (tested to 1e-13).  The population derivatives sum
-    to zero exactly in exact arithmetic.
-    """
-    x.validate()
-    g, m, omega = params.gamma, params.m, params.omega
-    exchange = (1j * omega * (x.z - np.conj(x.z))).real  # i omega (z - z*) = -2 omega Im z
-    da = g * (-2.0 * (m + 1.0) * x.a + m * x.b + m * x.c)
-    db = g * ((m + 1.0) * x.a - (2.0 * m + 1.0) * x.b + m * x.d) + exchange
-    dc = g * ((m + 1.0) * x.a - (2.0 * m + 1.0) * x.c + m * x.d) - exchange
-    dd = g * ((m + 1.0) * x.b + (m + 1.0) * x.c - 2.0 * m * x.d)
-    dz = -g * (2.0 * m + 1.0) * x.z + 1j * omega * (x.b - x.c)
-    dw = -g * (2.0 * m + 1.0) * x.w
-    return XStateDeriv(da=da, db=db, dc=dc, dd=dd, dz=dz, dw=dw)
-
-
-def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:
-    """Closed-form propagation of an X state, re-derived from the rate equations.
-
-    Block solution: ``w`` and ``Re z`` decay at the relaxation rate;
-    ``(b - c, Im z)`` rotate at ``2 omega`` under the same damping; the
-    population sums ``(a, s = b + c, d)`` evolve under the product of two
-    single-atom relaxation maps ``T``, where ``T_xy`` is the probability that
-    an atom in ``y`` at time 0 is in ``x`` at ``t`` (``e`` excited, ``g``
-    ground).  Satisfies the semigroup property to ~1e-14 and returns a
-    validated state.
-    """
-    x0.validate()
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0:
-        raise InvariantViolation(f"time must be finite and nonnegative, got {t!r}")
-    rate = params.relaxation_rate
-    decay = math.exp(-rate * t)
-    phase = 2.0 * params.omega * t
-    if not math.isfinite(phase):
-        raise InvariantViolation(f"phase 2 omega t overflows at t={t!r}, omega={params.omega!r}")
-    cos_p, sin_p = math.cos(phase), math.sin(phase)
-
-    u0 = x0.b - x0.c
-    y0 = complex(x0.z).imag
-    u = decay * (u0 * cos_p - 2.0 * y0 * sin_p)
-    y = decay * (y0 * cos_p + 0.5 * u0 * sin_p)
-
-    q = params.thermal_occupation
-    rise = -math.expm1(-rate * t)  # 1 - decay
-    t_ee, t_eg = q + (1.0 - q) * decay, q * rise
-    t_ge, t_gg = (1.0 - q) * rise, (1.0 - q) + q * decay
-    a0, s0, d0 = x0.a, x0.b + x0.c, x0.d
-    a = t_ee * t_ee * a0 + t_ee * t_eg * s0 + t_eg * t_eg * d0
-    s = 2.0 * t_ee * t_ge * a0 + (t_ee * t_gg + t_eg * t_ge) * s0 + 2.0 * t_eg * t_gg * d0
-    d = t_ge * t_ge * a0 + t_ge * t_gg * s0 + t_gg * t_gg * d0
-
-    return XState(
-        a=a,
-        b=0.5 * (s + u),
-        c=0.5 * (s - u),
-        d=d,
-        z=complex(decay * complex(x0.z).real, y),
-        w=complex(x0.w) * decay,
-    ).validate()
-
+# --- closed-form propagator --------------------------------------------------
 
 def coherence_root(params: ModelParams) -> complex:
     """``mu+ = sqrt(R^2/4 - omega^2 - i gamma omega)``, principal branch: the
@@ -468,34 +404,71 @@ def coherence_factors(params: ModelParams, t):
 def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     """Closed-form propagation of any valid 4x4 state, sector by sector.
 
-    The X part (k = 0, +-2) goes through :func:`propagate_xstate_exact`, the
-    k = +1 elements through the block exponentials of the module docstring,
-    and k = -1 is their adjoint.  A scalar ``t`` gives one state, a 1-D array
-    a stack; the flow is completely positive, so only ``rho0`` is validated.
+    Every sector follows its closed form in the module docstring.  In the
+    single-atom map ``T``, ``T_xy`` is the probability that an atom in ``y``
+    at time 0 is in ``x`` at ``t`` (``e`` excited, ``g`` ground).  A scalar
+    ``t`` gives one state, a 1-D array a stack; every time must be finite and
+    nonnegative, with a finite phase ``2 omega t``.  The flow is completely
+    positive, so only ``rho0`` is validated.
     """
     rho0 = validate_density_matrix(rho0, dim=4)
     tt = np.asarray(t, dtype=float)
-    a, b, c, d = np.diag(rho0).real.tolist()
-    x0 = XState(a=a, b=b, c=c, d=d, z=complex(rho0[1, 2]), w=complex(rho0[0, 3]))
-    rho = np.array([embed_xstate(propagate_xstate_exact(x0, params, ti))
-                    for ti in tt.reshape(-1).tolist()]).reshape(tt.shape + (4, 4))
+    bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
+    if bad.size:
+        raise InvariantViolation(f"time must be finite and nonnegative, got {float(bad[0])!r}")
+    latest = float(tt.max()) if tt.size else 0.0
+    if not math.isfinite(2.0 * params.omega * latest):
+        raise InvariantViolation(
+            f"phase 2 omega t overflows at t={latest!r}, omega={params.omega!r}")
 
     rate, gamma, omega = params.relaxation_rate, params.gamma, params.omega
-    cosh, sinh = coherence_factors(params, tt)
+    q = params.thermal_occupation
+    with np.errstate(over="ignore"):  # R t beyond the float range: the decays are 0
+        decay = np.exp(-rate * tt)
+        rise = -np.expm1(-rate * tt)  # 1 - decay
+        cosh, sinh = coherence_factors(params, tt)
+    t_ee, t_eg = q + (1.0 - q) * decay, q * rise
+    t_ge, t_gg = (1.0 - q) * rise, (1.0 - q) + q * decay
+    a0, b0, c0, d0 = np.diag(rho0).real.tolist()
+    s0, u0, y0 = b0 + c0, b0 - c0, rho0[1, 2].imag
+    a = t_ee * t_ee * a0 + t_ee * t_eg * s0 + t_eg * t_eg * d0
+    s = 2.0 * t_ee * t_ge * a0 + (t_ee * t_gg + t_eg * t_ge) * s0 + 2.0 * t_eg * t_gg * d0
+    d = t_ge * t_ge * a0 + t_ge * t_gg * s0 + t_gg * t_gg * d0
+    phase = 2.0 * omega * tt
+    cos_p, sin_p = np.cos(phase), np.sin(phase)
+    u = decay * (u0 * cos_p - 2.0 * y0 * sin_p)
+    y = decay * (y0 * cos_p + 0.5 * u0 * sin_p)
+
     c1, c2, e1, e2 = coherence_combinations(rho0)
     sectors = []
     for sign, ch, sh in ((1.0, cosh, sinh), (-1.0, np.conj(cosh), np.conj(sinh))):
-        u, v = c1 + sign * c2, e2 + sign * e1
-        sectors.append(((ch + 0.5 * rate * sh) * u + 1j * omega * sh * v,
-                        (1j * omega - sign * gamma) * sh * u + (ch - 0.5 * rate * sh) * v))
+        u_k, v_k = c1 + sign * c2, e2 + sign * e1
+        sectors.append(((ch + 0.5 * rate * sh) * u_k + 1j * omega * sh * v_k,
+                        (1j * omega - sign * gamma) * sh * u_k + (ch - 0.5 * rate * sh) * v_k))
     (u_p, v_p), (u_m, v_m) = sectors
     c1, c2 = 0.5 * (u_p + u_m), 0.5 * (u_p - u_m)
     e2, e1 = 0.5 * (v_p + v_m), 0.5 * (v_p - v_m)
-    for (i, j), value in (((0, 2), c1 + e1), ((1, 3), c1 - e1),
-                          ((0, 1), c2 + e2), ((2, 3), c2 - e2)):
-        rho[..., i, j] = 0.5 * value
-        rho[..., j, i] = np.conj(rho[..., i, j])
+
+    rho = np.empty(tt.shape + (4, 4), dtype=complex)
+    for (i, j), value in (((0, 0), a), ((1, 1), 0.5 * (s + u)), ((2, 2), 0.5 * (s - u)),
+                          ((3, 3), d), ((1, 2), decay * rho0[1, 2].real + 1j * y),
+                          ((0, 3), rho0[0, 3] * decay),
+                          ((0, 2), 0.5 * (c1 + e1)), ((1, 3), 0.5 * (c1 - e1)),
+                          ((0, 1), 0.5 * (c2 + e2)), ((2, 3), 0.5 * (c2 - e2))):
+        rho[..., i, j] = value
+        rho[..., j, i] = np.conj(value)
     return rho
+
+
+def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:
+    """:func:`propagate_exact` for one X state at one time ``t`` (a Python
+    ``int`` or ``float``); the flow keeps the X family closed.  Validates
+    ``x0`` and returns a validated state.
+    """
+    rho0 = embed_xstate(x0)
+    if not isinstance(t, (int, float)):
+        raise InvariantViolation(f"time must be a Python int or float, got {t!r}")
+    return extract_xstate(propagate_exact(rho0, params, t)).validate()
 
 
 def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XState:

@@ -325,6 +325,7 @@ class TestRowLimit:
         )
         assert proc.returncode == 1
         assert "limit of 100000 intervals" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestEntanglement:

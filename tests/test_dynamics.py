@@ -29,7 +29,6 @@ from qmemory import (
     superoperator,
     thermal_xstate,
     validate_density_matrix,
-    xstate_rhs,
 )
 from qmemory import dynamics
 from qmemory.dynamics import (
@@ -119,33 +118,9 @@ class TestGenerator:
             direct = lindblad_rhs(rho, params)
             assert np.max(np.abs(via_matrix - direct)) < 1e-14
 
-    def test_xstate_rhs_matches_full_generator(self):
-        rng = np.random.default_rng(63)
-        for _ in range(1000):
-            params = random_params(rng)
-            x = random_valid_xstate(rng)
-            deriv = xstate_rhs(x, params)
-            full = extract_xstate(lindblad_rhs(embed_xstate(x), params))
-            assert abs(deriv.da - full.a) < 1e-13
-            assert abs(deriv.db - full.b) < 1e-13
-            assert abs(deriv.dc - full.c) < 1e-13
-            assert abs(deriv.dd - full.d) < 1e-13
-            assert abs(deriv.dz - full.z) < 1e-13
-            assert abs(deriv.dw - full.w) < 1e-13
-            assert abs(deriv.da + deriv.db + deriv.dc + deriv.dd) < 1e-14
-
-    def test_xstate_rhs_validates_input(self):
-        with pytest.raises(InvariantViolation):
-            xstate_rhs(XState(0.9, 0.9, 0.0, 0.0), CANONICAL)
-
     def test_thermal_state_is_stationary(self):
         for params in parameter_grid():
             x = thermal_xstate(params)
-            deriv = xstate_rhs(x, params)
-            assert max(
-                abs(deriv.da), abs(deriv.db), abs(deriv.dc), abs(deriv.dd),
-                abs(deriv.dz), abs(deriv.dw),
-            ) < 1e-15
             assert np.max(np.abs(lindblad_rhs(embed_xstate(x), params))) < 1e-15
 
     def test_thermal_state_populations(self):
@@ -185,7 +160,7 @@ class TestExactPropagator:
             ) < 1e-11
 
     def test_matches_rhs_derivative(self):
-        # centered finite difference of the propagator against the rate equations
+        # centered finite difference of the propagator against the generator
         rng = np.random.default_rng(73)
         h = 1e-6
         for _ in range(25):
@@ -194,14 +169,14 @@ class TestExactPropagator:
             plus = propagate_xstate_exact(x0, params, 1.0 + h)
             minus = propagate_xstate_exact(x0, params, 1.0 - h)
             at = propagate_xstate_exact(x0, params, 1.0)
-            deriv = xstate_rhs(at, params)
+            deriv = extract_xstate(lindblad_rhs(embed_xstate(at), params))
             for got, want in (
-                ((plus.a - minus.a) / (2 * h), deriv.da),
-                ((plus.b - minus.b) / (2 * h), deriv.db),
-                ((plus.c - minus.c) / (2 * h), deriv.dc),
-                ((plus.d - minus.d) / (2 * h), deriv.dd),
-                ((plus.z - minus.z) / (2 * h), deriv.dz),
-                ((plus.w - minus.w) / (2 * h), deriv.dw),
+                ((plus.a - minus.a) / (2 * h), deriv.a),
+                ((plus.b - minus.b) / (2 * h), deriv.b),
+                ((plus.c - minus.c) / (2 * h), deriv.c),
+                ((plus.d - minus.d) / (2 * h), deriv.d),
+                ((plus.z - minus.z) / (2 * h), deriv.z),
+                ((plus.w - minus.w) / (2 * h), deriv.w),
             ):
                 assert abs(got - want) < 1e-7
 
@@ -249,7 +224,8 @@ class TestExactPropagator:
         # no overflow far out: every sector but the populations has decayed
         late = propagate_exact(rho0, CANONICAL, 1e300)
         assert np.max(np.abs(late - embed_xstate(thermal_xstate(CANONICAL)))) < 1e-15
-        for bad_t in (-1.0, math.nan, math.inf):
+        for bad_t in (-1.0, math.nan, math.inf, [0.0, 1.0, -1.0], [0.0, math.nan],
+                      [0.0, math.inf]):
             with pytest.raises(InvariantViolation):
                 propagate_exact(rho0, CANONICAL, bad_t)
         with pytest.raises(InvariantViolation):
@@ -260,8 +236,29 @@ class TestExactPropagator:
         params = ModelParams(0.2, 0.5, 2.0)
         with pytest.raises(InvariantViolation, match="phase"):
             propagate_xstate_exact(XSTATE_10, params, 1e308)
-        with pytest.raises(InvariantViolation, match="phase"):
-            propagate_exact(embed_xstate(XSTATE_10), params, 1e308)
+        for t in (1e308, [0.0, 1e308]):
+            with pytest.raises(InvariantViolation, match="phase"):
+                propagate_exact(embed_xstate(XSTATE_10), params, t)
+
+    def test_decay_beyond_float_range(self):
+        # R t overflows while 2 omega t does not: every decay factor is 0
+        params = ModelParams(1e100, 0.0, 1.0)
+        thermal = embed_xstate(thermal_xstate(params))
+        late = propagate_exact(np.eye(4) / 4.0, params, [0.0, 1e300])
+        assert np.max(np.abs(late[1] - thermal)) == 0.0
+        assert embed_xstate(propagate_xstate_exact(XSTATE_10, params, 1e300)).tolist() == (
+            thermal.tolist())
+
+    def test_xstate_view_is_the_full_propagator(self):
+        rng = np.random.default_rng(82)
+        for _ in range(100):
+            params = random_params(rng)
+            x0 = random_valid_xstate(rng)
+            t = float(rng.uniform(0.0, 40.0 / params.relaxation_rate))
+            full = propagate_exact(embed_xstate(x0), params, t)
+            assert embed_xstate(propagate_xstate_exact(x0, params, t)).tolist() == full.tolist()
+        with pytest.raises(InvariantViolation, match="Python int or float"):
+            propagate_xstate_exact(XSTATE_10, CANONICAL, np.array([1.0]))
 
     @pytest.mark.parametrize("omega", [0.0, 1.0, 0.5, 1e-30, 30.0])
     def test_tiny_and_huge_rates_scale(self, omega):
@@ -443,6 +440,15 @@ class TestIntegrator:
         limit = MAX_SPAN_STEPS * STEP_RESOLUTION / 2.0 * (1.0 - 1e-15)
         with pytest.raises(InvariantViolation, match="trace drift"):  # named, no overflow
             integrate_master(rho0, params, [0.0, limit])
+
+    def test_unstable_max_step_rejected(self):
+        # 5.0 is beyond RK4's stability limit at the canonical rates: over a
+        # span of 100 the powers grow to a named drift, over 1000 they overflow
+        rho0 = embed_xstate(XSTATE_10)
+        with pytest.raises(InvariantViolation, match="trace drift"):
+            integrate_master(rho0, CANONICAL, [0.0, 100.0], max_step=5.0)
+        with pytest.raises(InvariantViolation, match="max_step=5.0 is beyond RK4's stability"):
+            integrate_master(rho0, CANONICAL, [0.0, 1000.0], max_step=5.0)
 
     def test_nan_trace_drift_rejected(self, monkeypatch):
         monkeypatch.setattr(dynamics, "_rk4_steps", lambda terms, y, h, n: y * math.nan)
