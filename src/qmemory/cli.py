@@ -189,29 +189,22 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 # --- deterministic CSV -------------------------------------------------------
 
-def _fmt_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.8e}"
-
-
 def _echo_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
-def _write_csv(out_path: str | None, command: str, echo: dict, header: tuple, rows) -> None:
-    """Write the ``#`` lines, the header and the rows, formatted as they are
-    written in blocks of :data:`_WRITE_BLOCK` lines; every check that can fail
-    has run before the first byte."""
-    head = [f"# qmemory {__version__}", f"# command: {command}",
-            *(f"# {key} = {_echo_value(echo[key])}" for key in sorted(echo)), ",".join(header)]
-    lines = itertools.chain(head, (",".join(map(_fmt_cell, row)) for row in rows))
-    blocks = iter(lambda: "".join(line + "\n" for line in itertools.islice(lines, _WRITE_BLOCK)),
-                  "")
+def _write_csv(out_path: str | None, command: str, echo: dict, header: tuple,
+               template: str, rows) -> None:
+    """Write the ``#`` lines, the header and the rows, each row a tuple formatted
+    by the printf ``template``, in blocks of :data:`_WRITE_BLOCK` lines; every
+    check that can fail has run before the first byte."""
+    head = [f"# qmemory {__version__}\n", f"# command: {command}\n",
+            *(f"# {key} = {_echo_value(echo[key])}\n" for key in sorted(echo)),
+            ",".join(header) + "\n"]
+    lines = itertools.chain(head, map(template.__mod__, rows))
+    blocks = iter(lambda: "".join(itertools.islice(lines, _WRITE_BLOCK)), "")
     if out_path is None:
         sys.stdout.writelines(blocks)
     else:
@@ -243,7 +236,7 @@ def cmd_trace_distance(cfg: RunConfig) -> int:
     d = trace_distance_closed_form(cfg.params, t)
     sigma = trace_distance_rate(cfg.params, t)
     _write_csv(cfg.out_path, "trace-distance", _common_echo(cfg), ("t", "D", "sigma"),
-               zip(t, d, sigma))
+               "%.8e,%.8e,%.8e\n", zip(t, d, sigma))
     return 0
 
 
@@ -275,7 +268,7 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
     echo.update({"param": param, "from": float(lo), "to": float(hi), "points": points})
     rows = ((param, value, ti, di, flag) for value, d, flag in members for ti, di in zip(t, d))
     _write_csv(cfg.out_path, "sweep", echo, ("sweep_param", "sweep_value", "t", "D", "N_flag"),
-               rows)
+               "%s,%.8e,%.8e,%.8e,%d\n", rows)
     return 0
 
 
@@ -288,7 +281,7 @@ def cmd_blp(cfg: RunConfig) -> int:
     )
     if cfg.out_path is not None:
         _write_csv(cfg.out_path, "blp", _common_echo(cfg), ("t_start", "t_end", "gain"),
-                   zip(result.starts, result.ends, result.gains))
+                   "%.8e,%.8e,%.8e\n", zip(result.starts, result.ends, result.gains))
     return 0
 
 
@@ -310,14 +303,15 @@ def cmd_entanglement(cfg: RunConfig, gammas: list[float] | None) -> int:
     if gammas is None:
         e = entanglement_entropy(cfg.params, t, cfg.variant)
         d = trace_distance_closed_form(cfg.params, t)
-        _write_csv(cfg.out_path, "entanglement", echo, ("t", "E", "D"), zip(t, e, d))
+        _write_csv(cfg.out_path, "entanglement", echo, ("t", "E", "D"), "%.8e,%.8e,%.8e\n",
+                   zip(t, e, d))
         return 0
     family = [(gamma, entanglement_entropy(replace(cfg.params, gamma=gamma), t, cfg.variant))
               for gamma in gammas]
     del echo["gamma"]  # per-row column instead
     echo["gammas"] = ",".join(repr(g) for g in gammas)
     rows = ((gamma, ti, ei) for gamma, e in family for ti, ei in zip(t, e))
-    _write_csv(cfg.out_path, "entanglement", echo, ("gamma", "t", "E"), rows)
+    _write_csv(cfg.out_path, "entanglement", echo, ("gamma", "t", "E"), "%.8e,%.8e,%.8e\n", rows)
     return 0
 
 

@@ -9,8 +9,10 @@ Basis conventions, fixed once for the whole package:
 
 An X state is the 4x4 family with populations ``(a, b, c, d)`` on the diagonal
 and only two independent coherences: ``z`` between ``|10>`` and ``|01>`` and
-``w`` between ``|11>`` and ``|00>``.  Positivity then reduces to the two 2x2
-block conditions ``|z|^2 <= b*c`` and ``|w|^2 <= a*d``.
+``w`` between ``|11>`` and ``|00>``.  Its matrix splits into two 2x2 blocks,
+so positivity amounts to ``|z|^2 <= b*c`` and ``|w|^2 <= a*d`` with nonnegative
+populations.  These follow from the one check of :func:`validate_density_matrix`
+on the embedded matrix, which is the only rule for a valid two-atom state.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ class XState:
     """Two-qubit X state: diagonal populations plus the two X coherences.
 
     Construction does not validate (derivative records and the verbatim
-    published solution need out-of-range instances); call :meth:`validate`
-    to assert the density-matrix invariants.
+    published solution need out-of-range instances); :meth:`validate` checks
+    the embedded matrix (:func:`embed_xstate`) like any other state.
     """
 
     a: float
@@ -53,56 +55,31 @@ class XState:
     w: complex = 0.0 + 0.0j
 
     def validate(self) -> "XState":
-        """Raise :class:`InvariantViolation` naming the first violated invariant."""
-        pops = (self.a, self.b, self.c, self.d)
-        for name, v in zip("abcd", pops):
-            if not math.isfinite(v):
-                raise InvariantViolation(f"population {name} is not finite: {v!r}")
-        for name, v in (("z", self.z), ("w", self.w)):
-            if not (math.isfinite(complex(v).real) and math.isfinite(complex(v).imag)):
-                raise InvariantViolation(f"coherence {name} is not finite: {v!r}")
-        for name, v in zip("abcd", pops):
-            if v < -1e-12:
-                raise InvariantViolation(
-                    f"population {name} = {v:.3e} below 0 beyond round-off slack 1e-12"
-                )
-        total = self.a + self.b + self.c + self.d
-        if abs(total - 1.0) > TRACE_TOL:
-            raise InvariantViolation(
-                f"populations sum to {total!r}, deviating from 1 by "
-                f"{abs(total - 1.0):.3e} (tolerance {TRACE_TOL:.0e})"
-            )
-        if abs(self.z) ** 2 > self.b * self.c + POSITIVITY_TOL:
-            raise InvariantViolation(
-                f"|z|^2 = {abs(self.z) ** 2:.6e} exceeds b*c = {self.b * self.c:.6e} "
-                f"beyond slack {POSITIVITY_TOL:.0e} (inner-block positivity)"
-            )
-        if abs(self.w) ** 2 > self.a * self.d + POSITIVITY_TOL:
-            raise InvariantViolation(
-                f"|w|^2 = {abs(self.w) ** 2:.6e} exceeds a*d = {self.a * self.d:.6e} "
-                f"beyond slack {POSITIVITY_TOL:.0e} (outer-block positivity)"
-            )
+        """Raise :class:`InvariantViolation` unless the embedded matrix passes
+        :func:`validate_density_matrix`; return ``self``."""
+        embed_xstate(self)
         return self
 
 
 def embed_xstate(x: XState) -> np.ndarray:
-    """Embed a validated X state as a 4x4 complex density matrix."""
-    x.validate()
+    """The 4x4 complex density matrix of ``x``, checked by
+    :func:`validate_density_matrix` under the name ``X state``."""
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = x.a, x.b, x.c, x.d
     rho[1, 2] = x.z
     rho[2, 1] = np.conj(x.z)
     rho[0, 3] = x.w
     rho[3, 0] = np.conj(x.w)
-    return rho
+    return validate_density_matrix(rho, dim=4, name="X state")
 
 
-def extract_xstate(rho: np.ndarray, tol: float = XFORM_TOL) -> XState:
+def extract_xstate(rho: np.ndarray) -> XState:
     """Read the X components back out of a 4x4 matrix.
 
     Raises :class:`NotXFormError` if any entry outside the X pattern exceeds
-    ``tol`` in magnitude.  The returned record is not validated: extraction is
-    also used on derivative matrices, whose populations sum to 0, not 1.
+    :data:`XFORM_TOL` in magnitude.  The returned record is not validated:
+    extraction is also used on derivative matrices, whose populations sum to
+    0, not 1.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -111,11 +88,11 @@ def extract_xstate(rho: np.ndarray, tol: float = XFORM_TOL) -> XState:
     mask[np.arange(4), np.arange(4)] = True
     mask[1, 2] = mask[2, 1] = mask[0, 3] = mask[3, 0] = True
     off = np.abs(rho[~mask])
-    if off.size and off.max() > tol:
+    if off.size and off.max() > XFORM_TOL:
         idx = np.argwhere(~mask)[int(np.argmax(off))]
         raise NotXFormError(
             f"entry ({idx[0]}, {idx[1]}) = {rho[idx[0], idx[1]]:.3e} lies outside "
-            f"the X pattern (magnitude above tol={tol:.0e})"
+            f"the X pattern (magnitude above {XFORM_TOL:.0e})"
         )
     a, b, c, d = rho.diagonal().real.tolist()
     return XState(a=a, b=b, c=c, d=d, z=complex(rho[1, 2]), w=complex(rho[0, 3]))
@@ -158,7 +135,7 @@ def validate_density_matrix(
         raise InvariantViolation(
             f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e} (tolerance {TRACE_TOL:.0e})"
         )
-    lo = float(hermitian_eigenvalues(rho)[-1])
+    lo = float(np.linalg.eigvalsh(rho)[0])
     if lo < -positivity_tol:
         raise InvariantViolation(
             f"{name} has eigenvalue {lo:.3e} below 0 beyond slack {positivity_tol:.0e}"

@@ -83,7 +83,7 @@ def entanglement_entropy(
         )
         value = _neg_p_log2_p(p_plus) + _neg_p_log2_p(p_minus)
     elif variant is EntanglementVariant.SUBSYSTEM:
-        value = _neg_p_log2_p(p_plus) + _neg_p_log2_p(1.0 - p_plus)
+        value = binary_entropy(p_plus)
     else:  # pragma: no cover - enum is closed
         raise InvariantViolation(f"unknown variant {variant!r}")
     return float(value[0]) if tt.ndim == 0 else value.reshape(tt.shape)

@@ -226,10 +226,11 @@ def blp_measure(
     starts = starts[starts < t_max]
     peak_phase = math.pi - math.atan2(params.relaxation_rate, 2.0 * omega)
     ends = np.minimum((peak_phase + k[: starts.size] * math.pi) / omega, t_max)
-    gains = np.maximum(
-        trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
-        0.0,
-    )
+    with np.errstate(over="ignore"):  # R t beyond the float range: D is 0 there
+        gains = np.maximum(
+            trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
+            0.0,
+        )
     gains = tuple(gains.tolist())
     return BlpResult(
         n_value=math.fsum(gains),
@@ -311,9 +312,10 @@ def _sector_basis(params: ModelParams, t: np.ndarray) -> np.ndarray:
     ``e^{-R t} (cosh(mu+ t) + R/2 sinh(mu+ t) / mu+)`` and of
     ``e^{-R t} sinh(mu+ t) / mu+`` (the k = 1 sector).
     """
-    envelope = np.exp(-params.relaxation_rate * t)
+    with np.errstate(over="ignore"):  # R t beyond the float range: the decays are 0
+        envelope = np.exp(-params.relaxation_rate * t)
+        cosh, sinh = coherence_factors(params, t)
     phase = 2.0 * params.omega * t
-    cosh, sinh = coherence_factors(params, t)
     leading = cosh + 0.5 * params.relaxation_rate * sinh
     return np.stack([envelope, envelope * np.cos(phase), envelope * np.sin(phase),
                      leading.real, leading.imag, sinh.real, sinh.imag])
@@ -419,11 +421,13 @@ def _slope_bound(params: ModelParams):
     peak = 1.0 / slow - 2.0 / slope  # where (2 + slope s) e^{-slow s} is largest
 
     def speed(t: np.ndarray) -> np.ndarray:
-        e_rate, e_slow, e_fast = np.exp(-rate * t), np.exp(-slow * t), np.exp(-fast * t)
-        late = np.maximum(t, peak)
-        turn = 2.0 * (omega + rate * np.minimum(1.0, omega * t)) * e_rate  # non-increasing
-        f = f_slow * e_slow + f_fast * e_fast
-        mixed = np.minimum(f, y * (2.0 + slope * late) * np.exp(-slow * late))
+        # decays beyond the float range are 0; where the mixed bound is no number, f bounds
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_rate, e_slow, e_fast = np.exp(-rate * t), np.exp(-slow * t), np.exp(-fast * t)
+            late = np.maximum(t, peak)
+            turn = 2.0 * (omega + rate * np.minimum(1.0, omega * t)) * e_rate  # non-increasing
+            f = f_slow * e_slow + f_fast * e_fast
+            mixed = np.fmin(f, y * (2.0 + slope * late) * np.exp(-slow * late))
         return np.stack([rate * e_rate, rise * e_rate, turn, f, mixed,
                          g_slow * e_slow + g_fast * e_fast])
 

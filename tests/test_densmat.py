@@ -174,17 +174,17 @@ class TestXState:
             extract_xstate(np.eye(3) / 3.0)
 
     def test_validate_trace(self):
-        with pytest.raises(InvariantViolation, match="sum"):
+        with pytest.raises(InvariantViolation, match="trace"):
             XState(0.5, 0.5, 0.5, 0.5).validate()
 
     def test_validate_negative_population(self):
-        with pytest.raises(InvariantViolation, match="population"):
+        with pytest.raises(InvariantViolation, match="eigenvalue"):
             XState(-0.2, 0.5, 0.5, 0.2).validate()
 
     def test_validate_coherence_bounds(self):
-        with pytest.raises(InvariantViolation, match="z"):
+        with pytest.raises(InvariantViolation, match="eigenvalue"):
             XState(0.25, 0.25, 0.25, 0.25, z=0.3 + 0.0j).validate()
-        with pytest.raises(InvariantViolation, match="w"):
+        with pytest.raises(InvariantViolation, match="eigenvalue"):
             XState(0.25, 0.25, 0.25, 0.25, w=0.3j).validate()
 
     def test_validate_non_finite(self):
@@ -194,6 +194,58 @@ class TestXState:
     def test_validate_returns_self(self):
         x = XState(0.25, 0.25, 0.25, 0.25)
         assert x.validate() is x
+
+    def test_coherence_slack_is_on_the_eigenvalue(self):
+        # |z|^2 - b*c = 8.1e-11 is within 1e-10, but the inner block's
+        # eigenvalue is -9e-6
+        x = XState(0.5, 0.0, 0.0, 0.5, z=9e-6)
+        with pytest.raises(InvariantViolation, match="eigenvalue -9.000e-06"):
+            x.validate()
+        with pytest.raises(InvariantViolation, match="eigenvalue -9.000e-06"):
+            embed_xstate(x)
+
+    def test_population_slack_is_on_the_eigenvalue(self):
+        x = XState(-5e-11, 0.5, 0.5, 5e-11)
+        assert x.validate() is x
+        validate_density_matrix(embed_xstate(x), dim=4)
+
+    def test_validate_agrees_with_the_matrix_rule_at_the_boundary(self):
+        """Coherences at |z|^2 = bc(1 +- delta), |w|^2 = ad(1 +- delta) and
+        populations near 0: an X state is valid exactly when its matrix is."""
+        rng = np.random.default_rng(23)
+        outcomes = set()
+        for _ in range(2000):
+            pops = rng.uniform(0.0, 1.0, 4)
+            near_zero = rng.random(4) < 0.3
+            near_zero[rng.integers(4)] = False
+            pops[near_zero] = rng.choice([-1.0, 1.0], near_zero.sum()) * 10.0 ** rng.uniform(
+                -13.0, -8.0, near_zero.sum())
+            pops[~near_zero] *= (1.0 - pops[near_zero].sum()) / pops[~near_zero].sum()
+            a, b, c, d = pops.tolist()
+            coherences = []
+            for product in (b * c, a * d):
+                delta = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-12.0, -1.0)
+                phase = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+                coherences.append(complex(math.sqrt(abs(product) * (1.0 + delta)) * phase))
+            x = XState(a, b, c, d, z=coherences[0], w=coherences[1])
+            rho = np.diag(np.array([a, b, c, d], dtype=complex))
+            rho[1, 2], rho[2, 1] = x.z, np.conj(x.z)
+            rho[0, 3], rho[3, 0] = x.w, np.conj(x.w)
+            try:
+                validate_density_matrix(rho, dim=4)
+                valid = True
+            except InvariantViolation:
+                valid = False
+            try:
+                x.validate()
+                embedded = embed_xstate(x)
+            except InvariantViolation:
+                assert not valid, x
+            else:
+                assert valid, x
+                validate_density_matrix(embedded, dim=4)
+            outcomes.add(valid)
+        assert outcomes == {True, False}
 
 
 class TestValidateDensityMatrix:

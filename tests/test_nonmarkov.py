@@ -1,11 +1,13 @@
 """Trace-distance dynamics, interval accumulation, and pair maximization."""
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmemory import (
     BlpResult,
@@ -21,6 +23,7 @@ from qmemory import (
     default_scan_step,
     default_truncation_time,
     first_revival_time,
+    propagate_exact,
     trace_distance_closed_form,
     trace_distance_pair,
     trace_distance_rate,
@@ -39,7 +42,8 @@ from qmemory.nonmarkov import (
     _sector_basis,
     _slope_bound,
 )
-from qmemory.errors import InvalidGridError, InvariantViolation
+from qmemory.errors import InvalidGridError, InvariantViolation, QmemoryError
+from qmemory.validate import GENERIC_STATE
 
 from helpers import (
     CANONICAL,
@@ -593,3 +597,50 @@ class TestMaximizedMeasure:
             blp_measure_maximized(CANONICAL, grid_size=3, dt=-0.1)
         with pytest.raises(InvalidGridError):
             blp_measure_maximized(CANONICAL, grid_size=3, t_max=0.0)
+
+
+# --- every library entry point on extreme finite times ----------------------
+
+EXTREME_TIMES = (5e-324, 1e-300, 1e300, sys.float_info.max)
+ANY_TIME = st.sampled_from(EXTREME_TIMES) | st.floats(allow_nan=False, allow_infinity=False)
+ANY_RATE = st.sampled_from((0.0, 1e-300, 1e-200, 0.2, 1e99)) | st.floats(0.0, 1e100)
+
+
+def _finite_or_rejected(call):
+    """Run ``call``: it returns finite fields or raises a QmemoryError, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except QmemoryError:
+            return
+    if isinstance(out, Classification):
+        assert math.isfinite(out.n_value) and math.isfinite(out.eps)
+        out = out.result
+    if isinstance(out, BlpResult):
+        fields = (out.n_value, out.truncation_time, out.tail_bound, *out.starts, *out.ends,
+                  *out.gains)
+        assert all(map(math.isfinite, fields)), out
+    else:
+        assert np.isfinite(out).all()
+
+
+class TestExtremeTimes:
+    @settings(max_examples=300, derandomize=True)
+    @given(gamma=ANY_RATE, m=ANY_RATE, omega=ANY_RATE, t_max=ANY_TIME, dt=ANY_TIME, t=ANY_TIME,
+           points=st.floats(0.5, 1e4) | st.floats(1.001 * MAX_SCAN_POINTS, 1e300))
+    # R t_max overflows while omega t_max stays within the interval limit
+    @example(gamma=1e99, m=0.0, omega=1e-298, t_max=1e300, dt=1.0, t=1e300, points=1e4)
+    def test_finite_or_named_error(self, gamma, m, omega, t_max, dt, t, points):
+        try:
+            params = ModelParams(gamma, m, omega)
+        except QmemoryError:
+            assume(False)
+        _finite_or_rejected(lambda: blp_measure(params, dt, t_max))
+        _finite_or_rejected(lambda: classify_dynamics(params, t_max=t_max))
+        _finite_or_rejected(lambda: propagate_exact(GENERIC_STATE, params, t))
+        _finite_or_rejected(lambda: propagate_exact(GENERIC_STATE, params, [0.0, t_max, t]))
+        # accepted samples stay at most 1e4 per curve, so each example is cheap
+        _finite_or_rejected(lambda: blp_measure_maximized(params, 2, t_max / points, t_max))
+        if not (dt > 0 and 1e4 < t_max / dt <= MAX_SCAN_POINTS):
+            _finite_or_rejected(lambda: blp_measure_maximized(params, 2, dt, t_max))
