@@ -17,6 +17,7 @@ on the embedded matrix, which is the only rule for a valid two-atom state.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,10 +99,12 @@ def extract_xstate(rho: np.ndarray) -> XState:
     return XState(a=a, b=b, c=c, d=d, z=complex(rho[1, 2]), w=complex(rho[0, 3]))
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Largest entry-wise deviation of ``mat`` from its own adjoint."""
+def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
+    """Largest entry-wise deviation of ``mat`` from its own adjoint; for a
+    stack ``(n, d, d)``, an array with one value per matrix."""
     mat = np.asarray(mat, dtype=complex)
-    return float(abs(mat - mat.conj().T).max()) if mat.size else 0.0
+    defect = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    return float(defect) if mat.ndim == 2 else defect
 
 
 def validate_density_matrix(
@@ -109,51 +112,72 @@ def validate_density_matrix(
     dim: int | None = None,
     *,
     positivity_tol: float = POSITIVITY_TOL,
-    name: str = "rho",
+    name: str | Sequence[str] = "rho",
 ) -> np.ndarray:
     """Assert the density-matrix invariants; return the array on success.
 
     Checks, in order: shape (square, optionally of dimension ``dim``), finite
     entries, Hermiticity within 1e-12, unit trace within 1e-10, and smallest
     eigenvalue not below ``-positivity_tol``.
+
+    ``rho`` may also be a stack ``(n, d, d)``, checked in one vectorized pass
+    with one stacked eigensolve; ``name`` is then one name for every matrix or
+    a sequence of ``n`` names.  The first failing matrix raises exactly what
+    checking it alone would raise.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatchError(f"{name} must be square, got shape {rho.shape}")
-    if dim is not None and rho.shape[0] != dim:
-        raise DimensionMismatchError(f"{name} must be {dim}x{dim}, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
-        raise InvariantViolation(f"{name} has a non-finite entry")
-    defect = hermiticity_defect(rho)
-    if defect > HERMITICITY_TOL:
+
+    def label(k: int) -> str:
+        return name if isinstance(name, str) else name[k]
+
+    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
+        shape = rho.shape[1:] if rho.ndim == 3 else rho.shape
+        raise DimensionMismatchError(f"{label(0)} must be square, got shape {shape}")
+    if dim is not None and rho.shape[-1] != dim:
+        raise DimensionMismatchError(
+            f"{label(0)} must be {dim}x{dim}, got shape {rho.shape[-2:]}")
+    mats = rho if rho.ndim == 3 else rho[np.newaxis]
+    finite = np.isfinite(mats).all(axis=(1, 2))
+    with np.errstate(invalid="ignore"):  # inf - inf in a matrix already failing
+        defect = hermiticity_defect(mats)
+        deviation = np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)
+    # the eigensolve needs finite entries: run it on the matrices before the
+    # first that fails an earlier check, which settle the first failure
+    early = ~finite | (defect > HERMITICITY_TOL) | (deviation > TRACE_TOL)
+    cut = int(np.argmax(early)) if early.any() else len(mats)
+    lowest = np.linalg.eigvalsh(mats[:cut])[:, 0] if cut else np.empty(0)
+    negative = np.flatnonzero(lowest < -positivity_tol)
+    k = int(negative[0]) if negative.size else cut
+    if k == len(mats):
+        return rho
+    if k < cut:
         raise InvariantViolation(
-            f"{name} is not Hermitian: max |rho - rho^dag| = {defect:.3e} "
+            f"{label(k)} has eigenvalue {lowest[k]:.3e} below 0 beyond slack {positivity_tol:.0e}"
+        )
+    if not finite[k]:
+        raise InvariantViolation(f"{label(k)} has a non-finite entry")
+    if defect[k] > HERMITICITY_TOL:
+        raise InvariantViolation(
+            f"{label(k)} is not Hermitian: max |rho - rho^dag| = {defect[k]:.3e} "
             f"(tolerance {HERMITICITY_TOL:.0e})"
         )
-    tr = complex(np.trace(rho)).real
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise InvariantViolation(
-            f"{name} trace deviates from 1 by {abs(tr - 1.0):.3e} (tolerance {TRACE_TOL:.0e})"
-        )
-    lo = float(np.linalg.eigvalsh(rho)[0])
-    if lo < -positivity_tol:
-        raise InvariantViolation(
-            f"{name} has eigenvalue {lo:.3e} below 0 beyond slack {positivity_tol:.0e}"
-        )
-    return rho
+    raise InvariantViolation(
+        f"{label(k)} trace deviates from 1 by {deviation[k]:.3e} (tolerance {TRACE_TOL:.0e})"
+    )
 
 
 def partial_trace_qubit2(rho: np.ndarray) -> np.ndarray:
-    """Trace out the second atom, returning the 2x2 state of the first.
+    """Trace out the second atom, returning the 2x2 state of the first (a
+    stack ``(n, 2, 2)`` for a stack ``(n, 4, 4)``).
 
     In the excited-first basis the first atom's excited population collects
     indices 0 and 1 (``a + b`` for an X state) and the coherence collects the
     (0,2) and (1,3) entries.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
         raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    return rho.reshape(2, 2, 2, 2).trace(axis1=1, axis2=3)
+    return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:

@@ -63,7 +63,7 @@ from .densmat import (
     hermiticity_defect,
     validate_density_matrix,
 )
-from .errors import InvalidGridError, InvariantViolation
+from .errors import DimensionMismatchError, InvalidGridError, InvariantViolation
 
 logger = logging.getLogger(__name__)
 
@@ -214,14 +214,22 @@ def _lindblad_apply(mat: np.ndarray, params: ModelParams) -> np.ndarray:
     return out
 
 
+def _one_state(rho: np.ndarray) -> np.ndarray:
+    """``rho`` checked by :func:`validate_density_matrix` as one 4x4 state;
+    a stack, which that function also accepts, is rejected."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2:
+        raise DimensionMismatchError(f"rho must be square, got shape {rho.shape}")
+    return validate_density_matrix(rho, dim=4)
+
+
 def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     """Right-hand side of the master equation for a valid density matrix.
 
     The result is traceless and Hermitian to round-off (checked by tests, not
     re-checked here).
     """
-    rho = validate_density_matrix(rho, dim=4)
-    return _lindblad_apply(rho, params)
+    return _lindblad_apply(_one_state(rho), params)
 
 
 @lru_cache(maxsize=64)
@@ -291,9 +299,10 @@ def integrate_master(
     Every sample is Hermitized by averaging with its adjoint and renormalized
     when the trace drift exceeds 1e-12 (drift magnitude logged); the worst raw
     drift and Hermiticity defect are reported on the returned
-    :class:`Trajectory`.
+    :class:`Trajectory`.  The samples are checked as one stack after the last
+    span, with one :func:`validate_density_matrix` call.
     """
-    rho0 = validate_density_matrix(rho0, dim=4)
+    rho0 = _one_state(rho0)
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise InvalidGridError("t_grid must be a nonempty 1-D array of finite times")
@@ -320,10 +329,8 @@ def integrate_master(
         [liouv, square / 2.0, square @ liouv / 6.0, square @ square / 24.0]
     ).reshape(4, 256)
     y = rho0.reshape(16).astype(complex)
-    samples = [rho0.copy()]
-    worst_drift = 0.0
-    worst_defect = 0.0
-
+    states = []
+    overflow = None
     for left, right in zip(times[:-1], times[1:]):
         span = float(right - left)
         n = max(1, math.ceil(span / h_bound))
@@ -331,38 +338,44 @@ def integrate_master(
             with np.errstate(over="raise", invalid="raise"):
                 y = _rk4_steps(terms, y, span / n, n)
         except FloatingPointError:
-            raise InvariantViolation(
+            overflow = InvariantViolation(
                 f"RK4 steps of {span / n!r} overflow by t={right:g}: max_step={max_step!r} "
                 f"is beyond RK4's stability limit for these rates"
-            ) from None
+            )
+            break
+        states.append(y)
 
-        raw = y.reshape(4, 4)
-        defect = hermiticity_defect(raw)
-        rho = 0.5 * (raw + raw.conj().T)
-        tr = float(np.trace(rho).real)
-        drift = abs(tr - 1.0)
-        worst_defect = max(worst_defect, defect)
-        worst_drift = max(worst_drift, drift)
-        if not drift <= TRACE_TOL:  # NaN too
-            raise InvariantViolation(
-                f"integrator trace drift {drift:.3e} at t={right:g} exceeds "
-                f"{TRACE_TOL:.0e} before renormalization"
-            )
-        if drift > 1e-12:
-            logger.debug(
-                "renormalizing integrator sample at t=%g: trace drift %.3e", right, drift
-            )
-            rho = rho / tr
-        validate_density_matrix(
-            rho, dim=4, positivity_tol=SAMPLE_POSITIVITY_TOL, name=f"sample(t={right:g})"
+    # Every sample is checked at once, in the order a per-sample loop would
+    # fail: a sample's trace drift, then its validity, then later samples, and
+    # a span that overflowed only after the samples before it.
+    raw = np.array(states, dtype=complex).reshape(-1, 4, 4)
+    rho = 0.5 * (raw + raw.conj().swapaxes(1, 2))
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    drift = np.abs(tr - 1.0)
+    bad = np.flatnonzero(~(drift <= TRACE_TOL))  # NaN too
+    checked = int(bad[0]) if bad.size else len(rho)
+    for k in np.flatnonzero(drift[:checked] > 1e-12):
+        logger.debug(
+            "renormalizing integrator sample at t=%g: trace drift %.3e", times[k + 1], drift[k]
         )
-        samples.append(rho)
+        rho[k] /= tr[k]
+    validate_density_matrix(
+        rho[:checked], dim=4, positivity_tol=SAMPLE_POSITIVITY_TOL,
+        name=[f"sample(t={t:g})" for t in times[1:checked + 1]],
+    )
+    if checked < len(rho):
+        raise InvariantViolation(
+            f"integrator trace drift {drift[checked]:.3e} at t={times[checked + 1]:g} exceeds "
+            f"{TRACE_TOL:.0e} before renormalization"
+        )
+    if overflow is not None:
+        raise overflow
 
     return Trajectory(
         times=times,
-        samples=tuple(samples),
-        max_trace_drift=worst_drift,
-        max_hermiticity_defect=worst_defect,
+        samples=(rho0.copy(), *rho),
+        max_trace_drift=float(drift.max(initial=0.0)),
+        max_hermiticity_defect=float(hermiticity_defect(raw).max(initial=0.0)),
     )
 
 
@@ -411,7 +424,7 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     nonnegative, with a finite phase ``2 omega t``.  The flow is completely
     positive, so only ``rho0`` is validated.
     """
-    rho0 = validate_density_matrix(rho0, dim=4)
+    rho0 = _one_state(rho0)
     tt = np.asarray(t, dtype=float)
     bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
     if bad.size:

@@ -101,6 +101,58 @@ def rk4_sequential(liouv: np.ndarray, y: np.ndarray, h: float, n_steps: int) -> 
     return y
 
 
+def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=None):
+    """``integrate_master`` checked one sample at a time, as each span ends.
+
+    The per-sample loop, kept as the reference for the integrator's single
+    pass over the stack of samples: each span is advanced by the library's
+    ``_rk4_steps``, then the sample is Hermitized, drift-checked,
+    renormalized and validated before the next span is advanced.  Returns
+    the samples; raises what the first failing span or sample raises.
+    """
+    from qmemory.densmat import TRACE_TOL, validate_density_matrix
+    from qmemory.dynamics import SAMPLE_POSITIVITY_TOL, STEP_RESOLUTION, _rk4_steps
+    from qmemory.errors import InvariantViolation
+
+    times = np.asarray(times, dtype=float)
+    h = STEP_RESOLUTION / max(params.relaxation_rate, params.omega)
+    h = h if max_step is None else max_step
+    liouv = superoperator(params)
+    square = liouv @ liouv
+    terms = np.stack(
+        [liouv, square / 2.0, square @ liouv / 6.0, square @ square / 24.0]
+    ).reshape(4, 256)
+    y = rho0.reshape(16).astype(complex)
+    samples = [rho0.copy()]
+    for left, right in zip(times[:-1], times[1:]):
+        span = float(right - left)
+        n = max(1, math.ceil(span / h))
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                y = _rk4_steps(terms, y, span / n, n)
+        except FloatingPointError:
+            raise InvariantViolation(
+                f"RK4 steps of {span / n!r} overflow by t={right:g}: max_step={max_step!r} "
+                f"is beyond RK4's stability limit for these rates"
+            ) from None
+        raw = y.reshape(4, 4)
+        rho = 0.5 * (raw + raw.conj().T)
+        tr = float(np.trace(rho).real)
+        drift = abs(tr - 1.0)
+        if not drift <= TRACE_TOL:
+            raise InvariantViolation(
+                f"integrator trace drift {drift:.3e} at t={right:g} exceeds "
+                f"{TRACE_TOL:.0e} before renormalization"
+            )
+        if drift > 1e-12:
+            rho = rho / tr
+        validate_density_matrix(
+            rho, dim=4, positivity_tol=SAMPLE_POSITIVITY_TOL, name=f"sample(t={right:g})"
+        )
+        samples.append(rho)
+    return samples
+
+
 def generator_modes(params: ModelParams):
     """Eigenvalues, eigenvectors and inverse eigenvector matrix of the 16x16
     generator: the numerical oracle for the library's sector closed forms."""

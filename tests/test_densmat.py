@@ -295,7 +295,82 @@ class TestValidateDensityMatrix:
                 validate_density_matrix(np.full((2, 2), value))
 
 
+def _raised(call):
+    """Type and message of what ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as exc:  # compared by the caller
+        return type(exc), str(exc)
+    return None
+
+
+DEFECTS = ("non-finite", "non-Hermitian", "trace", "negative")
+
+
+def _inject(rho: np.ndarray, defect: str, rng: np.random.Generator) -> None:
+    """Break one invariant of the 4x4 ``rho`` in place."""
+    if defect == "non-finite":
+        i, j = rng.integers(4, size=2)
+        rho[i, j] = rng.choice([math.nan, math.inf])
+    elif defect == "non-Hermitian":
+        rho[0, 1] += 1e-6j
+    elif defect == "trace":
+        rho[0, 0] += 1e-6
+    else:
+        rho[:] = np.diag([0.6, 0.5, 0.0, -0.1])
+
+
+class TestValidateStack:
+    def test_valid_stacks_pass(self):
+        rng = np.random.default_rng(33)
+        for n in (0, 1, 2, 17):
+            stack = np.array([random_density(rng, 4) for _ in range(n)]).reshape(n, 4, 4)
+            assert validate_density_matrix(stack, dim=4) is not None
+            assert validate_density_matrix(stack, name=[f"m{k}" for k in range(n)]) is not None
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_first_bad_matrix_raises_its_own_error(self, defect):
+        # one or more defects at seeded random indices: the stack raises what
+        # the first bad matrix raises on its own, under its own name
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            n = int(rng.integers(1, 25))
+            stack = np.array([random_density(rng, 4) for _ in range(n)])
+            _inject(stack[int(rng.integers(n))], defect, rng)
+            for k in rng.integers(n, size=int(rng.integers(3))):
+                _inject(stack[k], rng.choice(DEFECTS), rng)
+            names = [f"sample {k}" for k in range(n)]
+            for name, labels in ((names, names), ("rho", ["rho"] * n)):
+                expected = next(filter(None, (
+                    _raised(lambda: validate_density_matrix(rho, dim=4, name=label))
+                    for rho, label in zip(stack, labels))))
+                assert _raised(
+                    lambda: validate_density_matrix(stack, dim=4, name=name)) == expected
+
+    def test_stack_shape_errors_name_the_matrix_shape(self):
+        assert _raised(lambda: validate_density_matrix(np.zeros((3, 4, 3)), name="s")) == (
+            DimensionMismatchError, "s must be square, got shape (4, 3)")
+        assert _raised(lambda: validate_density_matrix(np.zeros((3, 2, 2)), dim=4)) == (
+            DimensionMismatchError, "rho must be 4x4, got shape (2, 2)")
+        with pytest.raises(DimensionMismatchError, match="must be square"):
+            validate_density_matrix(np.zeros((2, 2, 2, 2)))
+
+    def test_hermiticity_defect_per_matrix(self):
+        rng = np.random.default_rng(35)
+        stack = np.array([random_hermitian(rng, 4) + 1e-3 * k * rng.normal(size=(4, 4))
+                          for k in range(6)])
+        assert hermiticity_defect(stack).tolist() == [hermiticity_defect(m) for m in stack]
+
+
 class TestPartialTrace:
+    def test_stack_matches_each_matrix(self):
+        rng = np.random.default_rng(44)
+        stack = np.array([random_density(rng, 4) for _ in range(9)])
+        reduced = partial_trace_qubit2(stack)
+        assert reduced.shape == (9, 2, 2)
+        for rho, red in zip(stack, reduced):
+            assert red.tobytes() == partial_trace_qubit2(rho).tobytes()
+
     def test_product_state_recovers_first_factor(self):
         rng = np.random.default_rng(41)
         for _ in range(100):

@@ -38,7 +38,7 @@ from qmemory.dynamics import (
     STEP_RESOLUTION,
     coherence_root,
 )
-from qmemory.errors import InvalidGridError, InvariantViolation
+from qmemory.errors import DimensionMismatchError, InvalidGridError, InvariantViolation
 
 from helpers import (
     CANONICAL,
@@ -52,8 +52,17 @@ from helpers import (
     random_params,
     random_qubit_density,
     random_valid_xstate,
+    integrate_per_sample,
     rk4_sequential,
 )
+
+
+def _outcome(run):
+    """Sample bytes of a successful run, or the type and message it raised."""
+    try:
+        return [np.asarray(rho).tobytes() for rho in run()]
+    except InvariantViolation as exc:
+        return type(exc), str(exc)
 
 
 class TestModelParams:
@@ -459,6 +468,15 @@ class TestIntegrator:
         with pytest.raises(InvalidGridError, match="finite times"):
             integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, math.inf])
 
+    def test_state_stacks_rejected(self):
+        # the validator takes stacks; the dynamics take exactly one state
+        stack = np.array([np.eye(4, dtype=complex) / 4.0] * 2)
+        for call in (lambda: lindblad_rhs(stack, CANONICAL),
+                     lambda: integrate_master(stack, CANONICAL, [0.0, 1.0]),
+                     lambda: propagate_exact(stack, CANONICAL, 1.0)):
+            with pytest.raises(DimensionMismatchError, match="got shape \\(2, 4, 4\\)"):
+                call()
+
     def test_initial_state_validation(self):
         with pytest.raises(InvariantViolation):
             integrate_master(np.eye(4, dtype=complex), CANONICAL, [0.0, 1.0])
@@ -484,6 +502,70 @@ class TestIntegrator:
         assert time.perf_counter() - start < 5.0
         expected = embed_xstate(propagate_xstate_exact(XSTATE_10, CANONICAL, 100.0))
         assert np.max(np.abs(traj.samples[-1] - expected)) < 1e-9
+
+    @pytest.mark.parametrize("max_step", [None, 0.05, 0.5, 2.0, 5.0])
+    def test_one_pass_matches_per_sample_checks(self, max_step):
+        # samples bit for bit, and the same first failure, as the loop that
+        # checks each sample before advancing the next span; spans of 1e4 to
+        # 1e5 drift by 1e-12 to 1e-11 (renormalized), 3e6 beyond the tolerance
+        rng = np.random.default_rng(87)
+        renormalized = np.array([0.0, 3e3, 1e4, 4e4, 1e5])
+        for params in parameter_grid():
+            rho0 = random_density(rng, 4)
+            grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 60.0, 12))])
+            for times in (np.linspace(0.0, 10.0, 20), grid, renormalized,
+                          np.append(renormalized, 3e6)):
+                expected = _outcome(lambda: integrate_per_sample(rho0, params, times, max_step))
+                traj = _outcome(
+                    lambda: integrate_master(rho0, params, times, max_step=max_step).samples)
+                assert traj == expected
+
+    def test_renormalized_samples_are_logged(self, caplog):
+        caplog.set_level("DEBUG", logger="qmemory.dynamics")
+        integrate_master(np.eye(4, dtype=complex) / 4.0, ModelParams(0.2, 0.5, 2.0),
+                         [0.0, 3e3, 1e4, 4e4, 1e5])
+        assert caplog.messages == [
+            "renormalizing integrator sample at t=40000: trace drift 2.020e-12",
+            "renormalizing integrator sample at t=100000: trace drift 5.050e-12",
+        ]
+
+    def test_coarse_step_failures_are_pinned(self):
+        grid = np.linspace(0.0, 10.0, 20)
+        with pytest.raises(InvariantViolation) as info:
+            integrate_master(embed_xstate(XSTATE_10), ModelParams(0.1, 0.0, 0.3), grid,
+                             max_step=0.5)
+        assert str(info.value) == (
+            "sample(t=0.526316) has eigenvalue -5.431e-07 below 0 beyond slack 1e-09")
+        with pytest.raises(InvariantViolation) as info:
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 75.0], max_step=2.0)
+        assert str(info.value) == (
+            "integrator trace drift 4.578e-05 at t=75 exceeds 1e-10 before renormalization")
+
+    @pytest.mark.parametrize("spans, message", [
+        (("negative", "drifted", "overflow"), "sample\\(t=1\\) has eigenvalue -1.000e-01"),
+        (("valid", "drifted", "negative"), "trace drift 1.000e\\+00 at t=2 exceeds"),
+        (("valid", "negative", "overflow"), "sample\\(t=2\\) has eigenvalue"),
+        (("valid", "valid", "overflow"), "overflow by t=3"),
+        (("valid", "overflow", "negative"), "overflow by t=2"),
+    ])
+    def test_first_failure_order(self, monkeypatch, spans, message):
+        # a sample's drift, then its validity, then later samples and spans
+        states = {
+            "valid": np.eye(4, dtype=complex).reshape(16) / 4.0,
+            "negative": np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex).reshape(16),
+            "drifted": np.eye(4, dtype=complex).reshape(16) / 2.0,
+        }
+        script = iter(spans)
+
+        def steps(terms, y, h, n):
+            state = next(script)
+            if state == "overflow":
+                raise FloatingPointError(state)
+            return states[state]
+
+        monkeypatch.setattr(dynamics, "_rk4_steps", steps)
+        with pytest.raises(InvariantViolation, match=message):
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0, 2.0, 3.0])
 
     def test_single_point_grid(self):
         traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0])

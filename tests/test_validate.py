@@ -1,4 +1,8 @@
 """Self-check suite: all checks pass, and a coarse integrator makes them fail."""
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from qmemory import (
     run_validation,
     validate_density_matrix,
 )
+from qmemory import validate
+from qmemory.nonmarkov import default_truncation_time, trace_distance_rate
 from qmemory.validate import GENERIC_STATE
 
 EXPECTED_NAMES = [
@@ -76,7 +82,52 @@ class TestNegativeControl:
         }
 
 
+class TestBoundedMemory:
+    def test_streamed_riemann_sum_is_the_one_shot_sum(self, monkeypatch):
+        # the blocks cover exactly the one-shot grid's points, bit for bit
+        params, dt = CANONICAL_PARAMS, 1e-4
+        blocks = []
+
+        def recording_rate(p, t):
+            blocks.append(t)
+            return trace_distance_rate(p, t)
+
+        monkeypatch.setattr(validate, "trace_distance_rate", recording_rate)
+        streamed = validate._riemann_measure(params, dt)
+        grid = np.arange(0.0, default_truncation_time(params), dt)
+        assert len(blocks) > 1
+        assert np.concatenate(blocks).tobytes() == grid.tobytes()
+        one_shot = float(np.sum(np.clip(trace_distance_rate(params, grid), 0.0, None)) * dt)
+        assert abs(streamed - one_shot) <= 1e-15 * one_shot
+
+    def test_validation_peak_allocation(self, results):
+        # ``results`` has filled the caches and built the lazy fixture
+        tracemalloc.start()
+        try:
+            run_validation()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
 class TestFixtures:
+    def test_import_runs_no_eigensolve(self):
+        code = (
+            "import numpy.linalg\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise RuntimeError('eigensolve at import')\n"
+            "numpy.linalg.eigvalsh = refuse\n"
+            "import qmemory, qmemory.cli\n"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    def test_generic_state_is_built_once_and_read_only(self):
+        assert validate.GENERIC_STATE is GENERIC_STATE
+        assert not GENERIC_STATE.flags.writeable
+
+
     def test_canonical_parameters(self):
         assert (CANONICAL_PARAMS.gamma, CANONICAL_PARAMS.m, CANONICAL_PARAMS.omega) == (
             0.2, 0.5, 0.8,
