@@ -255,7 +255,7 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
     for value in values.tolist():
         p = replace(cfg.params, **{param: value})
         verdict = classify_dynamics(p, cfg.eps)
-        intervals += len(verdict.result.gains)
+        intervals += verdict.interval_count
         if intervals > MAX_INTERVALS:
             raise InvalidGridError(
                 f"the family's memory measures hold more than {MAX_INTERVALS} increase "
@@ -274,12 +274,12 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
 
 def cmd_blp(cfg: RunConfig) -> int:
     verdict = classify_dynamics(cfg.params, cfg.eps)
-    result = verdict.result
     print(
-        f"N={result.n_value:.6f} class={verdict.regime} "
-        f"intervals={len(result.gains)} tail<={result.tail_bound:.3e}"
+        f"N={verdict.n_value:.6f} class={verdict.regime} "
+        f"intervals={verdict.interval_count} tail<={verdict.tail_bound:.3e}"
     )
     if cfg.out_path is not None:
+        result = verdict.result
         _write_csv(cfg.out_path, "blp", _common_echo(cfg), ("t_start", "t_end", "gain"),
                    "%.8e,%.8e,%.8e\n", zip(result.starts, result.ends, result.gains))
     return 0

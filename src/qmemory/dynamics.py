@@ -94,6 +94,8 @@ GRID_OMEGAS = (0.0, 0.3, 0.8)
 # Largest accepted gamma, m, omega and relaxation rate gamma (1 + 2m): squares
 # and products of rates, and rates times CLI times, stay finite.
 MAX_PARAMETER = 1e100
+# exp(-x) rounds to 0 for every x from this on (2**-1074 is e^-744.4).
+_DECAY_CUTOFF = 746.0
 # Smallest accepted gamma: with omega at most MAX_PARAMETER, the real part of
 # the k = 1 root (about gamma / 2 at strong coupling) stays a normal float.
 MIN_GAMMA = 1e-200
@@ -414,6 +416,41 @@ def coherence_factors(params: ModelParams, t):
     return lead * (2.0 + fall), -lead * fall / mu
 
 
+def checked_times(params: ModelParams, t) -> np.ndarray:
+    """``t`` (scalar or array) as a float array, once every time is finite and
+    nonnegative and the phase ``2 omega t`` is finite at the latest of them.
+
+    The closed forms accept exactly these times; raises
+    :class:`InvariantViolation` naming the first time that fails.
+    """
+    tt = np.asarray(t, dtype=float)
+    if tt.ndim == 0:  # one float: no array reductions, which cost microseconds
+        earliest = latest = float(tt)
+    elif tt.size:
+        earliest, latest = float(tt.min()), float(tt.max())
+    else:
+        return tt
+    if earliest >= 0.0 and math.isfinite(2.0 * params.omega * latest):
+        return tt
+    bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
+    if bad.size:
+        raise InvariantViolation(f"time must be finite and nonnegative, got {float(bad[0])!r}")
+    raise InvariantViolation(
+        f"phase 2 omega t overflows at t={latest!r}, omega={params.omega!r}")
+
+
+def relaxation_envelope(params: ModelParams, tt: np.ndarray) -> np.ndarray:
+    """``e^{-R t}`` at checked times ``tt``, ``R = gamma (1 + 2m)``.
+
+    Times beyond ``_DECAY_CUTOFF / R``, where the envelope rounds to 0, are
+    clipped there first, so ``R t`` cannot overflow: the values are those of
+    ``np.exp(-R * tt)``, without its overflow warning, and cheaper than
+    suppressing the warning.
+    """
+    rate = params.relaxation_rate
+    return np.exp(-rate * np.minimum(tt, _DECAY_CUTOFF / rate))
+
+
 def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     """Closed-form propagation of any valid 4x4 state, sector by sector.
 
@@ -425,14 +462,7 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     positive, so only ``rho0`` is validated.
     """
     rho0 = _one_state(rho0)
-    tt = np.asarray(t, dtype=float)
-    bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
-    if bad.size:
-        raise InvariantViolation(f"time must be finite and nonnegative, got {float(bad[0])!r}")
-    latest = float(tt.max()) if tt.size else 0.0
-    if not math.isfinite(2.0 * params.omega * latest):
-        raise InvariantViolation(
-            f"phase 2 omega t overflows at t={latest!r}, omega={params.omega!r}")
+    tt = checked_times(params, t)
 
     rate, gamma, omega = params.relaxation_rate, params.gamma, params.omega
     q = params.thermal_occupation
@@ -531,15 +561,15 @@ def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XSt
 def population_from_excited(params: ModelParams, t):
     """Excited population of atom 1 when the pair starts in ``|10>``.
 
-    Accepts a scalar or array ``t``.  Equals ``a(t) + b(t)`` of the propagated
-    state; the closed form mixes the thermal background with an exchange
-    oscillation at ``2 omega`` under the relaxation envelope.
+    Accepts a scalar or array ``t`` (see :func:`checked_times`).  Equals
+    ``a(t) + b(t)`` of the propagated state; the closed form mixes the thermal
+    background with an exchange oscillation at ``2 omega`` under the
+    relaxation envelope.
     """
     m = params.m
-    tt = np.asarray(t, dtype=float)
-    decay = np.exp(-params.relaxation_rate * tt)
+    tt = checked_times(params, t)
     osc = 1.0 + (1.0 + 2.0 * m) * np.cos(2.0 * params.omega * tt)
-    value = (2.0 * m + osc * decay) / (2.0 * (1.0 + 2.0 * m))
+    value = (2.0 * m + osc * relaxation_envelope(params, tt)) / (2.0 * (1.0 + 2.0 * m))
     return float(value) if tt.ndim == 0 else value
 
 
@@ -547,9 +577,10 @@ def population_from_ground(params: ModelParams, t):
     """Excited population of atom 1 when the pair starts in ``|00>``.
 
     Monotone thermalization ``q (1 - e^{-rate t})``; independent of ``omega``.
+    Accepts a scalar or array ``t`` (see :func:`checked_times`).
     """
-    tt = np.asarray(t, dtype=float)
-    value = params.thermal_occupation * (1.0 - np.exp(-params.relaxation_rate * tt))
+    tt = checked_times(params, t)
+    value = params.thermal_occupation * (1.0 - relaxation_envelope(params, tt))
     return float(value) if tt.ndim == 0 else value
 
 

@@ -28,7 +28,12 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import ModelParams, population_from_excited, population_from_ground
+from .dynamics import (
+    ModelParams,
+    checked_times,
+    population_from_excited,
+    population_from_ground,
+)
 from .errors import InvariantViolation, OmegaZeroError
 from .nonmarkov import first_revival_time
 
@@ -67,10 +72,9 @@ def entanglement_entropy(
 
     ``PUBLISHED`` evaluates the two-population form; ``SUBSYSTEM`` the binary
     entropy of the excited-start population.  Zero at ``t = 0`` for both.
+    Accepts the times of :func:`~qmemory.dynamics.checked_times`.
     """
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt < 0.0):
-        raise InvariantViolation(f"time must be nonnegative, got {t!r}")
+    tt = checked_times(params, t)
     flat = np.atleast_1d(tt)
     # The populations are probabilities; round-off in their closed forms can
     # push them ~1e-16 outside [0, 1], which would make -p log2 p negative.

@@ -10,8 +10,11 @@ verified against the two-population route to 1e-12 by the test suite.  The
 memory measure accumulates D over its intervals of increase, which are known
 exactly: D rises from each zero ``t_k = (pi/2 + k pi) / omega`` to the next
 peak ``s_k = (pi - atan(R / 2 omega) + k pi) / omega``, ``R = gamma (1 + 2m)``.
-The measure is zero exactly when the exchange coupling vanishes and grows
-monotonically with it.
+Interval k gains ``4 omega^2 / (4 omega^2 + R^2) e^{-R s_k}``, a geometric
+series of ratio ``e^{-R pi / omega}``, so the measure is a finite geometric sum
+plus the last interval cut at ``t_max``: classification costs O(1) however
+many intervals there are, and builds none of them.  The measure is zero
+exactly when the exchange coupling vanishes and grows monotonically with it.
 
 For arbitrary product-state pairs (the maximizer) a pair difference is
 traceless, so its reduced difference is ``[[r0, r1], [conj(r1), -r0]]`` and
@@ -34,17 +37,20 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (
     ModelParams,
+    checked_times,
     coherence_combinations,
     coherence_factors,
     coherence_root,
     population_from_excited,
     population_from_ground,
+    relaxation_envelope,
 )
 from .errors import InvalidGridError, InvariantViolation
 
@@ -71,6 +77,11 @@ _BISECT_TOL = 1e-10
 _BISECT_RTOL = 1e-14
 # Sampled-curve rises below this are float noise, not information backflow.
 _GAIN_FLOOR = 1e-12
+# pi in the precision the geometric sum is evaluated in.  N reaches about
+# 3300 at the default truncation, where a double's last place is 4.5e-13, so
+# the sum keeps the extra bits of numpy's long double (64-bit significand on
+# x86-64) until its final rounding.
+_PI_EXT = 4 * np.arctan(np.longdouble(1))
 
 
 def default_scan_step(params: ModelParams) -> float:
@@ -146,12 +157,31 @@ class BlpResult:
 
 @dataclass(frozen=True)
 class Classification:
-    """Threshold-relative verdict: ``regime`` is Markovian iff n_value <= eps."""
+    """Threshold-relative verdict: ``regime`` is Markovian iff n_value <= eps.
+
+    ``n_value`` is the canonical pair's closed-form geometric sum over the
+    ``interval_count`` increase intervals on ``[0, truncation_time]``; none of
+    them is built until :attr:`result` is first read.
+    """
 
     regime: str
     n_value: float
     eps: float
-    result: BlpResult
+    interval_count: int
+    params: ModelParams
+    truncation_time: float
+
+    @property
+    def tail_bound(self) -> float:
+        """Bound on what the truncation can have missed (see :func:`blp_measure`)."""
+        return _tail_bound(self.params, self.truncation_time)
+
+    @cached_property
+    def result(self) -> BlpResult:
+        """The intervals behind ``n_value``, from :func:`blp_measure`; their
+        interval-sum ``n_value`` agrees with this one to about a unit in the
+        last place."""
+        return blp_measure(self.params, t_max=self.truncation_time)
 
 
 # --- canonical pair: closed forms -------------------------------------------
@@ -171,9 +201,12 @@ def trace_distance_pair(params: ModelParams, t):
 
 
 def trace_distance_closed_form(params: ModelParams, t):
-    """Algebraically simplified form of the same distance: envelope times cos^2."""
-    tt = np.asarray(t, dtype=float)
-    value = np.exp(-params.relaxation_rate * tt) * np.cos(params.omega * tt) ** 2
+    """Algebraically simplified form of the same distance: envelope times cos^2.
+
+    Accepts a scalar or array ``t`` (see :func:`~qmemory.dynamics.checked_times`).
+    """
+    tt = checked_times(params, t)
+    value = relaxation_envelope(params, tt) * np.cos(params.omega * tt) ** 2
     return float(value) if tt.ndim == 0 else value
 
 
@@ -181,11 +214,12 @@ def trace_distance_rate(params: ModelParams, t):
     """Analytic d/dt of the closed-form distance (the backflow witness sigma).
 
     Positive values mark information flowing back to the watched atom;
-    ``sigma(0) = -gamma (1 + 2m)`` always.
+    ``sigma(0) = -gamma (1 + 2m)`` always.  Accepts a scalar or array ``t``
+    (see :func:`~qmemory.dynamics.checked_times`).
     """
-    tt = np.asarray(t, dtype=float)
+    tt = checked_times(params, t)
     rate = params.relaxation_rate
-    value = -np.exp(-rate * tt) * (
+    value = -relaxation_envelope(params, tt) * (
         rate * np.cos(params.omega * tt) ** 2
         + params.omega * np.sin(2.0 * params.omega * tt)
     )
@@ -194,19 +228,28 @@ def trace_distance_rate(params: ModelParams, t):
 
 # --- increase intervals ------------------------------------------------------
 
-def blp_measure(
-    params: ModelParams,
-    dt: float | None = None,
-    t_max: float | None = None,
-) -> BlpResult:
-    """Memory measure for the canonical pair from its exact increase intervals.
+def _zero_time(omega: float, k):
+    """The ``k``-th zero ``(pi/2 + k pi) / omega`` of D, where interval k starts."""
+    return (0.5 * math.pi + k * math.pi) / omega
 
-    D rises on ``[t_k, s_k]`` (see the module docstring); every interval with
-    ``t_k < t_max`` contributes ``D(min(s_k, t_max)) - D(t_k)``.  The tail
-    bound is the envelope value ``exp(-gamma (1 + 2m) t_max)``, which D can
-    never exceed.  ``dt`` is validated but has no effect: the intervals need
-    no sampling.  Raises :class:`InvalidGridError` when ``[0, t_max]`` holds
-    more than :data:`MAX_INTERVALS` intervals.
+
+def _peak_phase(params: ModelParams) -> float:
+    """Phase ``omega s_0 = pi - atan(R / 2 omega)`` of D's first peak."""
+    return math.pi - math.atan2(params.relaxation_rate, 2.0 * params.omega)
+
+
+def _tail_bound(params: ModelParams, t_max: float) -> float:
+    """The envelope ``exp(-gamma (1 + 2m) t_max)``, which D never exceeds later."""
+    return math.exp(-params.relaxation_rate * t_max)
+
+
+def _interval_count(params: ModelParams, dt: float | None, t_max: float | None):
+    """The checked window ``t_max`` and its number K of increase intervals.
+
+    K counts the zeros :func:`_zero_time` below ``t_max``, evaluated with the
+    float expressions that build :func:`blp_measure`'s columns.  Raises
+    :class:`InvalidGridError` for a bad ``dt`` or ``t_max`` and when
+    ``[0, t_max]`` holds more than :data:`MAX_INTERVALS` intervals.
     """
     if t_max is None:
         t_max = default_truncation_time(params)
@@ -220,17 +263,70 @@ def blp_measure(
             f"[0, t_max={t_max!r}] holds about {approx_count:.3g} increase intervals "
             f"(omega * t_max / pi), above the limit of {MAX_INTERVALS} intervals"
         )
+    count = math.ceil(approx_count - 0.5)  # zeros before t_max, up to rounding
+    while count and _zero_time(omega, count - 1) >= t_max:
+        count -= 1
+    return float(t_max), count
 
-    k = np.arange(math.ceil(approx_count - 0.5), dtype=float)  # zeros before t_max
-    starts = (0.5 * math.pi + k * math.pi) / omega
-    starts = starts[starts < t_max]
-    peak_phase = math.pi - math.atan2(params.relaxation_rate, 2.0 * omega)
-    ends = np.minimum((peak_phase + k[: starts.size] * math.pi) / omega, t_max)
-    with np.errstate(over="ignore"):  # R t beyond the float range: D is 0 there
-        gains = np.maximum(
-            trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
-            0.0,
-        )
+
+def _canonical_measure(params: ModelParams, t_max: float | None):
+    """``(t_max, N, K)`` of the canonical pair in O(1), from the geometric series.
+
+    The F intervals that end by ``t_max`` gain ``A q^k`` with ``A = 4 omega^2 /
+    (4 omega^2 + R^2) e^{-R s_0}`` and ``q = e^{-R pi / omega}``, so they sum
+    to ``A (1 - q^F) / (1 - q)``, evaluated with ``expm1``; when the last of
+    the K intervals ends after ``t_max``, it adds ``max(D(t_max) - D(t_{K-1}),
+    0)``.  Checks as :func:`_interval_count`.
+    """
+    t_max, count = _interval_count(params, None, t_max)
+    if count == 0:
+        return t_max, 0.0, 0
+    rate, omega = params.relaxation_rate, params.omega
+    cut = (_peak_phase(params) + (count - 1) * math.pi) / omega > t_max
+    full = count - cut
+    n_value = np.longdouble(0.0)
+    if full:
+        ratio = np.longdouble(rate) / omega
+        half = 0.5 * ratio  # R / 2 omega
+        step = ratio * _PI_EXT  # R pi / omega
+        first = np.exp(-ratio * (_PI_EXT - np.arctan(half))) / (1.0 + half * half)
+        n_value = first * np.expm1(-full * step) / np.expm1(-step)
+    if cut:
+        start = _zero_time(omega, count - 1)
+        # D = e^{-R t} cos^2(omega t) in scalar math: a scalar call of
+        # trace_distance_closed_form costs about as much as the whole sum
+        rise = (math.exp(-rate * t_max) * math.cos(omega * t_max) ** 2
+                - math.exp(-rate * start) * math.cos(omega * start) ** 2)
+        n_value += max(rise, 0.0)
+    return t_max, float(n_value), count
+
+
+def blp_measure(
+    params: ModelParams,
+    dt: float | None = None,
+    t_max: float | None = None,
+) -> BlpResult:
+    """Memory measure for the canonical pair from its exact increase intervals.
+
+    D rises on ``[t_k, s_k]`` (see the module docstring); every interval with
+    ``t_k < t_max`` contributes ``D(min(s_k, t_max)) - D(t_k)``, and
+    ``n_value`` is the sum of these gains.  :func:`classify_dynamics` sums the
+    same finite geometric series in closed form without building the
+    intervals; the two agree to about a unit in the last place.  The tail
+    bound is the envelope value ``exp(-gamma (1 + 2m) t_max)``, which D can
+    never exceed.  ``dt`` is validated but has no effect: the intervals need
+    no sampling.  Raises :class:`InvalidGridError` when ``[0, t_max]`` holds
+    more than :data:`MAX_INTERVALS` intervals.
+    """
+    t_max, count = _interval_count(params, dt, t_max)
+    omega = params.omega
+    k = np.arange(count, dtype=float)
+    starts = _zero_time(omega, k)
+    ends = np.minimum((_peak_phase(params) + k * math.pi) / omega, t_max)
+    gains = np.maximum(
+        trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
+        0.0,
+    )
     gains = tuple(gains.tolist())
     return BlpResult(
         n_value=math.fsum(gains),
@@ -238,8 +334,8 @@ def blp_measure(
         ends=tuple(ends.tolist()),
         gains=gains,
         pair_label=CANONICAL_PAIR_LABEL,
-        truncation_time=float(t_max),
-        tail_bound=math.exp(-params.relaxation_rate * t_max),
+        truncation_time=t_max,
+        tail_bound=_tail_bound(params, t_max),
     )
 
 
@@ -257,12 +353,20 @@ def classify_dynamics(
     eps: float = 1e-3,
     t_max: float | None = None,
 ) -> Classification:
-    """Classify against a threshold: NonMarkovian iff ``n_value > eps``."""
+    """Classify against a threshold: NonMarkovian iff ``n_value > eps``.
+
+    ``n_value`` is the canonical pair's memory measure on ``[0, t_max]``
+    (default :func:`default_truncation_time`) as a closed-form geometric sum,
+    in O(1) time: no increase interval is built unless the verdict's
+    ``result`` is read.  Accepts and rejects the same ``t_max`` as
+    :func:`blp_measure`, with the same errors.
+    """
     if not (eps >= 0 and math.isfinite(eps)):
         raise InvariantViolation(f"eps must be finite and nonnegative, got {eps!r}")
-    result = blp_measure(params, t_max=t_max)
-    regime = NON_MARKOVIAN if result.n_value > eps else MARKOVIAN
-    return Classification(regime=regime, n_value=result.n_value, eps=eps, result=result)
+    t_max, n_value, count = _canonical_measure(params, t_max)
+    regime = NON_MARKOVIAN if n_value > eps else MARKOVIAN
+    return Classification(regime=regime, n_value=n_value, eps=eps, interval_count=count,
+                          params=params, truncation_time=t_max)
 
 
 # --- arbitrary product pairs (maximizer) -------------------------------------

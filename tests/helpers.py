@@ -72,6 +72,29 @@ def blp_geometric_series(params: ModelParams) -> float:
     return weight * math.exp(-rate * s_0) / -math.expm1(-rate * math.pi / omega)
 
 
+def canonical_interval_columns(params: ModelParams, t_max: float) -> tuple:
+    """``(starts, ends, gains)`` of the canonical pair's increase intervals on
+    ``[0, t_max]``, built one array each and filtered by value.
+
+    The construction ``blp_measure`` used before the interval count had a
+    closed form, kept as the reference for it: ``ceil(omega t_max / pi - 1/2)``
+    candidate zeros, those below ``t_max`` kept, each rise cut at ``t_max``.
+    """
+    from qmemory.nonmarkov import trace_distance_closed_form
+
+    omega = params.omega
+    k = np.arange(math.ceil(omega * t_max / math.pi - 0.5), dtype=float)
+    starts = (0.5 * math.pi + k * math.pi) / omega
+    starts = starts[starts < t_max]
+    peak_phase = math.pi - math.atan2(params.relaxation_rate, 2.0 * omega)
+    ends = np.minimum((peak_phase + k[: starts.size] * math.pi) / omega, t_max)
+    gains = np.maximum(
+        trace_distance_closed_form(params, ends) - trace_distance_closed_form(params, starts),
+        0.0,
+    )
+    return tuple(starts.tolist()), tuple(ends.tolist()), tuple(gains.tolist())
+
+
 def swap_geometric_series(params: ModelParams) -> float:
     """Untruncated memory measure of the ``|10>/|01>`` pair, in closed form.
 

@@ -1,4 +1,5 @@
 """Trace-distance dynamics, interval accumulation, and pair maximization."""
+import dataclasses
 import math
 import re
 import sys
@@ -22,7 +23,10 @@ from qmemory import (
     classify_dynamics,
     default_scan_step,
     default_truncation_time,
+    entanglement_entropy,
     first_revival_time,
+    population_from_excited,
+    population_from_ground,
     propagate_exact,
     trace_distance_closed_form,
     trace_distance_pair,
@@ -60,6 +64,7 @@ from helpers import (
     N_OMEGA_05,
     T_STAR,
     blp_geometric_series,
+    canonical_interval_columns,
     generator_modes,
     partial_trace_map,
     per_pair_estimates,
@@ -241,16 +246,20 @@ class TestBlpMeasure:
         assert given == BlpResult(0.25, (1.0,), (2.0,), (0.25,), "x", 10.0, 0.0)
 
     def test_classification_builds_no_records(self, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("an IncreaseInterval record was built")
+        def refuse(*args, **kwargs):
+            raise AssertionError("increase intervals were built")
 
         monkeypatch.setattr(nonmarkov, "IncreaseInterval", refuse)
-        verdict = classify_dynamics(ModelParams(0.01, 0.0, 3.0))
-        assert len(verdict.result.gains) == 2865
+        monkeypatch.setattr(nonmarkov, "blp_measure", refuse)
+        # omega / R = 300 (the benchmark's stress point) and 1e4
+        assert classify_dynamics(ModelParams(0.01, 0.0, 3.0)).interval_count == 2865
+        assert classify_dynamics(ModelParams(0.001, 0.0, 10.0)).interval_count == 95493
         assert cli.main(["blp"]) == 0
         assert "intervals=19" in capsys.readouterr().out
         sweep = ["sweep", "--param", "omega", "--from", "0", "--to", "3", "--points", "2"]
         assert cli.main(sweep + ["--steps", "2"]) == 0
+        assert cli.main(["blp", "--gamma", "0.001", "--m", "0", "--omega", "10"]) == 0
+        assert "intervals=95493" in capsys.readouterr().out
 
     def test_interval_limit(self):
         assert MAX_INTERVALS == 100_000
@@ -265,6 +274,94 @@ class TestBlpMeasure:
         slow = ModelParams(0.05, 0.0, 0.01)
         assert default_scan_step(slow) == pytest.approx(0.01 / 0.05)
         assert default_truncation_time(slow) == pytest.approx(600.0)
+
+
+def _window_draws(seed: int, count: int):
+    """Seeded ``(params, t_max)``: omega / R log-uniform in [0.05, 1e4], t_max
+    uniform up to the default truncation time."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ratio = math.exp(rng.uniform(math.log(0.05), math.log(1e4)))
+        gamma = float(rng.uniform(0.01, 1.0))
+        m = float(rng.uniform(0.0, 3.0))
+        params = ModelParams(gamma, m, ratio * gamma * (1.0 + 2.0 * m))
+        yield params, float(rng.uniform(0.0, 1.0)) * default_truncation_time(params)
+
+
+class TestClosedFormMeasure:
+    """``classify_dynamics``' geometric sum against the intervals it does not build."""
+
+    @staticmethod
+    def _agrees(params, t_max):
+        verdict = classify_dynamics(params, t_max=t_max)
+        result = blp_measure(params, t_max=t_max)
+        starts, ends, gains = canonical_interval_columns(params, t_max)
+        assert (result.starts, result.ends, result.gains) == (starts, ends, gains)
+        assert verdict.interval_count == len(result.gains)
+        assert abs(verdict.n_value - math.fsum(result.gains)) <= 1e-12
+        assert verdict.truncation_time == result.truncation_time
+        assert verdict.tail_bound == result.tail_bound
+        return verdict
+
+    def test_matches_interval_sum_on_random_windows(self):
+        for params, t_max in _window_draws(49, 2000):
+            self._agrees(params, t_max)
+        # N = 2404 here, where a geometric sum in doubles lands three units in
+        # the last place (1.4e-12) away from the interval sum
+        self._agrees(ModelParams(0.4958109808154627, 1.1939094988419585, 12689.33468327565),
+                     13.650260646737346)
+
+    def test_window_edges(self):
+        assert self._agrees(CANONICAL, T_STAR).interval_count == 0
+        verdict = self._agrees(CANONICAL, T_STAR * (1.0 + 1e-12))
+        assert verdict.interval_count == 1 and 0.0 <= verdict.n_value < 1e-20
+        (peak,) = blp_measure(CANONICAL, t_max=4.0).ends
+        at_peak = self._agrees(CANONICAL, peak)
+        assert at_peak.interval_count == 1
+        assert at_peak.n_value == pytest.approx(FIRST_GAIN, abs=1e-12)
+        in_rise = self._agrees(CANONICAL, 0.5 * (T_STAR + peak))
+        assert 0.0 < in_rise.n_value < at_peak.n_value
+        assert trace_distance_rate(CANONICAL, 0.5 * (T_STAR + peak)) > 0.0
+
+    def test_windows_ending_at_a_zero(self):
+        # where omega t_max / pi rounds up past a zero, or D(t_max) rounds below D(zero)
+        rng = np.random.default_rng(50)
+        for _ in range(200):
+            params = ModelParams(float(rng.uniform(0.01, 1.0)), 0.0, math.exp(rng.uniform(-3, 5)))
+            for k in (0, int(rng.integers(1, 1000))):
+                zero = (0.5 * math.pi + k * math.pi) / params.omega
+                for t_max in (zero, math.nextafter(zero, math.inf)):
+                    assert self._agrees(params, t_max).n_value >= 0.0
+
+    @pytest.mark.parametrize("omega", [0.0, 5e-324, 1e-300])
+    def test_no_intervals_without_a_zero(self, omega):
+        params = ModelParams(0.2, 0.5, omega)
+        for t_max in (None, 1e300):
+            verdict = classify_dynamics(params, eps=0.0, t_max=t_max)
+            assert (verdict.n_value, verdict.interval_count, verdict.regime) == (0.0, 0, MARKOVIAN)
+            assert verdict.result == blp_measure(params, t_max=t_max)
+
+    def test_interval_limit_boundary(self):
+        params = ModelParams(1.0, 0.0, 1.0)
+        t_max = math.pi * MAX_INTERVALS
+        assert params.omega * t_max / math.pi <= MAX_INTERVALS
+        assert self._agrees(params, t_max).interval_count == MAX_INTERVALS
+        for t_max in (math.nextafter(t_max, math.inf) * (1.0 + 1e-15), math.inf, -1.0):
+            with pytest.raises(InvalidGridError) as measured:
+                blp_measure(params, t_max=t_max)
+            with pytest.raises(InvalidGridError) as classified:
+                classify_dynamics(params, t_max=t_max)
+            assert str(classified.value) == str(measured.value)
+
+    def test_result_is_built_on_first_read(self):
+        verdict = classify_dynamics(CANONICAL)
+        assert "result" not in vars(verdict)
+        assert verdict.result == blp_measure(CANONICAL)
+        assert verdict.result is verdict.result
+        moved = dataclasses.replace(verdict, n_value=0.5)
+        assert moved.n_value == 0.5 and moved.regime == verdict.regime
+        assert "result" not in vars(moved)
+        assert moved == dataclasses.replace(verdict, n_value=0.5)
 
 
 class TestResultRecords:
@@ -625,6 +722,33 @@ def _finite_or_rejected(call):
         assert np.isfinite(out).all()
 
 
+CLOSED_FORMS = (trace_distance_closed_form, trace_distance_rate, trace_distance_pair,
+                population_from_excited, population_from_ground, entanglement_entropy)
+
+
+class TestClosedFormTimes:
+    @pytest.mark.parametrize("form", CLOSED_FORMS)
+    def test_rejects_times_outside_range(self, form):
+        for t, bad in ((-1.0, "-1.0"), (math.nan, "nan"), (-math.inf, "-inf"),
+                       (math.inf, "inf"), (np.array([0.0, 2.0, -0.5]), "-0.5"),
+                       (np.array([[1.0, math.nan]]), "nan")):
+            with pytest.raises(InvariantViolation,
+                               match=re.escape(f"time must be finite and nonnegative, got {bad}")):
+                form(CANONICAL, t)
+        for t in (1e308, [0.0, 1e308]):
+            with pytest.raises(InvariantViolation,
+                               match=re.escape("phase 2 omega t overflows at t=1e+308, omega=2.0")):
+                form(ModelParams(0.2, 0.5, 2.0), t)
+        assert np.asarray(form(CANONICAL, np.empty((0, 3)))).shape == (0, 3)  # nothing to reject
+
+    @pytest.mark.parametrize("form", CLOSED_FORMS)
+    def test_decay_beyond_float_range(self, form):
+        # R t overflows while the phase stays finite: the decays are 0, with no warning
+        fast = ModelParams(1e99, 0.0, 1e-300)
+        assert np.all(np.isfinite(form(fast, np.array([0.0, 1e300, sys.float_info.max]))))
+        assert math.isfinite(form(fast, sys.float_info.max))
+
+
 class TestExtremeTimes:
     @settings(max_examples=300, derandomize=True)
     @given(gamma=ANY_RATE, m=ANY_RATE, omega=ANY_RATE, t_max=ANY_TIME, dt=ANY_TIME, t=ANY_TIME,
@@ -640,6 +764,9 @@ class TestExtremeTimes:
         _finite_or_rejected(lambda: classify_dynamics(params, t_max=t_max))
         _finite_or_rejected(lambda: propagate_exact(GENERIC_STATE, params, t))
         _finite_or_rejected(lambda: propagate_exact(GENERIC_STATE, params, [0.0, t_max, t]))
+        for form in CLOSED_FORMS:
+            _finite_or_rejected(lambda: form(params, t))
+            _finite_or_rejected(lambda: form(params, np.array([0.0, t_max, t])))
         # accepted samples stay at most 1e4 per curve, so each example is cheap
         _finite_or_rejected(lambda: blp_measure_maximized(params, 2, t_max / points, t_max))
         if not (dt > 0 and 1e4 < t_max / dt <= MAX_SCAN_POINTS):
