@@ -155,15 +155,15 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid plus one integrator sample (a 4x4 density matrix) per grid
-    point.
+    """Time grid plus the integrator samples: an ``(n, 4, 4)`` stack of
+    density matrices, one per grid point.
 
     The drift fields report the worst raw integrator sample before
     Hermitization/renormalization.
     """
 
     times: np.ndarray
-    samples: tuple
+    samples: np.ndarray
     max_trace_drift: float = 0.0
     max_hermiticity_defect: float = 0.0
 
@@ -199,23 +199,6 @@ _EXCHANGE = np.zeros((4, 4))
 _EXCHANGE[1, 2] = _EXCHANGE[2, 1] = 1.0  # |10><01| + |01><10|
 
 
-def _lindblad_apply(mat: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Apply the generator to an arbitrary 4x4 matrix (no validation)."""
-    g, m, omega = params.gamma, params.m, params.omega
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        sm, sp = _SM[i], _SP[i]
-        out += (m + 1.0) * g * (
-            sm @ mat @ sp - 0.5 * (_NUM_EXCITED[i] @ mat + mat @ _NUM_EXCITED[i])
-        )
-        out += m * g * (
-            sp @ mat @ sm - 0.5 * (_NUM_GROUND[i] @ mat + mat @ _NUM_GROUND[i])
-        )
-    if omega != 0.0:
-        out += -1j * omega * (_EXCHANGE @ mat - mat @ _EXCHANGE)
-    return out
-
-
 def _one_state(rho: np.ndarray) -> np.ndarray:
     """``rho`` checked by :func:`validate_density_matrix` as one 4x4 state;
     a stack, which that function also accepts, is rejected."""
@@ -226,27 +209,34 @@ def _one_state(rho: np.ndarray) -> np.ndarray:
 
 
 def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Right-hand side of the master equation for a valid density matrix.
+    """Right-hand side of the master equation for a valid density matrix:
+    :func:`superoperator` applied to the row-major vectorized state.
 
     The result is traceless and Hermitian to round-off (checked by tests, not
     re-checked here).
     """
-    return _lindblad_apply(_one_state(rho), params)
+    return (superoperator(params) @ _one_state(rho).reshape(16)).reshape(4, 4)
 
 
 @lru_cache(maxsize=64)
 def superoperator(params: ModelParams) -> np.ndarray:
     """16x16 matrix of the generator acting on row-major vectorized states.
 
-    Built by applying the generator to the 16 matrix units; cached per
-    parameter set and returned read-only.
+    Row-major, ``vec(A rho B) = kron(A, B^T) vec(rho)``.  The jump operators
+    are real and ``L^dag L`` and the exchange are symmetric, so ``D[L]`` is
+    ``kron(L, L) - (kron(L^dag L, I) + kron(I, L^dag L)) / 2`` and the
+    commutator ``kron(H, I) - kron(I, H)``.  Cached per parameter set and
+    returned read-only.
     """
-    cols = []
-    for k in range(16):
-        unit = np.zeros((4, 4), dtype=complex)
-        unit.flat[k] = 1.0
-        cols.append(_lindblad_apply(unit, params).reshape(16))
-    liouv = np.column_stack(cols)
+    g, m, omega = params.gamma, params.m, params.omega
+    eye = np.eye(4)
+    liouv = np.zeros((16, 16), dtype=complex)
+    for i in range(2):
+        for rate, jump, number in (((m + 1.0) * g, _SM[i], _NUM_EXCITED[i]),
+                                   (m * g, _SP[i], _NUM_GROUND[i])):
+            liouv += rate * (np.kron(jump, jump)
+                             - 0.5 * (np.kron(number, eye) + np.kron(eye, number)))
+    liouv += -1j * omega * (np.kron(_EXCHANGE, eye) - np.kron(eye, _EXCHANGE))
     liouv.setflags(write=False)
     return liouv
 
@@ -375,7 +365,7 @@ def integrate_master(
 
     return Trajectory(
         times=times,
-        samples=(rho0.copy(), *rho),
+        samples=np.concatenate((rho0[None], rho)),
         max_trace_drift=float(drift.max(initial=0.0)),
         max_hermiticity_defect=float(hermiticity_defect(raw).max(initial=0.0)),
     )

@@ -28,12 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import (
-    ModelParams,
-    checked_times,
-    population_from_excited,
-    population_from_ground,
-)
+from .dynamics import ModelParams, population_from_excited, population_from_ground
 from .errors import InvariantViolation, OmegaZeroError
 from .nonmarkov import first_revival_time
 
@@ -45,12 +40,11 @@ class EntanglementVariant(Enum):
     SUBSYSTEM = "entropy"
 
 
-def _neg_p_log2_p(p: np.ndarray) -> np.ndarray:
-    """Elementwise ``-p log2 p`` with the continuity convention 0 log 0 = 0."""
-    out = np.zeros_like(p)
-    mask = p > 0.0
-    out[mask] = -p[mask] * np.log2(p[mask])
-    return out
+def _neg_p_log2_p(p):
+    """Elementwise ``-p log2 p`` (any shape) with the continuity convention
+    0 log 0 = +0; ``log2`` never sees a zero."""
+    positive = p > 0.0
+    return np.where(positive, -p * np.log2(np.where(positive, p, 1.0)), 0.0)
 
 
 def binary_entropy(p) -> float | np.ndarray:
@@ -58,9 +52,9 @@ def binary_entropy(p) -> float | np.ndarray:
     arr = np.asarray(p, dtype=float)
     if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
         raise InvariantViolation(f"probability outside [0, 1]: {p!r}")
-    flat = np.clip(np.atleast_1d(arr), 0.0, 1.0)
-    value = _neg_p_log2_p(flat) + _neg_p_log2_p(1.0 - flat)
-    return float(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
+    arr = np.clip(arr, 0.0, 1.0)
+    value = _neg_p_log2_p(arr) + _neg_p_log2_p(1.0 - arr)
+    return float(value) if value.ndim == 0 else value
 
 
 def entanglement_entropy(
@@ -74,23 +68,17 @@ def entanglement_entropy(
     entropy of the excited-start population.  Zero at ``t = 0`` for both.
     Accepts the times of :func:`~qmemory.dynamics.checked_times`.
     """
-    tt = checked_times(params, t)
-    flat = np.atleast_1d(tt)
     # The populations are probabilities; round-off in their closed forms can
     # push them ~1e-16 outside [0, 1], which would make -p log2 p negative.
-    p_plus = np.clip(
-        np.atleast_1d(np.asarray(population_from_excited(params, flat))), 0.0, 1.0
-    )
+    p_plus = np.clip(population_from_excited(params, t), 0.0, 1.0)
     if variant is EntanglementVariant.PUBLISHED:
-        p_minus = np.clip(
-            np.atleast_1d(np.asarray(population_from_ground(params, flat))), 0.0, 1.0
-        )
+        p_minus = np.clip(population_from_ground(params, t), 0.0, 1.0)
         value = _neg_p_log2_p(p_plus) + _neg_p_log2_p(p_minus)
     elif variant is EntanglementVariant.SUBSYSTEM:
         value = binary_entropy(p_plus)
     else:  # pragma: no cover - enum is closed
         raise InvariantViolation(f"unknown variant {variant!r}")
-    return float(value[0]) if tt.ndim == 0 else value.reshape(tt.shape)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def steady_entanglement(

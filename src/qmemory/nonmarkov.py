@@ -194,10 +194,7 @@ def trace_distance_pair(params: ModelParams, t):
     """
     p_plus = population_from_excited(params, t)
     p_minus = population_from_ground(params, t)
-    q_plus = 1.0 - np.asarray(p_plus)
-    q_minus = 1.0 - np.asarray(p_minus)
-    value = 0.5 * (np.abs(np.asarray(p_plus) - p_minus) + np.abs(q_plus - q_minus))
-    return float(value) if np.asarray(t, dtype=float).ndim == 0 else value
+    return 0.5 * (abs(p_plus - p_minus) + abs((1.0 - p_plus) - (1.0 - p_minus)))
 
 
 def trace_distance_closed_form(params: ModelParams, t):
@@ -667,10 +664,11 @@ def blp_measure_maximized(
     from ``t_max`` on: a bound on the total variation, so on every later gain.
 
     Raises :class:`InvariantViolation` for ``grid_size < 2`` and
-    :class:`InvalidGridError` above :data:`MAX_GRID_SIZE`, when ``t_max /
-    dt`` exceeds :data:`MAX_SCAN_POINTS`, or when the canonical pair's
-    measure does (:func:`blp_measure`), which keeps every phase ``omega t``
-    below ``pi`` times :data:`MAX_INTERVALS`.
+    :class:`InvalidGridError` above :data:`MAX_GRID_SIZE`, then for the
+    window checks of the canonical measure (:func:`blp_measure`: ``dt`` and
+    ``t_max`` positive and finite, at most :data:`MAX_INTERVALS` intervals,
+    which keeps every phase ``omega t`` below ``pi`` times that), then when
+    ``t_max / dt`` exceeds :data:`MAX_SCAN_POINTS`.
     """
     if grid_size < 2:
         raise InvariantViolation(f"grid_size must be at least 2, got {grid_size!r}")
@@ -681,18 +679,15 @@ def blp_measure_maximized(
         )
     if dt is None:
         dt = default_scan_step(params)
-    if t_max is None:
-        t_max = default_truncation_time(params)
-    if not (dt > 0 and t_max > 0 and math.isfinite(dt) and math.isfinite(t_max)):
-        raise InvalidGridError(f"dt and t_max must be positive and finite, got {dt!r}, {t_max!r}")
-    points = float(t_max) / float(dt)
+    t_max, _ = _interval_count(params, dt, t_max)
+    points = t_max / float(dt)
     if not points <= MAX_SCAN_POINTS:
         raise InvalidGridError(
             f"t_max / dt = {points:.3g} sample points per candidate curve, "
             f"above the limit of {MAX_SCAN_POINTS} points"
         )
 
-    canonical = blp_measure(params, t_max=t_max)  # first, for its interval limit
+    canonical = blp_measure(params, t_max=t_max)
     grid = _scan_grid(dt, t_max)
     labels, deltas = _candidate_pairs(grid_size)
     estimates, bounds = _sampled_estimates(params, deltas, grid)
@@ -721,6 +716,6 @@ def blp_measure_maximized(
         best_n,
         *best_columns,
         pair_label=best_label,
-        truncation_time=float(t_max),
-        tail_bound=float(sum(_row_bounds(amplitudes[:, 0], tail(float(t_max))))),
+        truncation_time=t_max,
+        tail_bound=float(sum(_row_bounds(amplitudes[:, 0], tail(t_max)))),
     )

@@ -38,7 +38,6 @@ from .dynamics import (
     propagate_exact,
     propagate_xstate_exact,
     propagate_xstate_published,
-    superoperator,
     thermal_xstate,
 )
 from .entangle import EntanglementVariant, entanglement_entropy, steady_entanglement
@@ -102,7 +101,7 @@ def _check_exact_vs_integrator(max_step):
     for params in parameter_grid():
         traj = integrate_master(_generic_state(), params, _CHECK_TIMES, max_step=max_step)
         exact = propagate_exact(_generic_state(), params, traj.times)
-        worst = max(worst, float(np.max(np.abs(np.array(traj.samples) - exact))))
+        worst = max(worst, float(np.max(np.abs(traj.samples - exact))))
     return worst <= tol, f"worst |rho_rk4 - rho_exact| = {worst:.3e} (tol {tol:.0e})", ()
 
 
@@ -115,7 +114,7 @@ def _check_populations(max_step):
             (XSTATE_00, population_from_ground),
         ):
             traj = integrate_master(embed_xstate(x0), params, _CHECK_TIMES, max_step=max_step)
-            numeric = partial_trace_qubit2(np.array(traj.samples))[:, 0, 0].real
+            numeric = partial_trace_qubit2(traj.samples)[:, 0, 0].real
             worst = max(worst, float(np.max(np.abs(numeric - formula(params, traj.times)))))
     return worst <= tol, f"worst |p_traced - p_formula| = {worst:.3e} (tol {tol:.0e})", ()
 
@@ -184,9 +183,6 @@ def _check_stationarity():
     for params in parameter_grid():
         rho_th = embed_xstate(thermal_xstate(params))
         worst = max(worst, float(np.max(np.abs(lindblad_rhs(rho_th, params)))))
-        liouv = superoperator(params)
-        residual = float(np.max(np.abs(liouv @ rho_th.reshape(16))))
-        worst = max(worst, residual)
     return worst <= tol, f"worst |L(rho_thermal)| = {worst:.3e} (tol {tol:.0e})", ()
 
 

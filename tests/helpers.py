@@ -176,6 +176,40 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
     return samples
 
 
+def _generator_operators():
+    """Lowering operators of atoms 1 and 2 and the exchange coupling in the
+    excited-first basis ``|11>, |10>, |01>, |00>``."""
+    lower_1, lower_2, exchange = np.zeros((3, 4, 4))
+    lower_1[2, 0] = lower_1[3, 1] = 1.0  # |11> -> |01>, |10> -> |00>
+    lower_2[1, 0] = lower_2[3, 2] = 1.0  # |11> -> |10>, |01> -> |00>
+    exchange[1, 2] = exchange[2, 1] = 1.0
+    return (lower_1, lower_2), exchange
+
+
+def lindblad_apply(mat: np.ndarray, params: ModelParams) -> np.ndarray:
+    """The generator applied to a 4x4 matrix or a stack of them, term by term
+    as matrix products: the reference for the library's Kronecker-built
+    superoperator."""
+    lowering, exchange = _generator_operators()
+    g, m, omega = params.gamma, params.m, params.omega
+    out = np.zeros(np.shape(mat), dtype=complex)
+    for sm in lowering:
+        sp = sm.T
+        for rate, jump, adj in (((m + 1.0) * g, sm, sp), (m * g, sp, sm)):
+            number = adj @ jump
+            out += rate * (jump @ mat @ adj - 0.5 * (number @ mat + mat @ number))
+    if omega != 0.0:
+        out += -1j * omega * (exchange @ mat - mat @ exchange)
+    return out
+
+
+def probed_superoperator(params: ModelParams) -> np.ndarray:
+    """16x16 generator on row-major vectorized states: column k is
+    :func:`lindblad_apply` of the k-th matrix unit."""
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    return lindblad_apply(units, params).reshape(16, 16).T
+
+
 def generator_modes(params: ModelParams):
     """Eigenvalues, eigenvectors and inverse eigenvector matrix of the 16x16
     generator: the numerical oracle for the library's sector closed forms."""

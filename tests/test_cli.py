@@ -461,6 +461,18 @@ class TestDeterminism:
                 "sweep", "--param", "omega", "--from", "0", "--to", "1.2",
                 "--points", "7", "--t-max", "20", "--steps", "41",
             ],
+            "54d21182e1521453a73da9d4e2706edba63d3487a63ce82bf7f5d5576f6583f8": ["trace-distance"],
+            "d3027f95467dbae1aa815298feafb92b94f33de5070670708fd3e42e7869219d": [
+                "entanglement", "--variant", "eq13"],
+            "6a0947d5d093b7efaadfb60228882185b77b8d69e53f8bf732ab8f4625ba443c": [
+                "entanglement", "--variant", "entropy"],
+            # m = 0: p- is 0 on every row, so the 0 log 0 branch runs throughout
+            "d391406e381400858af692c5dde99123a321db50a5e6bbb395d8f6f5d57c6e55": [
+                "entanglement", "--variant", "eq13", "--m", "0"],
+            "79bfb646f49284a1818fb32ebe134e226823dca85b1de9be40cb519c1ca7757c": [
+                "entanglement", "--variant", "entropy", "--m", "0"],
+            "7b0c7bdf741332b430a0d802e190501960202f7a70519044c13e9e1d84273b6c": [
+                "entanglement", "--gammas", "0.1,0.2,0.5"],
         }
         for digest, args in cases.items():
             out = tmp_path / "golden.csv"

@@ -75,6 +75,16 @@ class TestEntanglementEntropy:
             assert 0.0 <= e_pub < 1e-13
             assert 0.0 <= e_sub < 1e-13
 
+    def test_zero_entropy_is_positive_zero(self):
+        # at t = 0 (and for p- at m = 0) the 0 log 0 branch gives +0.0, so
+        # no CSV row prints -0.00000000e+00
+        for params in (CANONICAL, ModelParams(0.2, 0.0, 0.8)):
+            for variant in (PUBLISHED, SUBSYSTEM):
+                for value in (entanglement_entropy(params, 0.0, variant),
+                              *entanglement_entropy(params, np.zeros(3), variant)):
+                    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        assert math.copysign(1.0, binary_entropy(0.0)) == math.copysign(1.0, binary_entropy(1.0)) == 1.0
+
     def test_frozen_values_at_revival(self):
         assert abs(
             entanglement_entropy(CANONICAL, T_STAR, PUBLISHED) - E_PUBLISHED_T_STAR

@@ -13,6 +13,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from qmemory import (
     BlpResult,
     Classification,
+    EntanglementVariant,
     IncreaseInterval,
     MARKOVIAN,
     ModelParams,
@@ -689,6 +690,12 @@ class TestMaximizedMeasure:
             blp_measure_maximized(ModelParams(1.0, 0.0, 1e100), grid_size=3, t_max=1e250,
                                   dt=1e245)
 
+    def test_interval_limit_checked_before_scan_points(self):
+        # over both limits (2.5e6 intervals, 8e8 points at the default dt):
+        # the canonical window check runs first
+        with pytest.raises(InvalidGridError, match="above the limit of 100000 intervals"):
+            blp_measure_maximized(CANONICAL, grid_size=3, t_max=1e7)
+
     def test_invalid_grid_arguments(self):
         with pytest.raises(InvalidGridError):
             blp_measure_maximized(CANONICAL, grid_size=3, dt=-0.1)
@@ -722,8 +729,13 @@ def _finite_or_rejected(call):
         assert np.isfinite(out).all()
 
 
+def subsystem_entropy(params, t):
+    return entanglement_entropy(params, t, EntanglementVariant.SUBSYSTEM)
+
+
 CLOSED_FORMS = (trace_distance_closed_form, trace_distance_rate, trace_distance_pair,
-                population_from_excited, population_from_ground, entanglement_entropy)
+                population_from_excited, population_from_ground, entanglement_entropy,
+                subsystem_entropy)
 
 
 class TestClosedFormTimes:
@@ -747,6 +759,27 @@ class TestClosedFormTimes:
         fast = ModelParams(1e99, 0.0, 1e-300)
         assert np.all(np.isfinite(form(fast, np.array([0.0, 1e300, sys.float_info.max]))))
         assert math.isfinite(form(fast, sys.float_info.max))
+
+
+class TestClosedFormShapes:
+    @pytest.mark.parametrize("form", CLOSED_FORMS)
+    def test_scalar_times_give_floats(self, form):
+        for t in (0.0, 1.5, T_STAR):
+            expected = form(CANONICAL, t)
+            for same in (np.float64(t), np.array(t)):
+                value = form(CANONICAL, same)
+                assert type(value) is float and value == expected
+            assert type(expected) is float
+
+    @pytest.mark.parametrize("form", CLOSED_FORMS)
+    def test_arrays_keep_their_shape(self, form):
+        rng = np.random.default_rng(73)
+        for shape in ((7,), (3, 4), (0,), (2, 0)):
+            t = rng.uniform(0.0, 20.0, shape)
+            t.flat[:1] = 0.0
+            value = form(CANONICAL, t)
+            assert isinstance(value, np.ndarray) and value.shape == shape
+            assert [form(CANONICAL, float(x)) for x in t.flat] == value.ravel().tolist()
 
 
 class TestExtremeTimes:
