@@ -29,9 +29,8 @@ import numpy as np
 from . import __version__
 from .dynamics import MAX_PARAMETER, ModelParams
 from .entangle import EntanglementVariant, entanglement_entropy
-from .errors import InvalidGridError, InvariantViolation, QmemoryError
+from .errors import InvariantViolation, QmemoryError
 from .nonmarkov import (
-    MAX_INTERVALS,
     NON_MARKOVIAN,
     classify_dynamics,
     trace_distance_closed_form,
@@ -250,23 +249,17 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
     t = _time_grid(cfg, points)
     values = np.linspace(lo, hi, points)
 
-    members = []
-    intervals = 0
-    for value in values.tolist():
+    curves = np.empty((points, t.size))
+    flags = []
+    for value, curve in zip(values.tolist(), curves):
         p = replace(cfg.params, **{param: value})
-        verdict = classify_dynamics(p, cfg.eps)
-        intervals += verdict.interval_count
-        if intervals > MAX_INTERVALS:
-            raise InvalidGridError(
-                f"the family's memory measures hold more than {MAX_INTERVALS} increase "
-                f"intervals in all, above the limit of {MAX_INTERVALS} intervals"
-            )
-        members.append((value, trace_distance_closed_form(p, t),
-                        1 if verdict.regime == NON_MARKOVIAN else 0))
+        flags.append(1 if classify_dynamics(p, cfg.eps).regime == NON_MARKOVIAN else 0)
+        curve[:] = trace_distance_closed_form(p, t)
     echo = _common_echo(cfg)
     del echo[param]  # the swept parameter lives in the sweep_value column
     echo.update({"param": param, "from": float(lo), "to": float(hi), "points": points})
-    rows = ((param, value, ti, di, flag) for value, d, flag in members for ti, di in zip(t, d))
+    rows = ((param, value, ti, di, flag)
+            for value, d, flag in zip(values, curves, flags) for ti, di in zip(t, d))
     _write_csv(cfg.out_path, "sweep", echo, ("sweep_param", "sweep_value", "t", "D", "N_flag"),
                "%s,%.8e,%.8e,%.8e,%d\n", rows)
     return 0

@@ -16,7 +16,6 @@ on the embedded matrix, which is the only rule for a valid two-atom state.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -216,6 +215,13 @@ def trace_distance(rho: np.ndarray, tau: np.ndarray) -> float:
     return float(0.5 * np.sum(np.abs(vals)))
 
 
+def _neg_p_log2_p(p):
+    """Elementwise ``-p log2 p`` (any shape) with the continuity convention
+    0 log 0 = +0; ``log2`` never sees a zero."""
+    positive = p > 0.0
+    return np.where(positive, -p * np.log2(np.where(positive, p, 1.0)), 0.0)
+
+
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in bits, ``-sum(lam * log2(lam))``.
 
@@ -224,13 +230,9 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     :class:`NegativeEigenvalueError`.
     """
     vals = hermitian_eigenvalues(np.asarray(rho, dtype=complex))
-    total = 0.0
-    for lam in vals:
-        if lam < -POSITIVITY_TOL:
-            raise NegativeEigenvalueError(
-                f"eigenvalue {lam:.3e} below 0 beyond slack {POSITIVITY_TOL:.0e}"
-            )
-        if lam <= 0.0:
-            continue
-        total -= lam * math.log2(lam)
-    return total
+    negative = vals[vals < -POSITIVITY_TOL]
+    if negative.size:
+        raise NegativeEigenvalueError(
+            f"eigenvalue {negative[0]:.3e} below 0 beyond slack {POSITIVITY_TOL:.0e}"
+        )
+    return float(np.sum(_neg_p_log2_p(vals)))

@@ -193,8 +193,6 @@ def _lowering(atom: int) -> np.ndarray:
 
 _SM = (_lowering(1), _lowering(2))
 _SP = tuple(op.T.copy() for op in _SM)
-_NUM_EXCITED = tuple(sp @ sm for sp, sm in zip(_SP, _SM))   # sigma^+ sigma^-
-_NUM_GROUND = tuple(sm @ sp for sp, sm in zip(_SP, _SM))    # sigma^- sigma^+
 _EXCHANGE = np.zeros((4, 4))
 _EXCHANGE[1, 2] = _EXCHANGE[2, 1] = 1.0  # |10><01| + |01><10|
 
@@ -232,8 +230,8 @@ def superoperator(params: ModelParams) -> np.ndarray:
     eye = np.eye(4)
     liouv = np.zeros((16, 16), dtype=complex)
     for i in range(2):
-        for rate, jump, number in (((m + 1.0) * g, _SM[i], _NUM_EXCITED[i]),
-                                   (m * g, _SP[i], _NUM_GROUND[i])):
+        for rate, jump in (((m + 1.0) * g, _SM[i]), (m * g, _SP[i])):
+            number = jump.T @ jump
             liouv += rate * (np.kron(jump, jump)
                              - 0.5 * (np.kron(number, eye) + np.kron(eye, number)))
     liouv += -1j * omega * (np.kron(_EXCHANGE, eye) - np.kron(eye, _EXCHANGE))

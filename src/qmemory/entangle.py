@@ -28,6 +28,7 @@ from enum import Enum
 
 import numpy as np
 
+from .densmat import _neg_p_log2_p
 from .dynamics import ModelParams, population_from_excited, population_from_ground
 from .errors import InvariantViolation, OmegaZeroError
 from .nonmarkov import first_revival_time
@@ -38,13 +39,6 @@ class EntanglementVariant(Enum):
 
     PUBLISHED = "eq13"
     SUBSYSTEM = "entropy"
-
-
-def _neg_p_log2_p(p):
-    """Elementwise ``-p log2 p`` (any shape) with the continuity convention
-    0 log 0 = +0; ``log2`` never sees a zero."""
-    positive = p > 0.0
-    return np.where(positive, -p * np.log2(np.where(positive, p, 1.0)), 0.0)
 
 
 def binary_entropy(p) -> float | np.ndarray:
@@ -95,7 +89,7 @@ def steady_entanglement(
         raise InvariantViolation(f"occupation m must be finite and nonnegative, got {m!r}")
     q = m / (1.0 + 2.0 * m)
     if variant is EntanglementVariant.PUBLISHED:
-        return 0.0 if q == 0.0 else -2.0 * q * math.log2(q)
+        return float(2.0 * _neg_p_log2_p(q))
     if variant is EntanglementVariant.SUBSYSTEM:
         return float(binary_entropy(q))
     raise InvariantViolation(f"unknown variant {variant!r}")  # pragma: no cover

@@ -17,7 +17,7 @@ settings.load_profile("suite")
 def validate_cli_run():
     """One `qmemory validate` subprocess, shared by every test that reads it."""
     return subprocess.run(
-        [sys.executable, "-m", "qmemory", "validate"],
+        [sys.executable, "-W", "error", "-m", "qmemory", "validate"],
         capture_output=True,
         text=True,
     )

@@ -176,6 +176,27 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
     return samples
 
 
+def von_neumann_entropy_loop(rho: np.ndarray) -> float:
+    """Von Neumann entropy in bits, one eigenvalue at a time with ``math.log2``.
+
+    The loop the library used before it shared the entanglement readings'
+    ``-p log2 p``, kept as the reference for it: raises what the library
+    raises for the first eigenvalue (in descending order) below the slack.
+    """
+    from qmemory.densmat import POSITIVITY_TOL, hermitian_eigenvalues
+    from qmemory.errors import NegativeEigenvalueError
+
+    total = 0.0
+    for lam in hermitian_eigenvalues(np.asarray(rho, dtype=complex)):
+        if lam < -POSITIVITY_TOL:
+            raise NegativeEigenvalueError(
+                f"eigenvalue {lam:.3e} below 0 beyond slack {POSITIVITY_TOL:.0e}"
+            )
+        if lam > 0.0:
+            total -= lam * math.log2(lam)
+    return total
+
+
 def _generator_operators():
     """Lowering operators of atoms 1 and 2 and the exchange coupling in the
     excited-first basis ``|11>, |10>, |01>, |00>``."""

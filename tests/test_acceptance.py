@@ -238,7 +238,7 @@ def test_criterion_9_cli_determinism(tmp_path, validate_cli_run):
         second = tmp_path / f"{name}-2.csv"
         for target in (first, second):
             proc = subprocess.run(
-                [sys.executable, "-m", "qmemory", *args, "--out", str(target)],
+                [sys.executable, "-W", "error", "-m", "qmemory", *args, "--out", str(target)],
                 capture_output=True,
                 text=True,
             )

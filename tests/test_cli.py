@@ -11,6 +11,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,12 +29,15 @@ BLP_LINE = re.compile(
 )
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
+    """One ``qmemory`` subprocess with every warning raised as an error
+    (pytest's own warning filter does not reach a subprocess)."""
     return subprocess.run(
-        [sys.executable, "-m", "qmemory", *args],
+        [sys.executable, "-W", "error", "-m", "qmemory", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -278,13 +282,19 @@ class TestBlp:
             assert 0.0 < t_start < t_end
             assert gain > 0.0
 
+    @pytest.mark.parametrize("gamma, omega, intervals",
+                             [("0.01", "3", 2865), ("0.001", "10", 95493)])
+    def test_stress_points(self, tmp_path, gamma, omega, intervals):
+        # Omega / R = 300 (the benchmark's stress point) and 1e4, near the limit
+        out = tmp_path / "stress.csv"
+        proc = run_cli("blp", "--gamma", gamma, "--m", "0", "--omega", omega,
+                       "--out", str(out), timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert f" intervals={intervals} " in proc.stdout
+        assert len(parse_csv(out.read_text())[2]) == intervals
+
     def test_interval_limit_rejected_quickly(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "qmemory", "blp", "--gamma", "0.001", "--omega", "1000"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
+        proc = run_cli("blp", "--gamma", "0.001", "--omega", "1000", timeout=10)
         assert proc.returncode == 1
         assert "100000" in proc.stderr
         assert proc.stdout == ""
@@ -299,8 +309,7 @@ class TestRowLimit:
         ["entanglement", "--gammas", "0.1,0.2,0.3", "--steps", "333334"],
     ])
     def test_rejected_before_allocation(self, args):
-        proc = subprocess.run([sys.executable, "-m", "qmemory", *args],
-                              capture_output=True, text=True, timeout=10)
+        proc = run_cli(*args, timeout=10)
         assert cli.MAX_ROWS == 1_000_000
         assert proc.returncode == 1
         assert "limit of 1000000 rows" in proc.stderr
@@ -316,16 +325,34 @@ class TestRowLimit:
         assert cli.main(["entanglement", "--steps", "6", "--out", str(out)]) == 0
         assert cli.main(["entanglement", "--steps", "7", "--out", str(out)]) == 1
 
-    def test_sweep_interval_budget(self):
-        # 1000 members near 95 000 intervals each would take about 20 s
-        proc = subprocess.run(
-            [sys.executable, "-m", "qmemory", "sweep", "--param", "omega", "--from", "1000",
-             "--to", "1040", "--points", "1000", "--gamma", "0.1", "--steps", "2"],
-            capture_output=True, text=True, timeout=10,
-        )
+    def test_sweep_family_has_no_interval_budget(self):
+        # 1000 members of 47 746 to 49 656 intervals each: the measures are closed
+        # forms, so only each member's own interval limit applies
+        proc = run_cli("sweep", "--param", "omega", "--from", "1000", "--to", "1040",
+                       "--points", "1000", "--gamma", "0.1", "--steps", "2", timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert len(parse_csv(proc.stdout)[2]) == 2000
+
+    def test_sweep_member_interval_limit(self):
+        proc = run_cli("sweep", "--param", "omega", "--from", "30000", "--to", "31000",
+                       "--gamma", "0.5", "--points", "3", timeout=10)
         assert proc.returncode == 1
-        assert "limit of 100000 intervals" in proc.stderr
+        assert "limit of 100000" in proc.stderr
         assert proc.stdout == ""
+
+    def test_sweep_family_memory(self):
+        # one float array for the family's curves: about 70 bytes a member
+        # at 2 steps, against about 250 for a record per member
+        points = 20000
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep", "--param", "m", "--from", "0", "--to", "1",
+                             "--omega", "0", "--points", str(points), "--steps", "2",
+                             "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 125 * points
 
 
 class TestEntanglement:

@@ -29,6 +29,7 @@ from helpers import (
     random_hermitian,
     random_qubit_density,
     random_valid_xstate,
+    von_neumann_entropy_loop,
 )
 
 
@@ -468,6 +469,32 @@ class TestVonNeumannEntropy:
     def test_rejects_genuinely_negative(self):
         with pytest.raises(NegativeEigenvalueError):
             von_neumann_entropy(np.diag([1.2, -0.2]).astype(complex))
+
+    def test_names_first_eigenvalue_below_slack(self):
+        # eigenvalues in descending order: -0.2 is met before -0.3
+        rho = np.diag([1.3, 0.2, -0.2, -0.3]).astype(complex)
+        message = "eigenvalue -2.000e-01 below 0 beyond slack 1e-10"
+        with pytest.raises(NegativeEigenvalueError) as got:
+            von_neumann_entropy(rho)
+        with pytest.raises(NegativeEigenvalueError) as want:
+            von_neumann_entropy_loop(rho)
+        assert str(got.value) == str(want.value) == message
+
+    def test_matches_eigenvalue_loop(self):
+        # numpy's log2 and math.log2 differ in the last place on a few
+        # eigenvalues, so a handful of entropies differ by an ulp or two
+        rng = np.random.default_rng(0)
+        differ = 0
+        for k in range(2000):
+            dim = (2, 4)[k % 2]
+            rank = int(rng.integers(1, dim + 1))  # rank-deficient states too
+            mat = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+            rho = mat @ mat.conj().T
+            rho /= np.trace(rho).real
+            got, want = von_neumann_entropy(rho), von_neumann_entropy_loop(rho)
+            assert abs(got - want) <= 2 * math.ulp(max(abs(got), abs(want))), (k, got, want)
+            differ += got != want
+        assert differ <= 20
 
     @given(st.integers(0, 10**6))
     def test_nonnegative_and_bounded(self, seed):

@@ -585,6 +585,10 @@ class TestTrajectoryRecord:
         with pytest.raises(InvalidGridError):
             Trajectory(times=np.array([0.0, 0.0]), samples=(XSTATE_10, XSTATE_10))
 
+    def test_grid_must_be_one_dimensional(self):
+        with pytest.raises(InvalidGridError, match="nonempty 1-D"):
+            Trajectory(times=np.array([[0.0, 1.0]]), samples=(XSTATE_10,))
+
 
 class TestPublishedSolution:
     def test_initial_value_defects(self):
@@ -620,3 +624,8 @@ class TestPublishedSolution:
     def test_validates_input_state(self):
         with pytest.raises(InvariantViolation):
             propagate_xstate_published(XState(0.9, 0.9, 0.0, 0.0), CANONICAL, 1.0)
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, "1.0", np.array([1.0])])
+    def test_rejects_bad_time(self, t):
+        with pytest.raises(InvariantViolation, match="time must be finite and nonnegative"):
+            propagate_xstate_published(XSTATE_10, CANONICAL, t)

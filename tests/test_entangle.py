@@ -185,6 +185,17 @@ class TestSteadyEntanglement:
             STEADY_SUBSYSTEM_M2, abs=1e-15
         )
 
+    def test_bit_identical_to_direct_formulas(self):
+        # -2 q log2 q in math and the binary entropy of q in numpy, as each
+        # variant evaluated its plateau before the two shared one -p log2 p
+        for m in (0.0, 1e-300, 1e-9, 0.1, 0.5, 2.0, 1e6, 1e100):
+            q = m / (1.0 + 2.0 * m)
+            published = 0.0 if q == 0.0 else -2.0 * q * math.log2(q)
+            p = np.float64(q)
+            subsystem = (-p * np.log2(p) if q > 0.0 else 0.0) - (1.0 - p) * np.log2(1.0 - p)
+            assert steady_entanglement(m, PUBLISHED).hex() == published.hex()
+            assert steady_entanglement(m, SUBSYSTEM).hex() == float(subsystem).hex()
+
     def test_empty_bath_gives_zero(self):
         assert steady_entanglement(0.0, PUBLISHED) == 0.0
         assert steady_entanglement(0.0, SUBSYSTEM) == 0.0
