@@ -80,7 +80,6 @@ from .nonmarkov import (
     NON_MARKOVIAN,
     blp_measure,
     blp_measure_maximized,
-    bloch_polar_state,
     classify_dynamics,
     default_scan_step,
     default_truncation_time,
@@ -118,9 +117,8 @@ __all__ = [
     # nonmarkov
     "BlpResult", "Classification", "IncreaseInterval", "MARKOVIAN",
     "NON_MARKOVIAN", "blp_measure", "blp_measure_maximized",
-    "bloch_polar_state", "classify_dynamics", "default_scan_step",
-    "default_truncation_time", "first_revival_time",
-    "trace_distance_closed_form", "trace_distance_pair",
+    "classify_dynamics", "default_scan_step", "default_truncation_time",
+    "first_revival_time", "trace_distance_closed_form", "trace_distance_pair",
     "trace_distance_rate",
     # validate
     "CANONICAL_PARAMS", "CheckResult", "GENERIC_XSTATE", "run_validation",

@@ -383,13 +383,6 @@ def coherence_root(params: ModelParams) -> complex:
     return scale * cmath.sqrt(complex(0.25 * rate * rate - omega * omega, -gamma * omega))
 
 
-def coherence_combinations(mat: np.ndarray) -> tuple:
-    """``(c1, c2, e1, e2)`` of the k = +1 elements of ``mat`` (shape 4 x 4 x ...):
-    atom 1's coherence ``c1``, atom 2's ``c2``, and their partners ``e1``, ``e2``."""
-    return (mat[0, 2] + mat[1, 3], mat[0, 1] + mat[2, 3],
-            mat[0, 2] - mat[1, 3], mat[0, 1] - mat[2, 3])
-
-
 def coherence_factors(params: ModelParams, t):
     """``e^{-R t} cosh(mu+ t)`` and ``e^{-R t} sinh(mu+ t) / mu+`` (scalar or array ``t``).
 
@@ -470,7 +463,8 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     u = decay * (u0 * cos_p - 2.0 * y0 * sin_p)
     y = decay * (y0 * cos_p + 0.5 * u0 * sin_p)
 
-    c1, c2, e1, e2 = coherence_combinations(rho0)
+    c1, c2 = rho0[0, 2] + rho0[1, 3], rho0[0, 1] + rho0[2, 3]
+    e1, e2 = rho0[0, 2] - rho0[1, 3], rho0[0, 1] - rho0[2, 3]
     sectors = []
     for sign, ch, sh in ((1.0, cosh, sinh), (-1.0, np.conj(cosh), np.conj(sinh))):
         u_k, v_k = c1 + sign * c2, e2 + sign * e1

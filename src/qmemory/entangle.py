@@ -51,6 +51,15 @@ def binary_entropy(p) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
+def _reading(p_plus, p_minus, variant: EntanglementVariant):
+    """The entanglement of ``variant`` from the two excited populations."""
+    if variant is EntanglementVariant.PUBLISHED:
+        return _neg_p_log2_p(p_plus) + _neg_p_log2_p(p_minus)
+    if variant is EntanglementVariant.SUBSYSTEM:
+        return binary_entropy(p_plus)
+    raise InvariantViolation(f"unknown variant {variant!r}")  # pragma: no cover
+
+
 def entanglement_entropy(
     params: ModelParams,
     t,
@@ -65,13 +74,8 @@ def entanglement_entropy(
     # The populations are probabilities; round-off in their closed forms can
     # push them ~1e-16 outside [0, 1], which would make -p log2 p negative.
     p_plus = np.clip(population_from_excited(params, t), 0.0, 1.0)
-    if variant is EntanglementVariant.PUBLISHED:
-        p_minus = np.clip(population_from_ground(params, t), 0.0, 1.0)
-        value = _neg_p_log2_p(p_plus) + _neg_p_log2_p(p_minus)
-    elif variant is EntanglementVariant.SUBSYSTEM:
-        value = binary_entropy(p_plus)
-    else:  # pragma: no cover - enum is closed
-        raise InvariantViolation(f"unknown variant {variant!r}")
+    p_minus = np.clip(population_from_ground(params, t), 0.0, 1.0)
+    value = _reading(p_plus, p_minus, variant)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -88,11 +92,7 @@ def steady_entanglement(
     if not (math.isfinite(m) and m >= 0.0):
         raise InvariantViolation(f"occupation m must be finite and nonnegative, got {m!r}")
     q = m / (1.0 + 2.0 * m)
-    if variant is EntanglementVariant.PUBLISHED:
-        return float(2.0 * _neg_p_log2_p(q))
-    if variant is EntanglementVariant.SUBSYSTEM:
-        return float(binary_entropy(q))
-    raise InvariantViolation(f"unknown variant {variant!r}")  # pragma: no cover
+    return float(_reading(q, q, variant))
 
 
 def revival_instant(params: ModelParams) -> float:

@@ -16,15 +16,17 @@ plus the last interval cut at ``t_max``: classification costs O(1) however
 many intervals there are, and builds none of them.  The measure is zero
 exactly when the exchange coupling vanishes and grows monotonically with it.
 
-For arbitrary product-state pairs (the maximizer) a pair difference is
-traceless, so its reduced difference is ``[[r0, r1], [conj(r1), -r0]]`` and
-``D = sqrt(r0^2 + |r1|^2)``.  Both rows are closed forms by coherence sector
-(see :mod:`qmemory.dynamics`): ``r0`` comes from the k = 0 sector and is
-``e^{-R t}`` times a constant plus a rotation at ``2 omega``; ``r1``, atom 1's
+For product-state pairs (the maximizer) a pair difference is traceless, so
+its reduced difference is ``[[r0, r1], [conj(r1), -r0]]`` and ``D = sqrt(r0^2
++ |r1|^2)``.  Both rows are closed forms by coherence sector (see
+:mod:`qmemory.dynamics`): ``r0`` comes from the k = 0 sector and is ``e^{-R
+t}`` times a constant plus a cosine at ``2 omega``; ``r1``, atom 1's
 coherence, comes from the k = 1 sector and combines the real and imaginary
-parts of two block functions.  Every candidate's curve is therefore one real
-contraction of seven shared basis functions with the pair's weights, a block
-of pairs at a time, and its sampled rises give an estimate.  Refining a
+parts of two block functions.  A pair of real product states reaches these
+rows through the differences of six real coordinates of its two states (see
+:func:`_candidate_pairs`), so every candidate's curve is one real
+contraction of six shared basis functions with the pair's weights, a block of
+pairs at a time, and its sampled rises give an estimate.  Refining a
 rise's endpoints can add at most a bound set by the grid spacing and the
 curve's largest speed, which the sector forms bound in closed form, so
 candidates are refined only while their estimate plus bound can still reach
@@ -45,7 +47,6 @@ import numpy as np
 from .dynamics import (
     ModelParams,
     checked_times,
-    coherence_combinations,
     coherence_factors,
     coherence_root,
     population_from_excited,
@@ -368,85 +369,76 @@ def classify_dynamics(
 
 # --- arbitrary product pairs (maximizer) -------------------------------------
 
-def bloch_polar_state(theta: float) -> np.ndarray:
-    """Single-atom pure state at polar angle ``theta``, azimuth 0.
-
-    ``theta = 0`` is the excited state, ``theta = pi`` the ground state; the
-    amplitudes are real.
-    """
-    amp = np.array([math.cos(0.5 * theta), math.sin(0.5 * theta)])
-    return np.outer(amp, amp).astype(complex)
-
-
 def _scan_grid(dt: float, t_max: float) -> np.ndarray:
     grid = np.arange(0.0, t_max, dt)
     return np.append(grid, t_max)
 
 
 def _candidate_pairs(grid_size: int):
-    """Labels and 16 x P matrix of vectorized differences of the candidate pairs.
+    """Labels and 6 x P table of the candidate pairs' differences.
 
-    The states are ``|s(th1)> x |s(th2)>`` with both angles on a
-    ``grid_size``-point polar grid; the pairs are the unordered ones, minus the
-    one equal to the canonical pair.
+    The states are ``|s(th1)> x |s(th2)>``, ``|s(th)> = cos(th/2) |1> +
+    sin(th/2) |0>``, with both angles on a ``grid_size``-point polar grid; the
+    pairs are the unordered ones, minus the one equal to the canonical pair.
+    With ``p = cos^2(th/2)`` and ``x = cos(th/2) sin(th/2)``, a product state
+    reaches atom 1's reduced rows (see :func:`_pair_weights`) through six real
+    numbers, the rows of the table: ``alpha = (p1 + p2) / 2``, ``beta = (p1 -
+    p2) / 2``, ``c1 = x1``, ``c2 = x2``, ``e1 = x1 (2 p2 - 1)`` and ``e2 = x2
+    (2 p1 - 1)``.  By the joint z-rotation symmetry the azimuth adds nothing,
+    so real states are all the family needs.
     """
-    thetas = np.linspace(0.0, math.pi, grid_size).tolist()
-    angles = [(th1, th2) for th1 in thetas for th2 in thetas]
-    states = np.array([
-        np.kron(bloch_polar_state(th1), bloch_polar_state(th2)).reshape(16)
-        for th1, th2 in angles
-    ])
-    first, second = np.triu_indices(len(angles), k=1)
+    thetas = np.linspace(0.0, math.pi, grid_size)
+    cos, sin = np.cos(0.5 * thetas), np.sin(0.5 * thetas)
+    p, x = cos * cos, cos * sin
+    p1, p2 = np.repeat(p, grid_size), np.tile(p, grid_size)
+    x1, x2 = np.repeat(x, grid_size), np.tile(x, grid_size)
+    coords = np.stack([0.5 * (p1 + p2), 0.5 * (p1 - p2), x1, x2,
+                       x1 * (2.0 * p2 - 1.0), x2 * (2.0 * p1 - 1.0)])
+    first, second = np.triu_indices(p1.size, k=1)
     # (0, pi) vs (pi, pi) is |10> vs |00>, evaluated analytically instead
-    keep = ~((first == grid_size - 1) & (second == len(angles) - 1))
+    keep = ~((first == grid_size - 1) & (second == p1.size - 1))
     first, second = first[keep], second[keep]
-    names = [f"theta({th1:.4f},{th2:.4f})" for th1, th2 in angles]
+    names = [f"theta({th1:.4f},{th2:.4f})" for th1 in thetas.tolist() for th2 in thetas.tolist()]
     labels = [f"{names[i]}/{names[j]}" for i, j in zip(first.tolist(), second.tolist())]
-    return labels, (states[first] - states[second]).T
+    return labels, coords[:, first] - coords[:, second]
 
 
 def _sector_basis(params: ModelParams, t: np.ndarray) -> np.ndarray:
-    """The seven real functions (7 x K) that every pair's reduced rows combine.
+    """The six real functions (6 x K) that every pair's reduced rows combine.
 
-    Rows: ``e^{-R t}`` times ``1``, ``cos 2 omega t`` and ``sin 2 omega t``
-    (the k = 0 sector), then the real and imaginary parts of
-    ``e^{-R t} (cosh(mu+ t) + R/2 sinh(mu+ t) / mu+)`` and of
-    ``e^{-R t} sinh(mu+ t) / mu+`` (the k = 1 sector).
+    Rows: ``e^{-R t}`` and ``e^{-R t} cos 2 omega t`` (the k = 0 sector), then
+    the real and imaginary parts of ``e^{-R t} (cosh(mu+ t) + R/2 sinh(mu+ t)
+    / mu+)`` and of ``e^{-R t} sinh(mu+ t) / mu+`` (the k = 1 sector).
     """
     with np.errstate(over="ignore"):  # R t beyond the float range: the decays are 0
         envelope = np.exp(-params.relaxation_rate * t)
         cosh, sinh = coherence_factors(params, t)
-    phase = 2.0 * params.omega * t
     leading = cosh + 0.5 * params.relaxation_rate * sinh
-    return np.stack([envelope, envelope * np.cos(phase), envelope * np.sin(phase),
+    return np.stack([envelope, envelope * np.cos(2.0 * params.omega * t),
                      leading.real, leading.imag, sinh.real, sinh.imag])
 
 
-def _pair_weights(params: ModelParams, deltas: np.ndarray):
-    """Weights of vectorized pair differences (16 x P, row-major) on the basis.
+def _pair_weights(params: ModelParams, table: np.ndarray):
+    """Weights of the pairs of :func:`_candidate_pairs` (6 x P) on the basis.
 
     A traceless difference has the reduced atom-1 difference
-    ``[[r0, r1], [conj(r1), -r0]]``.  Its k = 0 part gives ``r0 = e^{-R t}
-    (alpha + beta cos 2 omega t + eta sin 2 omega t)`` with ``alpha = (2a + b +
-    c) / 2``, ``beta = (b - c) / 2`` and ``eta = -Im z``; its k = 1 part gives
-    ``r1 = c1 P_re + i c2 P_im + i omega e2 S_re - omega e1 S_im`` in the rows of
+    ``[[r0, r1], [conj(r1), -r0]]``.  Its k = 0 part gives
+    ``r0 = e^{-R t} (alpha + beta cos 2 omega t)``; its k = 1 part gives ``r1
+    = c1 P_re - omega e1 S_im + i (c2 P_im + omega e2 S_re)`` in the rows of
     :func:`_sector_basis`, since ``mu- = conj(mu+)`` turns the sum and the
     difference of the two blocks into real and imaginary parts.  Returns the
-    weights (P x 3 x 7; rows ``r0``, ``Re r1``, ``Im r1``) and the amplitudes
-    (6 x P) ``|alpha|``, ``|alpha + beta|``, ``|(beta, eta)|``, ``|c1|``, ``|c2|``
-    and ``omega (|e1| + |e2|)`` that weight the rows of :func:`_slope_bound`.
+    weights (P x 3 x 6; rows ``r0``, ``Re r1``, ``Im r1``) and the amplitudes
+    (6 x P) ``|alpha|``, ``|alpha + beta|``, ``|beta|``, ``|c1|``, ``|c2|`` and
+    ``omega (|e1| + |e2|)`` that weight the rows of :func:`_slope_bound`.
     """
-    d = deltas.reshape(4, 4, -1)
-    k0 = np.stack([(d[0, 0] + 0.5 * (d[1, 1] + d[2, 2])).real,
-                   0.5 * (d[1, 1] - d[2, 2]).real, -d[1, 2].imag])
-    c1, c2, e1, e2 = coherence_combinations(d)
-    k1 = np.stack([c1, 1j * c2, 1j * params.omega * e2, -params.omega * e1])
-    weights = np.zeros((deltas.shape[1], 3, 7))
-    weights[:, 0, :3] = k0.T
-    weights[:, 1, 3:] = k1.real.T
-    weights[:, 2, 3:] = k1.imag.T
-    amplitudes = np.stack([np.abs(k0[0]), np.abs(k0[0] + k0[1]), np.hypot(k0[1], k0[2]),
-                           np.abs(c1), np.abs(c2), np.abs(k1[2]) + np.abs(k1[3])])
+    alpha, beta, c1, c2, e1, e2 = table
+    omega = params.omega
+    weights = np.zeros((table.shape[1], 3, 6))
+    weights[:, 0, 0], weights[:, 0, 1] = alpha, beta
+    weights[:, 1, 2], weights[:, 1, 5] = c1, -omega * e1
+    weights[:, 2, 3], weights[:, 2, 4] = c2, omega * e2
+    amplitudes = np.stack([np.abs(alpha), np.abs(alpha + beta), np.abs(beta),
+                           np.abs(c1), np.abs(c2), omega * (np.abs(e1) + np.abs(e2))])
     return weights, amplitudes
 
 
@@ -457,7 +449,7 @@ def _distance(weights: np.ndarray, basis: np.ndarray) -> np.ndarray:
     ``[[r0, r1], [conj(r1), -r0]]`` with real ``r0``, and its trace distance is
     ``sqrt(r0^2 + |r1|^2)``.
     """
-    parts = (weights.reshape(-1, 7) @ basis).reshape(weights.shape[0], 3, -1)
+    parts = (weights.reshape(-1, 6) @ basis).reshape(weights.shape[0], 3, -1)
     parts *= parts
     return np.sqrt(parts[:, 0] + parts[:, 1] + parts[:, 2])
 
@@ -486,11 +478,11 @@ def _slope_bound(params: ModelParams):
     e^{(-mu - R) t}``, ``p(mu) = mu/2 - R/4 - R^2/(4 mu)``, and ``G = ((mu - R)
     e^{(mu - R) t} + (mu + R) e^{(-mu - R) t}) / (2 mu)``.  The bounds:
 
-    * ``r0``: ``alpha`` and ``alpha + beta``: ``R e^{-R t}``; ``(beta, eta)``:
+    * ``r0``: ``alpha`` and ``alpha + beta``: ``R e^{-R t}``; ``beta``:
       ``sqrt(R^2 + 4 omega^2) e^{-R t}`` beside ``alpha``, or, writing ``r0 =
-      e^{-R t} (alpha + beta + beta (cos 2 omega t - 1) + eta sin 2 omega t)``,
-      ``(2 omega + 2 R min(1, omega t)) e^{-R t}`` beside ``alpha + beta``.  The
-      smaller sum counts; the second vanishes with ``omega`` where D does;
+      e^{-R t} (alpha + beta + beta (cos 2 omega t - 1))``, ``(2 omega + 2 R
+      min(1, omega t)) e^{-R t}`` beside ``alpha + beta``.  The smaller sum
+      counts; the second vanishes with ``omega`` where D does;
     * ``c1``: ``|F| <= |p(mu)| e^{-kappa t} + |p(-mu)| e^{-kappa' t}``;
     * ``c2``: ``|Im F|``, which also obeys a bound that vanishes with ``y =
       -gamma omega / (2 rho)``, as the coupling of atom 2's coherence into atom
@@ -551,27 +543,26 @@ def _row_bounds(amplitudes: np.ndarray, rows: np.ndarray):
     return r0, amplitudes[3] * rows[3] + amplitudes[4] * rows[4] + amplitudes[5] * rows[5]
 
 
-def _sampled_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray):
+def _sampled_estimates(params: ModelParams, weights: np.ndarray, amplitudes: np.ndarray,
+                       grid: np.ndarray, basis: np.ndarray):
     """Sampled memory measure of every pair, each with a bound on its refinement.
 
     The pairs' distance curves on ``grid`` are built a block of pairs at a
-    time from one shared :func:`_sector_basis`.  A pair's estimate sums the
-    rises of its sampled runs above the float-noise floor.  Refining a run
-    (:func:`_refined_intervals`) moves each interior endpoint by at most one
-    grid spacing ``h``, so it adds at most ``h (L(t_lo - h) + L(t_hi - h))``
-    to the rise, with ``L`` from :func:`_slope_bound`.  A rise above the floor
-    adds that plus the floor, which covers the rounding between the sampled and
-    the refined evaluation; a rise below the floor counts only if the addition
-    can lift it above.  Returns ``(estimates, bounds)``; refined minus estimate
+    time from their :func:`_pair_weights` and the :func:`_sector_basis` on
+    ``grid``.  A pair's estimate sums the rises of its sampled runs above the
+    float-noise floor.  Refining a run (:func:`_refined_intervals`) moves each
+    interior endpoint by at most one grid spacing ``h``, so it adds at most
+    ``h (L(t_lo - h) + L(t_hi - h))`` to the rise, with ``L`` from
+    :func:`_slope_bound`.  A rise above the floor adds that plus the floor,
+    which covers the rounding between the sampled and the refined evaluation;
+    a rise below the floor counts only if the addition can lift it above.  Returns ``(estimates, bounds)``; refined minus estimate
     is at most bound.
     """
-    basis = _sector_basis(params, grid)
-    weights, amplitudes = _pair_weights(params, deltas)
     speed, _ = _slope_bound(params)
     speed_table = speed(grid)
     spacing = float(np.max(np.diff(grid)))
     last = grid.size - 1
-    count = deltas.shape[1]
+    count = weights.shape[0]
     estimates = np.empty(count)
     bounds = np.empty(count)
     width = max(1, _CHUNK_BYTES // (24 * grid.size))
@@ -596,21 +587,22 @@ def _sampled_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray
     return estimates, bounds
 
 
-def _refined_intervals(params: ModelParams, delta: np.ndarray, grid: np.ndarray) -> tuple:
+def _refined_intervals(params: ModelParams, weights: np.ndarray, grid: np.ndarray,
+                       basis: np.ndarray) -> tuple:
     """Increase intervals of one pair, each sampled run's endpoints refined.
 
-    An interior start (end) is refined by ternary search for the minimum
-    (maximum) between its two grid neighbours, for all endpoints at once, to
-    :data:`_BISECT_TOL` or :data:`_BISECT_RTOL` times ``t_max``, whichever is
-    larger; rises below the float-noise floor are dropped.  Returns the
-    ``(starts, ends, gains)`` columns of :class:`BlpResult`.
+    ``weights`` (1 x 3 x 6) are the pair's :func:`_pair_weights`, ``basis``
+    the :func:`_sector_basis` on ``grid``.  An interior start (end) is refined
+    by ternary search for the minimum (maximum) between its two grid
+    neighbours, for all endpoints at once, to :data:`_BISECT_TOL` or
+    :data:`_BISECT_RTOL` times ``t_max``, whichever is larger; rises below the
+    float-noise floor are dropped.  Returns the ``(starts, ends, gains)``
+    columns of :class:`BlpResult`.
     """
-    weights, _ = _pair_weights(params, delta[:, None])
-
     def distance(t: np.ndarray) -> np.ndarray:
         return _distance(weights, _sector_basis(params, t))[0]
 
-    _, lo, hi = _rising_runs(distance(grid)[None, :])
+    _, lo, hi = _rising_runs(_distance(weights, basis))
     inner_lo, inner_hi = lo > 0, hi < grid.size - 1
     index = np.concatenate([lo[inner_lo], hi[inner_hi]])
     want_min = np.arange(index.size) < np.count_nonzero(inner_lo)
@@ -689,8 +681,10 @@ def blp_measure_maximized(
 
     canonical = blp_measure(params, t_max=t_max)
     grid = _scan_grid(dt, t_max)
-    labels, deltas = _candidate_pairs(grid_size)
-    estimates, bounds = _sampled_estimates(params, deltas, grid)
+    basis = _sector_basis(params, grid)
+    labels, table = _candidate_pairs(grid_size)
+    weights, amplitudes = _pair_weights(params, table)
+    estimates, bounds = _sampled_estimates(params, weights, amplitudes, grid, basis)
     ceilings = (estimates + bounds).tolist()
 
     best_n, best_label, best_columns, best_index = (
@@ -702,7 +696,7 @@ def blp_measure_maximized(
         columns = ((), (), ())  # a zero ceiling leaves no rise that refinement can keep
         if ceilings[p] > 0.0:
             refined += 1
-            columns = _refined_intervals(params, deltas[:, p], grid)
+            columns = _refined_intervals(params, weights[p:p + 1], grid, basis)
         n_value = math.fsum(columns[2])
         if (-n_value, labels[p]) < (-best_n, best_label):
             best_n, best_label, best_columns, best_index = n_value, labels[p], columns, p
@@ -711,11 +705,10 @@ def blp_measure_maximized(
     if best_index is None:
         return canonical  # canonical pair wins; analytic result already exact
     _, tail = _slope_bound(params)
-    _, amplitudes = _pair_weights(params, deltas[:, [best_index]])
     return BlpResult(
         best_n,
         *best_columns,
         pair_label=best_label,
         truncation_time=t_max,
-        tail_bound=float(sum(_row_bounds(amplitudes[:, 0], tail(t_max)))),
+        tail_bound=float(sum(_row_bounds(amplitudes[:, best_index], tail(t_max)))),
     )

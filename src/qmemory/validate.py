@@ -205,12 +205,12 @@ def _check_steady(max_step):
     worst = 0.0
     rho0 = embed_xstate(GENERIC_XSTATE)
     for params in parameter_grid():
-        t_end = 30.0 / params.relaxation_rate
+        t_end = default_truncation_time(params)
         final = propagate_exact(rho0, params, t_end)
         worst = max(worst, float(np.max(np.abs(final - embed_xstate(thermal_xstate(params))))))
     # One full numeric integration to its steady state as well.
     params = CANONICAL_PARAMS
-    t_end = 30.0 / params.relaxation_rate
+    t_end = default_truncation_time(params)
     traj = integrate_master(
         embed_xstate(XSTATE_10), params, np.array([0.0, t_end]), max_step=max_step
     )
@@ -264,7 +264,7 @@ def _check_entanglement(max_step):
         steady = steady_entanglement(0.5, variant)
         for gamma in (0.1, 0.2, 0.5):
             p = ModelParams(gamma=gamma, m=0.5, omega=0.8)
-            value = entanglement_entropy(p, 30.0 / p.relaxation_rate, variant)
+            value = entanglement_entropy(p, default_truncation_time(p), variant)
             worst_steady = max(worst_steady, abs(value - steady))
     return (
         worst_steady <= tol_steady,

@@ -45,6 +45,71 @@ MAXIMIZED_FIRST_START = math.pi / 3.2                     # pi / (4 omega)
 MAXIMIZED_FIRST_END = (math.pi - math.atan(0.25)) / 1.6   # first peak after it
 MAXIMIZED_FIRST_GAIN = 0.47026175746776266
 
+# Maximization over product pairs at 20 seeded draws (gamma in [0.01, 3.2],
+# m in [0, 3], omega / R in [0.03, 30], log-uniform but for m), each at grid
+# 3 and 5: (gamma, m, omega, grid_size, winner label, N), frozen from the
+# 16-entry density-matrix construction of the candidates.  The label is None
+# where that construction's best two candidates, all refined, lie within 1e-12
+# (physical ties such as mirror-image pairs, which rounding decides).
+MAXIMIZED_GOLDEN = (
+    (0.5437835094747737, 2.4474513340081723, 1.0381119732862694, 3, None, 0.07145915298998728),
+    (0.5437835094747737, 2.4474513340081723, 1.0381119732862694, 5, None, 0.07145915298998728),
+    (0.012951687431431023, 1.714791771101193, 0.004726577537079946, 3, None, 0.018457541104665534),
+    (0.012951687431431023, 1.714791771101193, 0.004726577537079946, 5, None, 0.018457541104665534),
+    (0.6318734377704133, 1.0360695122275192, 1.3684257751897533, 3, None, 0.17395265661622072),
+    (0.6318734377704133, 1.0360695122275192, 1.3684257751897533, 5, None, 0.17930740534251371),
+    (2.785292292888407, 2.344398083316092, 161.5781163647844, 3, MAXIMIZED_LABEL,
+     6.0119463232926815),
+    (2.785292292888407, 2.344398083316092, 161.5781163647844, 5, MAXIMIZED_LABEL,
+     6.0119463232926815),
+    (0.24583560734503906, 2.824864087757679, 0.05566053711059984, 3, None, 0.007239502679851109),
+    (0.24583560734503906, 2.824864087757679, 0.05566053711059984, 5, None, 0.007239502679851109),
+    (1.6886476601184766, 1.1692754500497409, 0.8383757017796938, 3, None, 0.03512455964209863),
+    (1.6886476601184766, 1.1692754500497409, 0.8383757017796938, 5, None, 0.03512455964209863),
+    (0.2181411944484727, 2.83407083595827, 0.4293966899046715, 3, None, 0.0641266722040483),
+    (0.2181411944484727, 2.83407083595827, 0.4293966899046715, 5, None, 0.0641266722040483),
+    (1.8890016275430268, 1.4019948375152569, 171.97139360687495, 3, MAXIMIZED_LABEL,
+     14.744465696038695),
+    (1.8890016275430268, 1.4019948375152569, 171.97139360687495, 5, MAXIMIZED_LABEL,
+     14.744465696038695),
+    (0.8213026249952551, 2.350061542991622, 1.70644049294641, 3, None, 0.08108660399789487),
+    (0.8213026249952551, 2.350061542991622, 1.70644049294641, 5, None, 0.08108660399789487),
+    (0.29682267244583793, 0.7456474784775959, 5.577754876719088, 3, MAXIMIZED_LABEL,
+     4.328781236056403),
+    (0.29682267244583793, 0.7456474784775959, 5.577754876719088, 5, MAXIMIZED_LABEL,
+     4.328781236056403),
+    (0.044427097182314135, 2.017829099049038, 0.01129436297056322, 3, None, 0.011092473639928971),
+    (0.044427097182314135, 2.017829099049038, 0.01129436297056322, 5, None, 0.011092473639928971),
+    (0.04153802620428015, 1.0743613122873086, 0.012878578044104902, 3, None, 0.023485645371477133),
+    (0.04153802620428015, 1.0743613122873086, 0.012878578044104902, 5, None, 0.023485645371477133),
+    (0.04488269222110504, 0.6054097486301584, 0.003917820474893998, 3, None, 0.010301955673450687),
+    (0.04488269222110504, 0.6054097486301584, 0.003917820474893998, 5, None, 0.010301955673450687),
+    (0.07226670670196973, 1.404749045661192, 0.1475623560706199, 3, None, 0.12661191926811083),
+    (0.07226670670196973, 1.404749045661192, 0.1475623560706199, 5, None, 0.12661191926811083),
+    (1.7924303925136749, 0.2666231000628462, 6.138657940090111, 3, MAXIMIZED_LABEL,
+     1.004784536826224),
+    (1.7924303925136749, 0.2666231000628462, 6.138657940090111, 5, MAXIMIZED_LABEL,
+     1.004784536826224),
+    (0.07475459960808088, 0.07790327833678412, 0.54030605540797, 3, MAXIMIZED_LABEL,
+     3.513153718099465),
+    (0.07475459960808088, 0.07790327833678412, 0.54030605540797, 5, MAXIMIZED_LABEL,
+     3.513153718099465),
+    (0.11407985898450855, 2.9286071237059206, 4.9434514270441445, 3, MAXIMIZED_LABEL,
+     3.5548248574132963),
+    (0.11407985898450855, 2.9286071237059206, 4.9434514270441445, 5, MAXIMIZED_LABEL,
+     3.5548248574132963),
+    (1.5013581456075704, 1.6979799456026323, 2.0663417116033447, 3, None, 0.07151382866204073),
+    (1.5013581456075704, 1.6979799456026323, 2.0663417116033447, 5, None, 0.07151382866204073),
+    (1.3815619081734327, 1.2394828129051332, 59.278440417768365, 3, MAXIMIZED_LABEL,
+     7.368229797960413),
+    (1.3815619081734327, 1.2394828129051332, 59.278440417768365, 5, MAXIMIZED_LABEL,
+     7.368229797960413),
+    (1.9397465810523413, 1.062396025476452, 27.247940592675, 3, MAXIMIZED_LABEL,
+     2.405719288922632),
+    (1.9397465810523413, 1.062396025476452, 27.247940592675, 5, MAXIMIZED_LABEL,
+     2.405719288922632),
+)
+
 # Published-solution probes (initial |10>, canonical parameters).
 PUBLISHED_B0 = 1.5                        # printed formula at t = 0 (true: 1)
 PUBLISHED_C0 = -0.5                       # printed formula at t = 0 (true: 0)
@@ -277,11 +342,41 @@ def discrete_intervals(dvals: np.ndarray) -> list:
     return runs
 
 
-def per_pair_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray) -> np.ndarray:
-    """Sampled memory-measure estimate of each pair, one pair at a time.
+def product_state(theta1: float, theta2: float) -> np.ndarray:
+    """The 4x4 pure product state ``|s(theta1)> x |s(theta2)>``, ``|s(theta)> =
+    cos(theta/2) |1> + sin(theta/2) |0>``, built with ``np.kron``."""
+    amp1, amp2 = ([math.cos(0.5 * th), math.sin(0.5 * th)] for th in (theta1, theta2))
+    psi = np.kron(amp1, amp2).astype(complex)
+    return np.outer(psi, psi.conj())
 
-    The reference for the maximizer's batched pass: each column of ``deltas``
-    (a vectorized 4x4 pair difference) is evolved in full through the
+
+def product_pair_differences(grid_size: int):
+    """Labels and 16 x P matrix of vectorized (row-major) differences of the
+    maximizer's candidate pairs, built from :func:`product_state`.
+
+    The oracle for the maximizer's 6 x P table: the unordered pairs of the
+    ``grid_size``-point polar product grid, first angle outer, minus the
+    canonical ``|10>/|00>`` pair, in the maximizer's order and labels.
+    """
+    thetas = np.linspace(0.0, math.pi, grid_size).tolist()
+    angles = [(th1, th2) for th1 in thetas for th2 in thetas]
+    states = [product_state(*pair).reshape(16) for pair in angles]
+    labels, columns = [], []
+    for i in range(len(angles)):
+        for j in range(i + 1, len(angles)):
+            if angles[i] == (0.0, math.pi) and angles[j] == (math.pi, math.pi):
+                continue  # |10> vs |00>, which the maximizer evaluates analytically
+            labels.append("theta({:.4f},{:.4f})/theta({:.4f},{:.4f})".format(
+                *angles[i], *angles[j]))
+            columns.append(states[i] - states[j])
+    return labels, np.array(columns).T
+
+
+def per_pair_estimates(params: ModelParams, grid_size: int, grid: np.ndarray) -> np.ndarray:
+    """Sampled memory-measure estimate of each candidate pair, one pair at a time.
+
+    The reference for the maximizer's batched pass: each pair difference of
+    :func:`product_pair_differences` is evolved in full through the
     generator's modes, reduced to atom 1 by the partial trace, and its sampled
     rises above the noise floor are summed.
     """
@@ -289,7 +384,7 @@ def per_pair_estimates(params: ModelParams, deltas: np.ndarray, grid: np.ndarray
     ptrace = partial_trace_map()
     mode_factors = np.exp(np.outer(lam, grid))
     estimates = []
-    for delta in deltas.T:
+    for delta in product_pair_differences(grid_size)[1].T:
         coeff = vec_inv @ delta
         dvals = reduced_distance(ptrace @ (vec @ (mode_factors * coeff[:, None])))
         gains = [float(dvals[j] - dvals[i]) for i, j in discrete_intervals(dvals)]

@@ -20,7 +20,6 @@ from qmemory import (
     NON_MARKOVIAN,
     blp_measure,
     blp_measure_maximized,
-    bloch_polar_state,
     classify_dynamics,
     default_scan_step,
     default_truncation_time,
@@ -32,7 +31,6 @@ from qmemory import (
     trace_distance_closed_form,
     trace_distance_pair,
     trace_distance_rate,
-    validate_density_matrix,
 )
 from qmemory import cli, nonmarkov
 from qmemory.nonmarkov import (
@@ -41,6 +39,7 @@ from qmemory.nonmarkov import (
     MAX_INTERVALS,
     MAX_SCAN_POINTS,
     _candidate_pairs,
+    _pair_weights,
     _refined_intervals,
     _sampled_estimates,
     _scan_grid,
@@ -57,6 +56,7 @@ from helpers import (
     MAXIMIZED_FIRST_END,
     MAXIMIZED_FIRST_GAIN,
     MAXIMIZED_FIRST_START,
+    MAXIMIZED_GOLDEN,
     MAXIMIZED_LABEL,
     N_CANONICAL,
     N_CANONICAL_INTERVALS,
@@ -69,6 +69,8 @@ from helpers import (
     generator_modes,
     partial_trace_map,
     per_pair_estimates,
+    product_pair_differences,
+    product_state,
     random_params,
     reduced_distance,
     swap_geometric_series,
@@ -448,22 +450,24 @@ class TestClassification:
                 classify_dynamics(CANONICAL, eps=eps)
 
 
-class TestBlochPolarState:
-    def test_pole_states(self):
-        north = bloch_polar_state(0.0)
-        south = bloch_polar_state(math.pi)
-        assert np.max(np.abs(north - np.diag([1.0, 0.0]))) < 1e-15
-        assert np.max(np.abs(south - np.diag([0.0, 1.0]))) < 1e-15
-
-    def test_equator_state(self):
-        rho = bloch_polar_state(math.pi / 2)
-        assert np.max(np.abs(rho - 0.5 * np.ones((2, 2)))) < 1e-15
-
-    def test_pure_and_valid(self):
-        for theta in np.linspace(0.0, math.pi, 9):
-            rho = bloch_polar_state(float(theta))
-            validate_density_matrix(rho, dim=2)
-            assert np.max(np.abs(rho @ rho - rho)) < 1e-15
+class TestCandidateTable:
+    @pytest.mark.parametrize("grid_size", range(2, MAX_GRID_SIZE + 1))
+    def test_matches_kron_oracle(self, grid_size):
+        # the table rows are the k = 0 combinations alpha and beta and the
+        # k = 1 combinations c1, c2, e1, e2 of the 16-entry pair differences;
+        # real pairs have no imaginary part, so the weight eta = -Im d[1, 2]
+        # of sin 2 omega t is exactly 0
+        labels, table = _candidate_pairs(grid_size)
+        oracle_labels, deltas = product_pair_differences(grid_size)
+        assert labels == oracle_labels
+        d = deltas.reshape(4, 4, -1)
+        assert np.all(d.imag == 0.0)
+        assert np.all(-d[1, 2].imag == 0.0)
+        oracle = np.stack([(d[0, 0] + 0.5 * (d[1, 1] + d[2, 2])).real,
+                           0.5 * (d[1, 1] - d[2, 2]).real,
+                           (d[0, 2] + d[1, 3]).real, (d[0, 1] + d[2, 3]).real,
+                           (d[0, 2] - d[1, 3]).real, (d[0, 1] - d[2, 3]).real])
+        assert np.max(np.abs(table - oracle)) <= 1e-15
 
 
 # omega / R = 1.05, where the sampled estimate of the |10>/|01> pair falls
@@ -473,10 +477,10 @@ SWAP_DEFECT_POINT = ModelParams(0.49335523078582455, 0.18559001921664953, 0.7119
 
 def sector_term_speeds(rows):
     """Speeds of the terms :func:`_slope_bound` bounds, from derivatives of the
-    sector basis rows: ``alpha`` (also ``alpha + beta``), ``(beta, eta)`` beside
-    each, ``c1``, ``c2`` and ``omega (e1, e2)``."""
-    return (np.abs(rows[0]), np.hypot(rows[1], rows[2]), np.hypot(rows[1] - rows[0], rows[2]),
-            np.hypot(rows[3], rows[4]), np.abs(rows[4]), np.hypot(rows[5], rows[6]))
+    sector basis rows: ``alpha`` (also ``alpha + beta``), ``beta`` beside each,
+    ``c1``, ``c2`` and ``omega (e1, e2)``."""
+    return (np.abs(rows[0]), np.abs(rows[1]), np.abs(rows[1] - rows[0]),
+            np.hypot(rows[2], rows[3]), np.abs(rows[3]), np.hypot(rows[4], rows[5]))
 
 
 def assert_orthogonal_pure_winner(label, grid_size):
@@ -484,8 +488,7 @@ def assert_orthogonal_pure_winner(label, grid_size):
     thetas = {f"{th:.4f}": th for th in np.linspace(0.0, math.pi, grid_size).tolist()}
     pairs = re.fullmatch(r"theta\(([\d.]+),([\d.]+)\)/theta\(([\d.]+),([\d.]+)\)", label)
     angles = [thetas[text] for text in pairs.groups()]
-    rho_a, rho_b = (np.kron(bloch_polar_state(a), bloch_polar_state(b))
-                    for a, b in (angles[:2], angles[2:]))
+    rho_a, rho_b = product_state(*angles[:2]), product_state(*angles[2:])
     assert abs(np.trace(rho_a @ rho_b)) < 1e-12
     for rho in (rho_a, rho_b):
         assert abs(np.trace(rho @ rho) - 1.0) < 1e-12
@@ -538,6 +541,15 @@ class TestMaximizedMeasure:
             floor = max(swap_geometric_series(params), blp_geometric_series(params))
             assert result.n_value >= floor - 1e-9
 
+    def test_golden_table(self):
+        # N within 1e-12 of the 16-entry construction; the label wherever its
+        # best two candidates were more than 1e-12 apart
+        for gamma, m, omega, grid_size, label, n_value in MAXIMIZED_GOLDEN:
+            result = blp_measure_maximized(ModelParams(gamma, m, omega), grid_size=grid_size)
+            assert abs(result.n_value - n_value) <= 1e-12, (gamma, m, omega, grid_size)
+            if label is not None:
+                assert result.pair_label == label, (gamma, m, omega, grid_size)
+
     def test_winner_is_orthogonal_pure_pair(self):
         # Wissmann et al., PRA 86, 062108 (2012): optimal pairs are orthogonal
         for params in (CANONICAL, SWAP_DEFECT_POINT):
@@ -546,13 +558,15 @@ class TestMaximizedMeasure:
 
     def test_batched_estimates_match_per_pair_route(self):
         rng = np.random.default_rng(71)
-        labels, deltas = _candidate_pairs(3)
+        labels, table = _candidate_pairs(3)
         for _ in range(20):
             params = random_params(rng)
             dt = default_scan_step(params)
             grid = _scan_grid(dt, min(default_truncation_time(params), 3000 * dt))
-            estimates, _ = _sampled_estimates(params, deltas, grid)
-            reference = per_pair_estimates(params, deltas, grid)
+            weights, amplitudes = _pair_weights(params, table)
+            basis = _sector_basis(params, grid)
+            estimates, _ = _sampled_estimates(params, weights, amplitudes, grid, basis)
+            reference = per_pair_estimates(params, 3, grid)
             assert np.max(np.abs(estimates - reference)) <= 1e-13
 
             def best(values):
@@ -577,10 +591,12 @@ class TestMaximizedMeasure:
         # and the maximizer, which refines only some, picks the best of all
         t_max = t_max or default_truncation_time(params)
         grid = _scan_grid(default_scan_step(params), t_max)
-        labels, deltas = _candidate_pairs(grid_size)
-        estimates, bounds = _sampled_estimates(params, deltas, grid)
+        labels, table = _candidate_pairs(grid_size)
+        weights, amplitudes = _pair_weights(params, table)
+        basis = _sector_basis(params, grid)
+        estimates, bounds = _sampled_estimates(params, weights, amplitudes, grid, basis)
         refined = [
-            math.fsum(_refined_intervals(params, deltas[:, p], grid)[2])
+            math.fsum(_refined_intervals(params, weights[p:p + 1], grid, basis)[2])
             for p in range(len(labels))
         ]
         assert np.all(np.array(refined) - estimates <= bounds)
@@ -602,7 +618,7 @@ class TestMaximizedMeasure:
         # the rises of the winner's curve on (t_max, 4 t_max], from the
         # generator's modes, sampled four times finer than the maximizer samples
         result = blp_measure_maximized(params, grid_size=grid_size)
-        labels, deltas = _candidate_pairs(grid_size)
+        labels, deltas = product_pair_differences(grid_size)
         t_max = result.truncation_time
         times = np.linspace(t_max, 4.0 * t_max, 12 * round(t_max / default_scan_step(params)))
         lam, vec, vec_inv = generator_modes(params)
