@@ -40,6 +40,7 @@ from .dynamics import (
     GRID_OCCUPATIONS,
     GRID_OMEGAS,
     ModelParams,
+    ParamFamily,
     Trajectory,
     XSTATE_00,
     XSTATE_10,
@@ -103,7 +104,7 @@ __all__ = [
     "validate_density_matrix", "von_neumann_entropy",
     # dynamics
     "GRID_GAMMAS", "GRID_OCCUPATIONS", "GRID_OMEGAS", "ModelParams",
-    "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
+    "ParamFamily", "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
     "lindblad_rhs", "parameter_grid", "population_from_excited",
     "population_from_ground", "propagate_exact", "propagate_xstate_exact",
     "propagate_xstate_published", "superoperator", "thermal_xstate",

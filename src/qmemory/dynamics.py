@@ -40,6 +40,12 @@ closed form:
 Two quantities recur everywhere: the relaxation rate ``gamma (1 + 2m)`` and
 the thermal occupation ``q = m / (1 + 2m)`` of a single atom.
 
+A :class:`ParamFamily` holds many parameter sets as arrays.  The closed forms
+:func:`checked_times`, :func:`relaxation_envelope` and the two populations
+(and ``nonmarkov``'s two canonical distances) accept it wherever they accept
+:class:`ModelParams`: they broadcast its arrays against the times, and every
+member's value equals, bit for bit, that member's own call at its own time.
+
 A previously published closed-form solution of the same rate equations ships
 verbatim as :func:`propagate_xstate_published`.  It is defective (it fails the
 ``t = 0`` identity and oscillates at half the correct frequency) and exists
@@ -50,7 +56,7 @@ from __future__ import annotations
 import cmath
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +79,10 @@ STEP_RESOLUTION = 1e-3
 # Integrator samples get an extra slack decade on positivity compared to the
 # 1e-10 used for hand-constructed states.
 SAMPLE_POSITIVITY_TOL = 1e-9
+# Most 16x16 step-matrix powers (4 kB each) that one integrate_master call
+# keeps for span lengths that recur later: a span of n steps needs
+# bit_length(n) of them, and a uniform grid keeps two spans' worth at a time.
+_KEPT_POWER_MATRICES = 256
 # Longest integrator span, in steps of the default policy.  Up to 1e21 such
 # steps every failure on the cross-check grid is a named trace-drift error;
 # from 1e22 on the step-matrix powers overflow.  The round-off that grows
@@ -153,19 +163,77 @@ class ModelParams:
         return self.m / (1.0 + 2.0 * self.m)
 
 
+@dataclass(frozen=True, eq=False)
+class ParamFamily:
+    """Many parameter sets at once: ``gamma``, ``m`` and ``omega`` as
+    read-only float arrays that broadcast against each other, one member per
+    element of their broadcast :attr:`shape`.
+
+    Every member must be a valid :class:`ModelParams`; the first one (in C
+    order) that is not raises that class's own message.
+    """
+
+    gamma: np.ndarray
+    m: np.ndarray
+    omega: np.ndarray
+    shape: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        values = []
+        for name in ("gamma", "m", "omega"):
+            v = np.asarray(getattr(self, name))
+            if v.dtype.kind not in "biuf":
+                raise InvariantViolation(f"{name} must be an array of numbers, got dtype {v.dtype}")
+            v = np.array(v, dtype=float)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+            values.append(v)
+        try:
+            shape = np.broadcast_shapes(*(v.shape for v in values))
+        except ValueError:
+            raise DimensionMismatchError(
+                f"gamma, m and omega of shapes {[v.shape for v in values]} do not broadcast"
+            ) from None
+        object.__setattr__(self, "shape", shape)
+        g, m, omega = values
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail a bound
+            ok = ((MIN_GAMMA <= g) & (g <= MAX_PARAMETER) & (0.0 <= m) & (m <= MAX_PARAMETER)
+                  & (0.0 <= omega) & (omega <= MAX_PARAMETER)
+                  & (self.relaxation_rate <= MAX_PARAMETER))
+        if not ok.all():
+            first = np.unravel_index(int(np.argmin(ok)), shape)
+            ModelParams(*(float(np.broadcast_to(v, shape)[first]) for v in values))
+            raise AssertionError("unreachable: ModelParams accepted a rejected member")
+
+    @property
+    def relaxation_rate(self) -> np.ndarray:
+        """``gamma (1 + 2m)`` per member, as :attr:`ModelParams.relaxation_rate`."""
+        return self.gamma * (1.0 + 2.0 * self.m)
+
+    @property
+    def thermal_occupation(self) -> np.ndarray:
+        """``m / (1 + 2m)`` per member, as :attr:`ModelParams.thermal_occupation`."""
+        return self.m / (1.0 + 2.0 * self.m)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time grid plus the integrator samples: an ``(n, 4, 4)`` stack of
     density matrices, one per grid point.
 
     The drift fields report the worst raw integrator sample before
-    Hermitization/renormalization.
+    Hermitization/renormalization.  ``rk4_steps`` counts the RK4 steps taken
+    over all spans and ``span_powers`` the step-matrix power lists built for
+    them: one per distinct span length, however often it recurs, while the
+    powers kept for later spans fit in ``_KEPT_POWER_MATRICES``.
     """
 
     times: np.ndarray
     samples: np.ndarray
     max_trace_drift: float = 0.0
     max_hermiticity_defect: float = 0.0
+    rk4_steps: int = 0
+    span_powers: int = 0
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
@@ -241,23 +309,32 @@ def superoperator(params: ModelParams) -> np.ndarray:
 
 # --- RK4 integration ---------------------------------------------------------
 
-def _rk4_steps(terms: np.ndarray, y: np.ndarray, h: float, n: int) -> np.ndarray:
-    """``n`` classic RK4 steps ``y -> P y`` of size ``h``.
+def _rk4_increments(terms: np.ndarray, h: float, n: int) -> list[np.ndarray]:
+    """The increments ``P^(2^j) - I``, ``j = 0 .. bit_length(n) - 1``, of
+    the classic RK4 step matrix ``P = I + E`` of size ``h``.
 
     For the linear, constant generator ``L`` one step is ``P = I + E`` with
     ``E = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; row ``k - 1`` of ``terms``
-    is ``L^k / k!`` flattened, ``k = 1..4``.  ``P^n y`` is taken by binary
-    powering on the increment (``P^2 = I + 2E + E^2``), so that the small
-    entries of ``E`` are never rounded against the identity.
+    is ``L^k / k!`` flattened, ``k = 1..4``.  Each power is squared on the
+    increment (``P^2 = I + 2E + E^2``), so that the small entries of ``E``
+    are never rounded against the identity.
     """
     inc = (np.array([h, h * h, h**3, h**4]) @ terms).reshape(16, 16)
-    while True:
-        if n & 1:
-            y = y + inc @ y
-        n >>= 1
-        if not n:
-            return y
+    increments = [inc]
+    for _ in range(n.bit_length() - 1):
         inc = 2.0 * inc + inc @ inc
+        increments.append(inc)
+    return increments
+
+
+def _rk4_steps(increments: list[np.ndarray], y: np.ndarray, n: int) -> np.ndarray:
+    """``n`` RK4 steps ``y -> P^n y`` by binary powering: ``y -> y +
+    (P^(2^j) - I) y`` for every set bit ``j`` of ``n``, lowest first, with
+    the increments of :func:`_rk4_increments`."""
+    for j, inc in enumerate(increments):
+        if n >> j & 1:
+            y = y + inc @ y
+    return y
 
 
 def integrate_master(
@@ -273,7 +350,11 @@ def integrate_master(
     the closed-form propagator.  The generator is linear and constant, so a
     span of ``n`` steps is advanced by the ``n``-th power of the RK4 step
     matrix, taken by repeated squaring: about ``log2(n)`` 16x16 products
-    instead of ``4n`` matrix-vector products.
+    instead of ``4n`` matrix-vector products.  Spans of equal length share
+    one step size and step count, so their powers are built once per call
+    and kept, within a fixed budget, until the last span of that length
+    (``linspace(0, 10, 20)`` has 19 spans of 6 lengths); the samples are
+    those of building every span's powers anew.
 
     Parameters
     ----------
@@ -318,21 +399,34 @@ def integrate_master(
     terms = np.stack(
         [liouv, square / 2.0, square @ liouv / 6.0, square @ square / 24.0]
     ).reshape(4, 256)
+    steps = []
+    for span in spans.tolist():
+        n = max(1, math.ceil(span / h_bound))
+        steps.append((span / n, n))
+    last_use = {key: i for i, key in enumerate(steps)}
+    kept, kept_matrices, built = {}, 0, 0
     y = rho0.reshape(16).astype(complex)
     states = []
     overflow = None
-    for left, right in zip(times[:-1], times[1:]):
-        span = float(right - left)
-        n = max(1, math.ceil(span / h_bound))
+    for i, ((h, n), right) in enumerate(zip(steps, times[1:])):
         try:
             with np.errstate(over="raise", invalid="raise"):
-                y = _rk4_steps(terms, y, span / n, n)
+                increments = kept.pop((h, n), None)
+                if increments is None:
+                    increments = _rk4_increments(terms, h, n)
+                    built += 1
+                else:
+                    kept_matrices -= len(increments)
+                y = _rk4_steps(increments, y, n)
         except FloatingPointError:
             overflow = InvariantViolation(
-                f"RK4 steps of {span / n!r} overflow by t={right:g}: max_step={max_step!r} "
+                f"RK4 steps of {h!r} overflow by t={right:g}: max_step={max_step!r} "
                 f"is beyond RK4's stability limit for these rates"
             )
             break
+        if last_use[h, n] > i and kept_matrices + len(increments) <= _KEPT_POWER_MATRICES:
+            kept[h, n] = increments
+            kept_matrices += len(increments)
         states.append(y)
 
     # Every sample is checked at once, in the order a per-sample loop would
@@ -366,6 +460,8 @@ def integrate_master(
         samples=np.concatenate((rho0[None], rho)),
         max_trace_drift=float(drift.max(initial=0.0)),
         max_hermiticity_defect=float(hermiticity_defect(raw).max(initial=0.0)),
+        rk4_steps=sum(n for _, n in steps),
+        span_powers=built,
     )
 
 
@@ -397,30 +493,44 @@ def coherence_factors(params: ModelParams, t):
     return lead * (2.0 + fall), -lead * fall / mu
 
 
-def checked_times(params: ModelParams, t) -> np.ndarray:
+def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
     """``t`` (scalar or array) as a float array, once every time is finite and
     nonnegative and the phase ``2 omega t`` is finite at the latest of them.
 
     The closed forms accept exactly these times; raises
-    :class:`InvariantViolation` naming the first time that fails.
+    :class:`InvariantViolation` naming the first time that fails.  For a
+    :class:`ParamFamily` the times are broadcast against the members (a
+    read-only view, one time per member), and the first member (in C order)
+    whose own time fails raises that member's message.
     """
     tt = np.asarray(t, dtype=float)
+    family = isinstance(params, ParamFamily)
+    if family:
+        tt = np.broadcast_to(tt, np.broadcast_shapes(tt.shape, params.shape))
     if tt.ndim == 0:  # one float: no array reductions, which cost microseconds
         earliest = latest = float(tt)
     elif tt.size:
         earliest, latest = float(tt.min()), float(tt.max())
     else:
         return tt
-    if earliest >= 0.0 and math.isfinite(2.0 * params.omega * latest):
+    omega = float(params.omega.max()) if family else params.omega
+    if earliest >= 0.0 and math.isfinite(2.0 * omega * latest):
         return tt
+    if family:  # the largest coupling and time may belong to different members
+        times, omegas = tt.ravel(), np.broadcast_to(params.omega, tt.shape).ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad = ~(np.isfinite(times) & (times >= 0.0) & np.isfinite(2.0 * omegas * times))
+        if not bad.any():
+            return tt
+        first = int(np.argmax(bad))
+        tt, omega, latest = times[first:first + 1], float(omegas[first]), float(times[first])
     bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
     if bad.size:
         raise InvariantViolation(f"time must be finite and nonnegative, got {float(bad[0])!r}")
-    raise InvariantViolation(
-        f"phase 2 omega t overflows at t={latest!r}, omega={params.omega!r}")
+    raise InvariantViolation(f"phase 2 omega t overflows at t={latest!r}, omega={omega!r}")
 
 
-def relaxation_envelope(params: ModelParams, tt: np.ndarray) -> np.ndarray:
+def relaxation_envelope(params: ModelParams | ParamFamily, tt: np.ndarray) -> np.ndarray:
     """``e^{-R t}`` at checked times ``tt``, ``R = gamma (1 + 2m)``.
 
     Times beyond ``_DECAY_CUTOFF / R``, where the envelope rounds to 0, are
@@ -540,13 +650,13 @@ def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XSt
 
 # --- reduced populations of the watched atom ---------------------------------
 
-def population_from_excited(params: ModelParams, t):
+def population_from_excited(params: ModelParams | ParamFamily, t):
     """Excited population of atom 1 when the pair starts in ``|10>``.
 
-    Accepts a scalar or array ``t`` (see :func:`checked_times`).  Equals
-    ``a(t) + b(t)`` of the propagated state; the closed form mixes the thermal
-    background with an exchange oscillation at ``2 omega`` under the
-    relaxation envelope.
+    Accepts a scalar or array ``t`` and a :class:`ParamFamily` (see
+    :func:`checked_times`).  Equals ``a(t) + b(t)`` of the propagated state;
+    the closed form mixes the thermal background with an exchange
+    oscillation at ``2 omega`` under the relaxation envelope.
     """
     m = params.m
     tt = checked_times(params, t)
@@ -555,11 +665,12 @@ def population_from_excited(params: ModelParams, t):
     return float(value) if tt.ndim == 0 else value
 
 
-def population_from_ground(params: ModelParams, t):
+def population_from_ground(params: ModelParams | ParamFamily, t):
     """Excited population of atom 1 when the pair starts in ``|00>``.
 
     Monotone thermalization ``q (1 - e^{-rate t})``; independent of ``omega``.
-    Accepts a scalar or array ``t`` (see :func:`checked_times`).
+    Accepts a scalar or array ``t`` and a :class:`ParamFamily` (see
+    :func:`checked_times`).
     """
     tt = checked_times(params, t)
     value = params.thermal_occupation * (1.0 - relaxation_envelope(params, tt))

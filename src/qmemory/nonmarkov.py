@@ -6,7 +6,9 @@ a population difference and collapses to the closed form
 
     D(t) = exp(-gamma (1 + 2m) t) * cos^2(omega t),
 
-verified against the two-population route to 1e-12 by the test suite.  The
+verified against the two-population route to 1e-12 by the test suite.  Both
+routes accept a :class:`~qmemory.dynamics.ParamFamily` and evaluate all its
+members in one array pass, as ``validate`` does for its 1000 draws.  The
 memory measure accumulates D over its intervals of increase, which are known
 exactly: D rises from each zero ``t_k = (pi/2 + k pi) / omega`` to the next
 peak ``s_k = (pi - atan(R / 2 omega) + k pi) / omega``, ``R = gamma (1 + 2m)``.
@@ -46,6 +48,7 @@ import numpy as np
 
 from .dynamics import (
     ModelParams,
+    ParamFamily,
     checked_times,
     coherence_factors,
     coherence_root,
@@ -187,21 +190,23 @@ class Classification:
 
 # --- canonical pair: closed forms -------------------------------------------
 
-def trace_distance_pair(params: ModelParams, t):
+def trace_distance_pair(params: ModelParams | ParamFamily, t):
     """Trace distance of the reduced atom-1 states for the ``|10>``/``|00>`` pair.
 
     Computed by the population route ``(|p+ - p-| + |q+ - q-|) / 2`` with
-    ``q = 1 - p``; accepts scalar or array ``t``.
+    ``q = 1 - p``; accepts scalar or array ``t`` and a :class:`ParamFamily`
+    (see :func:`~qmemory.dynamics.checked_times`).
     """
     p_plus = population_from_excited(params, t)
     p_minus = population_from_ground(params, t)
     return 0.5 * (abs(p_plus - p_minus) + abs((1.0 - p_plus) - (1.0 - p_minus)))
 
 
-def trace_distance_closed_form(params: ModelParams, t):
+def trace_distance_closed_form(params: ModelParams | ParamFamily, t):
     """Algebraically simplified form of the same distance: envelope times cos^2.
 
-    Accepts a scalar or array ``t`` (see :func:`~qmemory.dynamics.checked_times`).
+    Accepts a scalar or array ``t`` and a :class:`ParamFamily` (see
+    :func:`~qmemory.dynamics.checked_times`).
     """
     tt = checked_times(params, t)
     value = relaxation_envelope(params, tt) * np.cos(params.omega * tt) ** 2

@@ -194,12 +194,15 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
 
     The per-sample loop, kept as the reference for the integrator's single
     pass over the stack of samples: each span is advanced by the library's
-    ``_rk4_steps``, then the sample is Hermitized, drift-checked,
-    renormalized and validated before the next span is advanced.  Returns
-    the samples; raises what the first failing span or sample raises.
+    ``_rk4_steps`` with step-matrix powers built anew for that span (the
+    library reuses them across spans of equal length), then the sample is
+    Hermitized, drift-checked, renormalized and validated before the next
+    span is advanced.  Returns the samples; raises what the first failing
+    span or sample raises.
     """
     from qmemory.densmat import TRACE_TOL, validate_density_matrix
-    from qmemory.dynamics import SAMPLE_POSITIVITY_TOL, STEP_RESOLUTION, _rk4_steps
+    from qmemory.dynamics import (
+        SAMPLE_POSITIVITY_TOL, STEP_RESOLUTION, _rk4_increments, _rk4_steps)
     from qmemory.errors import InvariantViolation
 
     times = np.asarray(times, dtype=float)
@@ -217,7 +220,7 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
         n = max(1, math.ceil(span / h))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                y = _rk4_steps(terms, y, span / n, n)
+                y = _rk4_steps(_rk4_increments(terms, span / n, n), y, n)
         except FloatingPointError:
             raise InvariantViolation(
                 f"RK4 steps of {span / n!r} overflow by t={right:g}: max_step={max_step!r} "

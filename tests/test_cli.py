@@ -17,10 +17,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmemory import ModelParams, blp_measure, classify_dynamics, NON_MARKOVIAN
+from qmemory import ModelParams, classify_dynamics, NON_MARKOVIAN
 from qmemory import cli
 
-from helpers import CANONICAL, N_CANONICAL, N_OMEGA_01
+from helpers import N_CANONICAL
 
 REPO = Path(__file__).resolve().parents[1]
 

@@ -1,5 +1,6 @@
 """Generator, integrator, exact propagator, and published-solution probes."""
 import math
+import re
 import time
 import warnings
 
@@ -11,6 +12,7 @@ from qmemory import (
     GRID_OCCUPATIONS,
     GRID_OMEGAS,
     ModelParams,
+    ParamFamily,
     Trajectory,
     XSTATE_00,
     XSTATE_10,
@@ -28,6 +30,8 @@ from qmemory import (
     propagate_xstate_published,
     superoperator,
     thermal_xstate,
+    trace_distance_closed_form,
+    trace_distance_pair,
     validate_density_matrix,
 )
 from qmemory import dynamics
@@ -108,6 +112,116 @@ class TestModelParams:
         seen = {(p.gamma, p.m, p.omega) for p in grid}
         assert len(seen) == 27
         assert list(grid) == sorted(grid, key=lambda p: (p.gamma, p.m, p.omega))
+
+
+FAMILY_FORMS = (population_from_excited, population_from_ground, trace_distance_pair,
+                trace_distance_closed_form)
+
+
+def _family_draws(rng, size):
+    """Random members and times, with m = 0, omega = 0, t = 0 and a time
+    beyond the envelope's decay cutoff among them."""
+    gamma = rng.uniform(0.05, 1.0, size)
+    m = rng.uniform(0.0, 3.0, size)
+    omega = rng.uniform(0.0, 1.5, size)
+    t = rng.uniform(0.0, 20.0, size)
+    m[0], omega[1], t[2], t[3] = 0.0, 0.0, 0.0, 1e5
+    return gamma, m, omega, t
+
+
+def _rejection(call):
+    with pytest.raises(InvariantViolation) as info:
+        call()
+    return str(info.value)
+
+
+class TestParamFamily:
+    @pytest.mark.parametrize("form", FAMILY_FORMS)
+    def test_members_match_member_calls(self, form):
+        # bit for bit, each member against its own call at a length-1 time array
+        gamma, m, omega, t = _family_draws(np.random.default_rng(61), 300)
+        values = form(ParamFamily(gamma, m, omega), t)
+        assert values.shape == (300,)
+        for i, value in enumerate(values.tolist()):
+            member = ModelParams(float(gamma[i]), float(m[i]), float(omega[i]))
+            assert form(member, t[i:i + 1]).tolist() == [value]
+
+    @pytest.mark.parametrize("form", FAMILY_FORMS)
+    def test_members_broadcast_against_times(self, form):
+        # a column of members against a row of times: one table, row by row
+        gamma, m, omega, t = _family_draws(np.random.default_rng(62), 12)
+        family = ParamFamily(gamma[:, None], m[:, None], omega[:, None])
+        assert family.shape == (12, 1)
+        table = form(family, t)
+        assert table.shape == (12, 12)
+        for i in range(12):
+            member = ModelParams(float(gamma[i]), float(m[i]), float(omega[i]))
+            for j in range(12):
+                assert form(member, t[j:j + 1]).tolist() == [table[i, j]]
+        assert form(ParamFamily(0.2, 0.5, [0.0, 0.8]), 1.5).tolist() == [
+            form(ModelParams(0.2, 0.5, omega), np.array([1.5]))[0] for omega in (0.0, 0.8)]
+        assert form(family, np.empty(0)).shape == (12, 0)
+        assert type(form(ParamFamily(0.2, 0.5, 0.8), 1.5)) is float
+
+    def test_derived_rates_match_members(self):
+        gamma, m, omega, _ = _family_draws(np.random.default_rng(63), 50)
+        family = ParamFamily(gamma, m, omega)
+        for i in range(50):
+            member = ModelParams(float(gamma[i]), float(m[i]), float(omega[i]))
+            assert family.relaxation_rate[i] == member.relaxation_rate
+            assert family.thermal_occupation[i] == member.thermal_occupation
+
+    def test_arrays_are_read_only_copies(self):
+        gamma = np.array([0.2, 0.3])
+        family = ParamFamily(gamma, 0.5, [1, 2])
+        gamma[0] = -1.0
+        assert family.gamma.tolist() == [0.2, 0.3]
+        assert family.omega.dtype == float and family.shape == (2,)
+        for values in (family.gamma, family.m, family.omega):
+            assert not values.flags.writeable
+
+    @pytest.mark.parametrize("name, bad", [
+        ("gamma", math.nan), ("gamma", math.inf), ("m", -math.inf), ("omega", math.nan),
+        ("gamma", 0.0), ("gamma", -1.0), ("gamma", MIN_GAMMA / 2.0), ("m", -0.1),
+        ("omega", -0.5), ("gamma", 2.0 * MAX_PARAMETER), ("m", 2.0 * MAX_PARAMETER),
+        ("omega", 2.0 * MAX_PARAMETER), ("m", MAX_PARAMETER),  # gamma (1 + 2m) above
+    ])
+    def test_rejects_what_members_reject(self, name, bad):
+        columns = {"gamma": [0.2, 1.0, 0.5], "m": [0.5, 0.0, 2.0], "omega": [0.8, 0.3, 0.0]}
+        columns[name][1] = bad
+        member = {key: values[1] for key, values in columns.items()}
+        message = _rejection(lambda: ModelParams(**member))
+        assert _rejection(lambda: ParamFamily(**columns)) == message
+        # the first bad member is named, in C order over the broadcast shape
+        columns[name][2] = -2.0 if bad >= 0 else math.inf
+        assert _rejection(lambda: ParamFamily(**columns)) == message
+        rows = {key: np.array(values)[:, None] for key, values in columns.items()}
+        rows["gamma"] = rows["gamma"] + np.zeros(4)
+        assert _rejection(lambda: ParamFamily(**rows)) == message
+
+    def test_rejects_non_numbers_and_mismatched_shapes(self):
+        with pytest.raises(InvariantViolation, match="gamma must be an array of numbers"):
+            ParamFamily(["0.2"], 0.5, 0.8)
+        with pytest.raises(InvariantViolation, match="omega must be an array of numbers"):
+            ParamFamily(0.2, 0.5, [0.8 + 1j])
+        with pytest.raises(DimensionMismatchError, match="do not broadcast"):
+            ParamFamily([0.2, 0.3], 0.5, [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("form", FAMILY_FORMS)
+    def test_rejects_member_times(self, form):
+        family = ParamFamily([0.2, 0.2, 0.2], 0.5, [0.8, 2.0, 0.8])
+        for t in ([1.0, 1e308, 1.0], [1.0, -0.5, 1.0], [1.0, 1e308, math.nan],
+                  [1.0, 2.0, math.inf], [1e308, 1e308, 1e308]):
+            t = np.array(t)
+            first = next(i for i in range(3) if not (0.0 <= t[i] < math.inf and math.isfinite(
+                2.0 * float(family.omega[i]) * float(t[i]))))
+            member = ModelParams(0.2, 0.5, float(family.omega[first]))
+            message = _rejection(lambda: form(member, t[first:first + 1]))
+            assert _rejection(lambda: form(family, t)) == message
+        # every member at one time: the coupling that overflows is named
+        message = "phase 2 omega t overflows at t=1e+308, omega=2.0"
+        assert _rejection(lambda: form(family, 1e308)) == message
+        assert form(ParamFamily(0.2, 0.5, [0.0, 0.8]), 1e300).shape == (2,)
 
 
 class TestGenerator:
@@ -463,7 +577,7 @@ class TestIntegrator:
             integrate_master(rho0, CANONICAL, [0.0, 1000.0], max_step=5.0)
 
     def test_nan_trace_drift_rejected(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_rk4_steps", lambda terms, y, h, n: y * math.nan)
+        monkeypatch.setattr(dynamics, "_rk4_steps", lambda increments, y, n: y * math.nan)
         with pytest.raises(InvariantViolation, match="trace drift nan"):
             integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0])
 
@@ -560,7 +674,7 @@ class TestIntegrator:
         }
         script = iter(spans)
 
-        def steps(terms, y, h, n):
+        def steps(increments, y, n):
             state = next(script)
             if state == "overflow":
                 raise FloatingPointError(state)
@@ -574,6 +688,36 @@ class TestIntegrator:
         traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0])
         assert len(traj.samples) == 1
         assert np.max(np.abs(traj.samples[0] - embed_xstate(XSTATE_10))) == 0.0
+        assert (traj.rk4_steps, traj.span_powers) == (0, 0)
+
+    @pytest.mark.parametrize("max_step", [None, 0.5])
+    def test_work_counts(self, max_step):
+        # 19 spans of 6 distinct lengths: 6 power lists, one per length
+        times = np.linspace(0.0, 10.0, 20)
+        h = STEP_RESOLUTION / max(CANONICAL.relaxation_rate, CANONICAL.omega)
+        h = h if max_step is None else max_step
+        spans = np.diff(times).tolist()
+        traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, times, max_step=max_step)
+        assert traj.rk4_steps == sum(max(1, math.ceil(span / h)) for span in spans)
+        assert (len(spans), len(set(spans)), traj.span_powers) == (19, 6, 6)
+        # spans that never recur build one list each
+        distinct = np.cumsum([0.0, 0.1, 0.2, 0.4, 0.8])
+        traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, distinct, max_step=max_step)
+        assert traj.span_powers == 4
+
+    def test_kept_powers_are_bounded(self):
+        # 64 lengths of 600 to 994 steps (10 powers each), then the same 64
+        # again: only as many lists as the budget holds are kept, the rest
+        # are built again, with the same samples (dyadic lengths: every span
+        # is exact)
+        kept = dynamics._KEPT_POWER_MATRICES // 10
+        lengths = 6.0 + np.arange(64) / 16.0
+        times = np.concatenate([[0.0], np.cumsum(np.tile(lengths, 2))])
+        rho0 = embed_xstate(XSTATE_10)
+        traj = integrate_master(rho0, CANONICAL, times, max_step=0.01)
+        assert traj.span_powers == 2 * 64 - kept
+        assert traj.samples.tobytes() == np.array(
+            integrate_per_sample(rho0, CANONICAL, times, 0.01)).tobytes()
 
 
 class TestTrajectoryRecord:

@@ -450,6 +450,28 @@ class TestClassification:
                 classify_dynamics(CANONICAL, eps=eps)
 
 
+class TestScalingCollapse:
+    """The canonical measure over the default window is a function of
+    ``x = omega / R`` alone, and nondecreasing in it."""
+
+    def test_measure_nondecreasing_in_coupling_ratio(self):
+        ratios = np.geomspace(1e-3, 3e3, 20001)
+        n_values = [classify_dynamics(ModelParams(1.0, 0.0, float(x))).n_value for x in ratios]
+        assert n_values[0] == 0.0 and n_values[-1] > 300.0
+        assert np.all(np.diff(n_values) >= 0.0)
+
+    def test_measure_depends_on_ratio_alone(self):
+        rng = np.random.default_rng(66)
+        for _ in range(2000):
+            gamma = math.exp(rng.uniform(math.log(0.01), math.log(3.2)))
+            m = float(rng.uniform(0.0, 3.0))
+            ratio = math.exp(rng.uniform(math.log(0.03), math.log(30.0)))
+            params = ModelParams(gamma, m, ratio * gamma * (1.0 + 2.0 * m))
+            n_value = classify_dynamics(params).n_value
+            unit = classify_dynamics(ModelParams(1.0, 0.0, params.omega / params.relaxation_rate))
+            assert abs(n_value - unit.n_value) <= 1e-13 * unit.n_value
+
+
 class TestCandidateTable:
     @pytest.mark.parametrize("grid_size", range(2, MAX_GRID_SIZE + 1))
     def test_matches_kron_oracle(self, grid_size):

@@ -10,6 +10,7 @@ from qmemory import (
     CANONICAL_PARAMS,
     CheckResult,
     GENERIC_XSTATE,
+    ModelParams,
     NotXFormError,
     extract_xstate,
     hermitian_eigenvalues,
@@ -17,7 +18,12 @@ from qmemory import (
     validate_density_matrix,
 )
 from qmemory import validate
-from qmemory.nonmarkov import default_truncation_time, trace_distance_rate
+from qmemory.nonmarkov import (
+    default_truncation_time,
+    trace_distance_closed_form,
+    trace_distance_pair,
+    trace_distance_rate,
+)
 from qmemory.validate import GENERIC_STATE
 
 EXPECTED_NAMES = [
@@ -80,6 +86,37 @@ class TestNegativeControl:
             "populations-vs-integrator",
             "entanglement-consistency",
         }
+
+
+def _sequential_draws():
+    """The distance check's 1000 rows as 4000 scalar draws, one member at a time."""
+    rng = np.random.default_rng(validate.RNG_SEED)
+    return [(float(rng.uniform(0.05, 1.0)), float(rng.uniform(0.0, 3.0)),
+             float(rng.uniform(0.0, 1.5)), float(rng.uniform(0.0, 20.0)))
+            for _ in range(1000)]
+
+
+class TestDistanceFamily:
+    def test_family_holds_the_sequential_draws(self, monkeypatch):
+        calls = []
+
+        def recording_pair(params, t):
+            calls.append((params, t))
+            return trace_distance_pair(params, t)
+
+        monkeypatch.setattr(validate, "trace_distance_pair", recording_pair)
+        validate._check_distance_closed_form()
+        ((family, t),) = calls
+        rows = np.column_stack([family.gamma, family.m, family.omega, t])
+        assert rows.tolist() == [list(row) for row in _sequential_draws()]
+
+    def test_report_matches_member_loop(self):
+        worst = max(
+            abs(trace_distance_pair(ModelParams(g, m, omega), t)
+                - trace_distance_closed_form(ModelParams(g, m, omega), t))
+            for g, m, omega, t in _sequential_draws())
+        assert validate._check_distance_closed_form() == (
+            True, f"worst |D_pair - D_closed| = {worst:.3e} (tol 1e-12)", ())
 
 
 class TestBoundedMemory:
