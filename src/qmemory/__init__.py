@@ -58,9 +58,7 @@ from .dynamics import (
 from .entangle import (
     EntanglementVariant,
     binary_entropy,
-    entanglement_at_revival,
     entanglement_entropy,
-    revival_instant,
     steady_entanglement,
 )
 from .errors import (
@@ -70,7 +68,6 @@ from .errors import (
     NegativeEigenvalueError,
     NonHermitianError,
     NotXFormError,
-    OmegaZeroError,
     QmemoryError,
 )
 from .nonmarkov import (
@@ -109,12 +106,11 @@ __all__ = [
     "population_from_ground", "propagate_exact", "propagate_xstate_exact",
     "propagate_xstate_published", "superoperator", "thermal_xstate",
     # entangle
-    "EntanglementVariant", "binary_entropy", "entanglement_at_revival",
-    "entanglement_entropy", "revival_instant", "steady_entanglement",
+    "EntanglementVariant", "binary_entropy", "entanglement_entropy",
+    "steady_entanglement",
     # errors
     "DimensionMismatchError", "InvalidGridError", "InvariantViolation",
-    "NegativeEigenvalueError", "NonHermitianError", "NotXFormError",
-    "OmegaZeroError", "QmemoryError",
+    "NegativeEigenvalueError", "NonHermitianError", "NotXFormError", "QmemoryError",
     # nonmarkov
     "BlpResult", "Classification", "IncreaseInterval", "MARKOVIAN",
     "NON_MARKOVIAN", "blp_measure", "blp_measure_maximized",

@@ -40,6 +40,8 @@ from .validate import run_validation
 
 # Largest number of CSV data rows one invocation may emit.
 MAX_ROWS = 10**6
+# Largest --config file, in bytes, that one invocation reads.
+MAX_CONFIG_BYTES = 2**16
 # CSV lines per write: few system calls even when stdout is unbuffered.
 _WRITE_BLOCK = 4096
 
@@ -137,9 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
 # --- config resolution -------------------------------------------------------
 
 def load_config_file(path: str) -> dict:
-    """Parse a ``key = value`` file; ``#`` starts a comment."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a ``key = value`` file of at most :data:`MAX_CONFIG_BYTES` bytes;
+    ``#`` starts a comment."""
+    with open(path, "rb") as fh:
+        data = fh.read(MAX_CONFIG_BYTES + 1)
+    if len(data) > MAX_CONFIG_BYTES:
+        raise InvariantViolation(
+            f"{path}: config file is longer than the limit of {MAX_CONFIG_BYTES} bytes")
+    text = data.decode("utf-8")
     settings: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -242,10 +249,10 @@ def cmd_trace_distance(cfg: RunConfig) -> int:
 def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> int:
     if points < 1:
         raise InvariantViolation(f"--points must be >= 1, got {points!r}")
-    if not (lo <= hi):
-        raise InvariantViolation(f"--from must not exceed --to, got {lo!r} > {hi!r}")
     for end in (lo, hi):  # every parameter limit is an interval, so the family is valid
         replace(cfg.params, **{param: end})
+    if lo > hi:
+        raise InvariantViolation(f"--from must not exceed --to, got {lo!r} > {hi!r}")
     t = _time_grid(cfg, points)
     values = np.linspace(lo, hi, points)
 

@@ -30,8 +30,7 @@ import numpy as np
 
 from .densmat import _neg_p_log2_p
 from .dynamics import ModelParams, population_from_excited, population_from_ground
-from .errors import InvariantViolation, OmegaZeroError
-from .nonmarkov import first_revival_time
+from .errors import InvariantViolation
 
 
 class EntanglementVariant(Enum):
@@ -94,26 +93,3 @@ def steady_entanglement(
     q = m / (1.0 + 2.0 * m)
     return float(_reading(q, q, variant))
 
-
-def revival_instant(params: ModelParams) -> float:
-    """First time the two preparations become indistinguishable: pi / (2 omega).
-
-    There the oscillation factor crosses zero, the excited populations of the
-    two preparations coincide, and the trace distance touches zero before its
-    first revival (:func:`~qmemory.nonmarkov.first_revival_time`).  Undefined
-    without exchange coupling.
-    """
-    t_rev = first_revival_time(params)
-    if t_rev is None:
-        raise OmegaZeroError(
-            "no revival exists at zero exchange coupling (distance decays monotonically)"
-        )
-    return t_rev
-
-
-def entanglement_at_revival(
-    params: ModelParams,
-    variant: EntanglementVariant = EntanglementVariant.PUBLISHED,
-) -> float:
-    """Entanglement evaluated exactly at :func:`revival_instant`."""
-    return float(entanglement_entropy(params, revival_instant(params), variant))

@@ -31,6 +31,3 @@ class NegativeEigenvalueError(QmemoryError, ValueError):
 class InvalidGridError(QmemoryError, ValueError):
     """A time grid is empty, unordered, or does not start at zero."""
 
-
-class OmegaZeroError(QmemoryError, ValueError):
-    """Operation requires a finite revival time, which needs omega > 0."""

@@ -202,6 +202,17 @@ def trace_distance_pair(params: ModelParams | ParamFamily, t):
     return 0.5 * (abs(p_plus - p_minus) + abs((1.0 - p_plus) - (1.0 - p_minus)))
 
 
+def _cos_squared(params: ModelParams | ParamFamily, tt):
+    """``cos^2(omega t)`` as one multiplication, in place for an array.
+
+    A float time and an array then round alike (``** 2`` takes numpy's
+    ``pow`` for a scalar), and no second array of the times' size is kept.
+    """
+    c = np.cos(params.omega * tt)
+    c *= c
+    return c
+
+
 def trace_distance_closed_form(params: ModelParams | ParamFamily, t):
     """Algebraically simplified form of the same distance: envelope times cos^2.
 
@@ -209,7 +220,7 @@ def trace_distance_closed_form(params: ModelParams | ParamFamily, t):
     :func:`~qmemory.dynamics.checked_times`).
     """
     tt = checked_times(params, t)
-    value = relaxation_envelope(params, tt) * np.cos(params.omega * tt) ** 2
+    value = relaxation_envelope(params, tt) * _cos_squared(params, tt)
     return float(value) if tt.ndim == 0 else value
 
 
@@ -221,9 +232,8 @@ def trace_distance_rate(params: ModelParams, t):
     (see :func:`~qmemory.dynamics.checked_times`).
     """
     tt = checked_times(params, t)
-    rate = params.relaxation_rate
     value = -relaxation_envelope(params, tt) * (
-        rate * np.cos(params.omega * tt) ** 2
+        params.relaxation_rate * _cos_squared(params, tt)
         + params.omega * np.sin(2.0 * params.omega * tt)
     )
     return float(value) if tt.ndim == 0 else value
@@ -348,7 +358,7 @@ def first_revival_time(params: ModelParams) -> float | None:
     ``None`` when the exchange coupling is zero (monotone decay); otherwise
     ``pi / (2 omega)``, where the distance touches zero.
     """
-    return None if params.omega == 0.0 else math.pi / (2.0 * params.omega)
+    return None if params.omega == 0.0 else _zero_time(params.omega, 0)
 
 
 def classify_dynamics(

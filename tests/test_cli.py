@@ -202,6 +202,21 @@ class TestConfigFile:
         proc = run_cli("trace-distance", "--config", str(tmp_path / "absent.cfg"))
         assert proc.returncode == 3
 
+    def test_read_is_bounded(self, tmp_path):
+        # a file of exactly the limit is read; one byte more is rejected unparsed
+        line = "steps = 3\n"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "#" * (cli.MAX_CONFIG_BYTES - len(line) - 1) + "\n")
+        assert cfg.stat().st_size == cli.MAX_CONFIG_BYTES
+        proc = run_cli("trace-distance", "--config", str(cfg))
+        assert proc.returncode == 0, proc.stderr
+        assert len(parse_csv(proc.stdout)[2]) == 3
+        cfg.write_text(line + "#" * (cli.MAX_CONFIG_BYTES - len(line)) + "\n")
+        proc = run_cli("trace-distance", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert f"limit of {cli.MAX_CONFIG_BYTES} bytes" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestSweep:
     def test_family_rows_and_flags(self, tmp_path):
@@ -248,6 +263,13 @@ class TestSweep:
                        "--points", "0").returncode == 1
         assert run_cli("sweep", "--param", "omega", "--from", "1", "--to", "0",
                        "--points", "3").returncode == 1
+
+    @pytest.mark.parametrize("lo, hi", [("nan", "1"), ("0", "nan")])
+    def test_nan_endpoint_is_not_an_order_error(self, lo, hi):
+        proc = run_cli("sweep", "--param", "omega", "--from", lo, "--to", hi, "--points", "3")
+        assert proc.returncode == 1
+        assert "omega must be a finite number, got nan" in proc.stderr
+        assert "must not exceed" not in proc.stderr
 
 
 class TestBlp:

@@ -10,17 +10,16 @@ from qmemory import (
     XSTATE_10,
     binary_entropy,
     embed_xstate,
-    entanglement_at_revival,
     entanglement_entropy,
+    first_revival_time,
     integrate_master,
     partial_trace_qubit2,
     population_from_excited,
     population_from_ground,
-    revival_instant,
     steady_entanglement,
     von_neumann_entropy,
 )
-from qmemory.errors import InvariantViolation, OmegaZeroError
+from qmemory.errors import InvariantViolation
 
 from helpers import (
     CANONICAL,
@@ -153,24 +152,19 @@ class TestRevival:
             params = random_params(rng)
             if params.omega == 0.0:
                 continue
-            assert abs(revival_instant(params) - math.pi / (2.0 * params.omega)) < 1e-15
-
-    def test_uncoupled_has_no_revival(self):
-        params = ModelParams(0.2, 0.5, 0.0)
-        with pytest.raises(OmegaZeroError):
-            revival_instant(params)
-        with pytest.raises(OmegaZeroError):
-            entanglement_at_revival(params)
+            assert first_revival_time(params) == math.pi / (2.0 * params.omega)
 
     def test_value_at_revival(self):
-        assert abs(entanglement_at_revival(CANONICAL, PUBLISHED) - E_PUBLISHED_T_STAR) < 1e-12
-        assert abs(entanglement_at_revival(CANONICAL, SUBSYSTEM) - E_SUBSYSTEM_T_STAR) < 1e-12
+        assert first_revival_time(CANONICAL) == T_STAR
+        assert abs(entanglement_entropy(CANONICAL, T_STAR, PUBLISHED) - E_PUBLISHED_T_STAR) < 1e-12
+        assert abs(entanglement_entropy(CANONICAL, T_STAR, SUBSYSTEM) - E_SUBSYSTEM_T_STAR) < 1e-12
 
     def test_fast_damping_saturates_published_form(self):
         # strong decay reaches the thermal populations q = 1/4 before the
         # revival, where -2 q log2 q = 1 exactly
         params = ModelParams(gamma=10.0, m=0.5, omega=0.8)
-        assert abs(entanglement_at_revival(params, PUBLISHED) - 1.0) < 1e-4
+        t_rev = first_revival_time(params)
+        assert abs(entanglement_entropy(params, t_rev, PUBLISHED) - 1.0) < 1e-4
 
 
 class TestSteadyEntanglement:

@@ -47,7 +47,7 @@ from qmemory.nonmarkov import (
     _slope_bound,
 )
 from qmemory.errors import InvalidGridError, InvariantViolation, QmemoryError
-from qmemory.validate import GENERIC_STATE
+from qmemory.validate import GENERIC_STATE, RNG_SEED
 
 from helpers import (
     CANONICAL,
@@ -818,6 +818,21 @@ class TestClosedFormShapes:
             value = form(CANONICAL, t)
             assert isinstance(value, np.ndarray) and value.shape == shape
             assert [form(CANONICAL, float(x)) for x in t.flat] == value.ravel().tolist()
+
+    @pytest.mark.parametrize("form", (trace_distance_closed_form, trace_distance_rate))
+    def test_float_time_matches_length_one_array(self, form):
+        # validate's 1000 distance draws, then a point where squaring the
+        # cosine with ** 2 rounded a float time and an array one ulp apart
+        rows = np.random.default_rng(RNG_SEED).uniform(
+            [0.05, 0.0, 0.0, 0.0], [1.0, 3.0, 1.5, 20.0], size=(1000, 4)).tolist()
+        rows.append([0.9701857864245754, 1.038354369116501, 0.8371928998564766,
+                     6.516677513379657])
+        scalar, array = [], []
+        for gamma, m, omega, t in rows:
+            params = ModelParams(gamma, m, omega)
+            scalar.append(form(params, t))
+            array.append(form(params, np.array([t]))[0])
+        assert np.array(scalar).tobytes() == np.array(array).tobytes()
 
 
 class TestExtremeTimes:
