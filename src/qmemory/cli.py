@@ -146,7 +146,13 @@ def load_config_file(path: str) -> dict:
     if len(data) > MAX_CONFIG_BYTES:
         raise InvariantViolation(
             f"{path}: config file is longer than the limit of {MAX_CONFIG_BYTES} bytes")
-    text = data.decode("utf-8")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise InvariantViolation(
+            f"{path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02x} ({exc.reason})"
+        ) from None
     settings: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -34,17 +34,22 @@ closed form:
   and ``mu- = conj(mu+)``.  ``mu+-`` never vanishes for ``gamma > 0``, so the
   block has no defective case.  k = -1 is the adjoint of k = +1.
 
-:func:`propagate_exact` evaluates every sector over a whole array of times;
+:func:`propagate_exact` evaluates every sector over a whole array of times
+(a time alone as an array of one, so that it rounds alike);
 :func:`propagate_xstate_exact` is its view of one X state at one time.
 
 Two quantities recur everywhere: the relaxation rate ``gamma (1 + 2m)`` and
 the thermal occupation ``q = m / (1 + 2m)`` of a single atom.
 
 A :class:`ParamFamily` holds many parameter sets as arrays.  The closed forms
-:func:`checked_times`, :func:`relaxation_envelope` and the two populations
-(and ``nonmarkov``'s two canonical distances) accept it wherever they accept
-:class:`ModelParams`: they broadcast its arrays against the times, and every
-member's value equals, bit for bit, that member's own call at its own time.
+:func:`checked_times`, :func:`relaxation_envelope`, :func:`coherence_factors`,
+:func:`propagate_exact` and the two populations (and ``nonmarkov``'s two
+canonical distances) accept it wherever they accept :class:`ModelParams`:
+they broadcast its arrays against the times, and every member's value
+equals, bit for bit, that member's own call at its own time.
+:func:`integrate_master` takes a 1-D family on one shared time grid and
+advances its members together, a block at a time, with stacked 16x16
+products; a :class:`ModelParams` is the one-member case of the same code.
 
 A previously published closed-form solution of the same rate equations ships
 verbatim as :func:`propagate_xstate_published`.  It is defective (it fails the
@@ -83,6 +88,10 @@ SAMPLE_POSITIVITY_TOL = 1e-9
 # keeps for span lengths that recur later: a span of n steps needs
 # bit_length(n) of them, and a uniform grid keeps two spans' worth at a time.
 _KEPT_POWER_MATRICES = 256
+# Members that integrate_master advances together.  Their stacked terms and
+# powers take a few hundred kB, and two power lists of up to 16 squarings
+# each, for all of them, fit in _KEPT_POWER_MATRICES.
+_BLOCK_MEMBERS = 8
 # Longest integrator span, in steps of the default policy.  Up to 1e21 such
 # steps every failure on the cross-check grid is a named trace-drift error;
 # from 1e22 on the step-matrix powers overflow.  The round-off that grows
@@ -265,6 +274,22 @@ _EXCHANGE = np.zeros((4, 4))
 _EXCHANGE[1, 2] = _EXCHANGE[2, 1] = 1.0  # |10><01| + |01><10|
 
 
+@lru_cache(maxsize=None)
+def _generator_terms() -> tuple:
+    """The (lowering, raising) dissipators ``D[L]`` of atom 1, then of atom
+    2, and the exchange commutator, on row-major vectorized states, in the
+    order the generator sums them.  Built on first use: ``np.kron`` at import
+    would map in numpy code that a run without the generator never needs."""
+    eye = np.eye(4)
+
+    def dissipator(jump):
+        number = jump.T @ jump
+        return np.kron(jump, jump) - 0.5 * (np.kron(number, eye) + np.kron(eye, number))
+
+    dissipators = tuple((dissipator(sm), dissipator(sp)) for sm, sp in zip(_SM, _SP))
+    return dissipators, np.kron(_EXCHANGE, eye) - np.kron(eye, _EXCHANGE)
+
+
 def _one_state(rho: np.ndarray) -> np.ndarray:
     """``rho`` checked by :func:`validate_density_matrix` as one 4x4 state;
     a stack, which that function also accepts, is rejected."""
@@ -272,6 +297,21 @@ def _one_state(rho: np.ndarray) -> np.ndarray:
     if rho.ndim != 2:
         raise DimensionMismatchError(f"rho must be square, got shape {rho.shape}")
     return validate_density_matrix(rho, dim=4)
+
+
+def _initial_states(rho0: np.ndarray, params: ModelParams | ParamFamily) -> np.ndarray:
+    """One valid 4x4 state, or for a :class:`ParamFamily` one per member
+    (shape ``params.shape + (4, 4)``), checked as one stack: the first
+    invalid member raises what checking it alone would raise."""
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.ndim == 2 or not isinstance(params, ParamFamily):
+        return _one_state(rho0)
+    if rho0.shape != params.shape + (4, 4):
+        raise DimensionMismatchError(
+            f"rho0 must be one 4x4 state or one per member, shape {params.shape + (4, 4)}, "
+            f"got shape {rho0.shape}")
+    validate_density_matrix(rho0.reshape(-1, 4, 4), dim=4)
+    return rho0
 
 
 def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -284,6 +324,19 @@ def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     return (superoperator(params) @ _one_state(rho).reshape(16)).reshape(4, 4)
 
 
+def _generators(gamma, m, omega) -> np.ndarray:
+    """The 16x16 generator of each parameter set: floats give one matrix,
+    arrays of shape ``(..., 1, 1)`` a stack, each matrix bit for bit that of
+    its floats."""
+    dissipators, commutator = _generator_terms()
+    liouv = np.zeros(np.broadcast_shapes(np.shape(gamma), (16, 16)), dtype=complex)
+    for lowering, raising in dissipators:
+        liouv += (m + 1.0) * gamma * lowering
+        liouv += m * gamma * raising
+    liouv += -1j * omega * commutator
+    return liouv
+
+
 @lru_cache(maxsize=64)
 def superoperator(params: ModelParams) -> np.ndarray:
     """16x16 matrix of the generator acting on row-major vectorized states.
@@ -294,56 +347,84 @@ def superoperator(params: ModelParams) -> np.ndarray:
     commutator ``kron(H, I) - kron(I, H)``.  Cached per parameter set and
     returned read-only.
     """
-    g, m, omega = params.gamma, params.m, params.omega
-    eye = np.eye(4)
-    liouv = np.zeros((16, 16), dtype=complex)
-    for i in range(2):
-        for rate, jump in (((m + 1.0) * g, _SM[i]), (m * g, _SP[i])):
-            number = jump.T @ jump
-            liouv += rate * (np.kron(jump, jump)
-                             - 0.5 * (np.kron(number, eye) + np.kron(eye, number)))
-    liouv += -1j * omega * (np.kron(_EXCHANGE, eye) - np.kron(eye, _EXCHANGE))
+    liouv = _generators(params.gamma, params.m, params.omega)
     liouv.setflags(write=False)
     return liouv
 
 
 # --- RK4 integration ---------------------------------------------------------
 
-def _rk4_increments(terms: np.ndarray, h: float, n: int) -> list[np.ndarray]:
+def _rk4_increments(terms: np.ndarray, h: np.ndarray, n: np.ndarray) -> list:
     """The increments ``P^(2^j) - I``, ``j = 0 .. bit_length(n) - 1``, of
-    the classic RK4 step matrix ``P = I + E`` of size ``h``.
+    the classic RK4 step matrix ``P = I + E`` of size ``h``, for each member.
 
     For the linear, constant generator ``L`` one step is ``P = I + E`` with
-    ``E = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; row ``k - 1`` of ``terms``
-    is ``L^k / k!`` flattened, ``k = 1..4``.  Each power is squared on the
-    increment (``P^2 = I + 2E + E^2``), so that the small entries of ``E``
-    are never rounded against the identity.
+    ``E = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; row ``k - 1`` of a member's
+    ``terms`` (``(P, 4, 256)``) is ``L^k / k!`` flattened, ``k = 1..4``.
+    ``h`` and the step counts ``n`` (integers held as floats) have one entry
+    per member.  Each power is squared on the increment (``P^2 = I + 2E +
+    E^2``), so that the small entries of ``E`` are never rounded against the
+    identity.  Entry ``j`` is ``(members, increments, odd)``: only the
+    members whose ``n`` has more than ``j`` bits are squared that far, and
+    ``odd`` picks the rows whose member's ``n`` has bit ``j`` set (all of
+    them: ``slice(None)``).
     """
-    inc = (np.array([h, h * h, h**3, h**4]) @ terms).reshape(16, 16)
-    increments = [inc]
-    for _ in range(n.bit_length() - 1):
-        inc = 2.0 * inc + inc @ inc
-        increments.append(inc)
+    # the powers of h as Python floats, which numpy's power does not round alike
+    coeffs = np.array([[x, x * x, x**3, x**4] for x in h.tolist()])
+    inc = (coeffs[:, None, :] @ terms).reshape(-1, 16, 16)
+    members = np.arange(len(inc))
+    level = np.arange(int(np.frexp(n)[1].max(initial=0)))[:, None]
+    needed = n >= np.ldexp(1.0, level)  # n has more than j bits
+    set_bit = np.floor(np.ldexp(n, -level)) % 2.0 == 1.0
+    counts = needed.sum(axis=1).tolist()
+    all_odd = (set_bit | ~needed).all(axis=1).tolist()
+    increments = []
+    for j, count in enumerate(counts):
+        if j:
+            if count < len(members):
+                keep = needed[j, members]
+                members, inc = members[keep], inc[keep]
+            inc = 2.0 * inc + inc @ inc
+        odd = slice(None) if all_odd[j] else np.flatnonzero(set_bit[j, members])
+        increments.append((members, inc, odd))
     return increments
 
 
-def _rk4_steps(increments: list[np.ndarray], y: np.ndarray, n: int) -> np.ndarray:
-    """``n`` RK4 steps ``y -> P^n y`` by binary powering: ``y -> y +
-    (P^(2^j) - I) y`` for every set bit ``j`` of ``n``, lowest first, with
-    the increments of :func:`_rk4_increments`."""
-    for j, inc in enumerate(increments):
-        if n >> j & 1:
-            y = y + inc @ y
+def _rk4_steps(increments: list, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``n`` RK4 steps ``y -> P^n y`` per member (``y`` of shape ``(P, 16)``)
+    by binary powering: ``y -> y + (P^(2^j) - I) y`` for every set bit ``j``
+    of that member's ``n``, lowest first, with the increments of
+    :func:`_rk4_increments`."""
+    for members, inc, odd in increments:
+        if isinstance(odd, slice) and members.size == len(y):
+            y = y + (inc @ y[:, :, None])[..., 0]
+            continue
+        rows = members[odd]
+        if rows.size:
+            y = y.copy()
+            y[rows] += (inc[odd] @ y[rows, :, None])[..., 0]
     return y
+
+
+def _first_overflow(terms, h, y, n) -> int:
+    """The first member whose span, advanced alone, overflows (floating-point
+    errors raising); the members before it are advanced in ``y``."""
+    for p in range(len(h) - 1):  # the last one, all others being fine
+        one = slice(p, p + 1)
+        try:
+            y[one] = _rk4_steps(_rk4_increments(terms[one], h[one], n[one]), y[one], n[one])
+        except FloatingPointError:
+            return p
+    return len(h) - 1
 
 
 def integrate_master(
     rho0: np.ndarray,
-    params: ModelParams,
+    params: ModelParams | ParamFamily,
     t_grid,
     *,
     max_step: float | None = None,
-) -> Trajectory:
+) -> Trajectory | tuple[Trajectory, ...]:
     """Integrate the master equation with classic fixed-step RK4.
 
     This is the independent numerical oracle that ``validate`` sets against
@@ -358,7 +439,16 @@ def integrate_master(
 
     Parameters
     ----------
-    rho0 : valid 4x4 density matrix at ``t_grid[0] = 0``.
+    rho0 : valid 4x4 density matrix at ``t_grid[0] = 0``; for a family, one
+        state for every member or one per member (shape ``(P, 4, 4)``).
+    params : a :class:`ModelParams`, which gives one :class:`Trajectory`, or
+        a 1-D :class:`ParamFamily` of ``P`` members, which gives a tuple of
+        ``P``.  A family advances all its members span by span with stacked
+        16x16 products, each member with its own step; every member's
+        trajectory equals, bit for bit, that member's own call, except that
+        ``span_powers`` counts the power lists the family built, whose kept
+        matrices share one budget.  The first member (in order) whose own
+        call would fail raises its failure.
     t_grid : strictly increasing finite sample times starting at 0.
     max_step : override for the internal step bound, finite and positive; by
         default the step satisfies ``h <= min(grid spacing, 1e-3 / relaxation
@@ -373,7 +463,18 @@ def integrate_master(
     :class:`Trajectory`.  The samples are checked as one stack after the last
     span, with one :func:`validate_density_matrix` call.
     """
-    rho0 = _one_state(rho0)
+    trajectories = _integrate(rho0, params, t_grid, max_step)
+    return trajectories if isinstance(params, ParamFamily) else trajectories[0]
+
+
+def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
+    """:func:`integrate_master`, one trajectory per member (one for a
+    :class:`ModelParams`)."""
+    if isinstance(params, ParamFamily) and len(params.shape) != 1:
+        raise DimensionMismatchError(
+            f"integrate_master takes a 1-D family, got shape {params.shape}")
+    starts = _initial_states(rho0, params)
+    size = params.shape[0] if isinstance(params, ParamFamily) else 1
     times = np.asarray(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise InvalidGridError("t_grid must be a nonempty 1-D array of finite times")
@@ -382,109 +483,176 @@ def integrate_master(
     spans = np.diff(times)
     if not np.all(spans > 0):
         raise InvalidGridError("t_grid must be strictly increasing")
-
-    h_default = STEP_RESOLUTION / max(params.relaxation_rate, params.omega)
-    h_bound = h_default if max_step is None else float(max_step)
-    if not (math.isfinite(h_bound) and h_bound > 0.0):
+    if max_step is not None and not (math.isfinite(float(max_step)) and float(max_step) > 0.0):
         raise InvalidGridError(f"max_step must be finite and positive, got {max_step!r}")
+
+    gamma, m, omega = (np.broadcast_to(np.asarray(v, dtype=float), (size,))
+                       for v in (params.gamma, params.m, params.omega))
+    trajectories = []
+    for lo in range(0, size, _BLOCK_MEMBERS):
+        block = slice(lo, lo + _BLOCK_MEMBERS)
+        trajectories += _integrate_block(starts if starts.ndim == 2 else starts[block],
+                                         gamma[block], m[block], omega[block], times, max_step)
+    return tuple(trajectories)
+
+
+def _integrate_block(starts, gamma, m, omega, times, max_step) -> tuple[Trajectory, ...]:
+    """The trajectories of one block of members, or the failure of its
+    first failing member."""
+    size, spans = len(gamma), np.diff(times)
+    h_default = STEP_RESOLUTION / np.maximum(gamma * (1.0 + 2.0 * m), omega)
+    h_bound = h_default if max_step is None else np.full(size, float(max_step))
+    # Each member fails by itself, in member order: ``limit`` is the first
+    # member known to fail and ``failure`` its error; later members no longer
+    # matter, earlier ones are still integrated and checked.
+    limit, failure = size, None
+    done = np.full(size, spans.size)  # samples each member completed
     longest = float(spans.max()) if spans.size else 0.0
-    if not (longest / h_default <= MAX_SPAN_STEPS and math.isfinite(longest / h_bound)):
-        raise InvalidGridError(
-            f"a span of {longest!r} needs {longest / h_bound:.3g} steps of {h_bound!r}; the limit "
-            f"is a finite step count and {MAX_SPAN_STEPS:g} steps of the default {h_default!r}"
+    with np.errstate(over="ignore"):  # a subnormal max_step: infinitely many steps
+        too_long = ~((longest / h_default <= MAX_SPAN_STEPS) & np.isfinite(longest / h_bound))
+    if too_long.any():
+        limit = int(np.argmax(too_long))
+        done[limit] = 0
+        hb, hd = float(h_bound[limit]), float(h_default[limit])
+        failure = InvalidGridError(
+            f"a span of {longest!r} needs {longest / hb:.3g} steps of {hb!r}; the limit "
+            f"is a finite step count and {MAX_SPAN_STEPS:g} steps of the default {hd!r}"
         )
 
-    liouv = superoperator(params)
+    # row k - 1 of a member's terms is L^k / k!, flattened
+    liouv = _generators(*(v[:limit, None, None] for v in (gamma, m, omega)))
     square = liouv @ liouv
-    terms = np.stack(
-        [liouv, square / 2.0, square @ liouv / 6.0, square @ square / 24.0]
-    ).reshape(4, 256)
-    steps = []
-    for span in spans.tolist():
-        n = max(1, math.ceil(span / h_bound))
-        steps.append((span / n, n))
-    last_use = {key: i for i, key in enumerate(steps)}
-    kept, kept_matrices, built = {}, 0, 0
-    y = rho0.reshape(16).astype(complex)
-    states = []
-    overflow = None
-    for i, ((h, n), right) in enumerate(zip(steps, times[1:])):
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                increments = kept.pop((h, n), None)
+    terms = np.empty((limit, 4, 16, 16), dtype=complex)
+    terms[:, 0] = liouv
+    np.divide(square, 2.0, out=terms[:, 1])
+    np.divide(square @ liouv, 6.0, out=terms[:, 2])
+    np.divide(square @ square, 24.0, out=terms[:, 3])
+    terms = terms.reshape(-1, 4, 256)
+    with np.errstate(over="ignore"):  # only for members already past the limit
+        counts = np.maximum(1.0, np.ceil(spans[:, None] / h_bound))
+    steps = spans[:, None] / counts
+    keys = [(h.tobytes(), n.tobytes()) for h, n in zip(steps, counts)]
+    last_use = {key: i for i, key in enumerate(keys)}
+    kept, kept_matrices = {}, 0
+    built = np.zeros(size, dtype=int)
+    raw = np.zeros((spans.size, size, 16), dtype=complex)
+    y = np.broadcast_to(starts.reshape(-1, 16), (size, 16))[:limit].astype(complex)
+    with np.errstate(over="raise", invalid="raise"):
+        for i, (key, right) in enumerate(zip(keys, times[1:])):
+            if limit == 0:
+                break
+            h, n = steps[i, :limit], counts[i, :limit]
+            increments, stored = kept.pop(key, (None, 0))
+            kept_matrices -= stored
+            try:
                 if increments is None:
-                    increments = _rk4_increments(terms, h, n)
-                    built += 1
-                else:
-                    kept_matrices -= len(increments)
+                    increments = _rk4_increments(terms[:limit], h, n)
+                    stored = sum(len(level[0]) for level in increments)
+                    built[:limit] += 1
                 y = _rk4_steps(increments, y, n)
-        except FloatingPointError:
-            overflow = InvariantViolation(
-                f"RK4 steps of {h!r} overflow by t={right:g}: max_step={max_step!r} "
-                f"is beyond RK4's stability limit for these rates"
-            )
-            break
-        if last_use[h, n] > i and kept_matrices + len(increments) <= _KEPT_POWER_MATRICES:
-            kept[h, n] = increments
-            kept_matrices += len(increments)
-        states.append(y)
+            except FloatingPointError:
+                # redone one member at a time: the first that overflows alone fails here
+                first, increments = _first_overflow(terms[:limit], h, y, n), None
+                limit, done[first] = first, i
+                failure = InvariantViolation(
+                    f"RK4 steps of {float(h[first])!r} overflow by t={right:g}: "
+                    f"max_step={max_step!r} is beyond RK4's stability limit for these rates"
+                )
+                # the call fails now; the members before it are only checked
+                y, kept, kept_matrices = y.reshape(-1, 16)[:limit], {}, 0
+            if (increments is not None and last_use[key] > i
+                    and kept_matrices + stored <= _KEPT_POWER_MATRICES):
+                kept[key] = increments, stored
+                kept_matrices += stored
+            raw[i, :limit] = y
 
-    # Every sample is checked at once, in the order a per-sample loop would
-    # fail: a sample's trace drift, then its validity, then later samples, and
-    # a span that overflowed only after the samples before it.
-    raw = np.array(states, dtype=complex).reshape(-1, 4, 4)
-    rho = 0.5 * (raw + raw.conj().swapaxes(1, 2))
-    tr = np.trace(rho, axis1=1, axis2=2).real
+    return _checked_trajectories(starts, times, raw, done, limit, failure, built, counts)
+
+
+def _checked_trajectories(starts, times, raw, done, limit, failure, built, counts):
+    """The trajectories of the raw samples of :func:`_integrate_block`,
+    checked as a loop over one member after another would check them: a
+    sample's trace drift, then its validity, then later samples.  Member
+    ``limit`` failed with ``failure`` (a span limit or an overflow) after its
+    first ``done[limit]`` samples, which are checked before it raises."""
+    size, n_spans = raw.shape[1], raw.shape[0]
+    end = size if failure is None else limit + 1
+    raw = raw[:, :end].transpose(1, 0, 2).reshape(end, n_spans, 4, 4)
+    rho = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
     drift = np.abs(tr - 1.0)
-    bad = np.flatnonzero(~(drift <= TRACE_TOL))  # NaN too
-    checked = int(bad[0]) if bad.size else len(rho)
-    for k in np.flatnonzero(drift[:checked] > 1e-12):
+    sample = np.arange(n_spans)
+    ran = sample < done[:end, None]
+    bad = ~(drift <= TRACE_TOL) & ran  # NaN too
+    checked = np.where(bad, sample, done[:end, None]).min(axis=1, initial=n_spans)
+    drifted = np.flatnonzero(checked < done[:end])
+    if drifted.size:
+        limit = int(drifted[0])
+        failure = InvariantViolation(
+            f"integrator trace drift {drift[limit, checked[limit]]:.3e} at "
+            f"t={times[checked[limit] + 1]:g} exceeds {TRACE_TOL:.0e} before renormalization"
+        )
+        end = limit + 1
+    ok = sample < checked[:end, None]
+    for p, k in zip(*np.nonzero(ok & (drift[:end] > 1e-12))):
         logger.debug(
-            "renormalizing integrator sample at t=%g: trace drift %.3e", times[k + 1], drift[k]
+            "renormalizing integrator sample at t=%g: trace drift %.3e", times[k + 1], drift[p, k]
         )
-        rho[k] /= tr[k]
+        rho[p, k] /= tr[p, k]
+    labels = [f"sample(t={t:g})" for t in times[1:]]
     validate_density_matrix(
-        rho[:checked], dim=4, positivity_tol=SAMPLE_POSITIVITY_TOL,
-        name=[f"sample(t={t:g})" for t in times[1:checked + 1]],
+        rho[:end][ok], dim=4, positivity_tol=SAMPLE_POSITIVITY_TOL,
+        name=[labels[k] for k in np.nonzero(ok)[1].tolist()],
     )
-    if checked < len(rho):
-        raise InvariantViolation(
-            f"integrator trace drift {drift[checked]:.3e} at t={times[checked + 1]:g} exceeds "
-            f"{TRACE_TOL:.0e} before renormalization"
-        )
-    if overflow is not None:
-        raise overflow
+    if failure is not None:
+        raise failure
 
-    return Trajectory(
-        times=times,
-        samples=np.concatenate((rho0[None], rho)),
-        max_trace_drift=float(drift.max(initial=0.0)),
-        max_hermiticity_defect=float(hermiticity_defect(raw).max(initial=0.0)),
-        rk4_steps=sum(n for _, n in steps),
-        span_powers=built,
+    samples = np.concatenate(
+        (np.broadcast_to(starts.reshape(-1, 1, 4, 4), (size, 1, 4, 4)), rho), axis=1)
+    drifts = drift.max(axis=1, initial=0.0).tolist()
+    defects = hermiticity_defect(raw.reshape(-1, 4, 4)).reshape(size, n_spans)
+    defects = defects.max(axis=1, initial=0.0).tolist()
+    steps = [sum(map(int, column)) for column in counts.T.tolist()]
+    return tuple(
+        Trajectory(times=times, samples=samples[p], max_trace_drift=drifts[p],
+                   max_hermiticity_defect=defects[p], rk4_steps=steps[p],
+                   span_powers=int(built[p]))
+        for p in range(size)
     )
 
 
 # --- closed-form propagator --------------------------------------------------
 
-def coherence_root(params: ModelParams) -> complex:
+def coherence_root(params: ModelParams | ParamFamily):
     """``mu+ = sqrt(R^2/4 - omega^2 - i gamma omega)``, principal branch: the
     k = 1 rates are ``-R +- mu+`` and ``-R +- conj(mu+)``, ``0 < Re mu+ <= R/2``.
 
     The rates are scaled by ``s = max(R, omega)`` before they are squared, so
-    tiny rates do not underflow to a vanishing root.
+    tiny rates do not underflow to a vanishing root.  A :class:`ParamFamily`
+    gives an array of its members' roots, each taken with ``cmath`` like one
+    member's, whose rounding numpy's square root need not share.
     """
-    scale = max(params.relaxation_rate, params.omega)
-    rate, gamma, omega = (v / scale for v in (params.relaxation_rate, params.gamma, params.omega))
+    if isinstance(params, ParamFamily):
+        rates, gammas, omegas = (v.ravel().tolist() for v in np.broadcast_arrays(
+            params.relaxation_rate, params.gamma, params.omega))
+        return np.array(list(map(_root, rates, gammas, omegas)),
+                        dtype=complex).reshape(params.shape)
+    return _root(params.relaxation_rate, params.gamma, params.omega)
+
+
+def _root(rate: float, gamma: float, omega: float) -> complex:
+    scale = max(rate, omega)
+    rate, gamma, omega = (v / scale for v in (rate, gamma, omega))
     return scale * cmath.sqrt(complex(0.25 * rate * rate - omega * omega, -gamma * omega))
 
 
-def coherence_factors(params: ModelParams, t):
+def coherence_factors(params: ModelParams | ParamFamily, t):
     """``e^{-R t} cosh(mu+ t)`` and ``e^{-R t} sinh(mu+ t) / mu+`` (scalar or array ``t``).
 
     Taken as ``e^{(mu+ - R) t}`` times ``(1 + e^{-2 mu+ t}) / 2`` and ``(1 -
     e^{-2 mu+ t}) / (2 mu+)``: every exponential decays, and ``expm1`` keeps
-    the second exact for small ``mu+ t``.  Conjugate them for ``mu-``.
+    the second exact for small ``mu+ t``.  Conjugate them for ``mu-``.  For a
+    :class:`ParamFamily`, ``t`` must broadcast against its members.
     """
     mu = coherence_root(params)
     tt = np.asarray(t, dtype=float)
@@ -501,7 +669,8 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
     :class:`InvariantViolation` naming the first time that fails.  For a
     :class:`ParamFamily` the times are broadcast against the members (a
     read-only view, one time per member), and the first member (in C order)
-    whose own time fails raises that member's message.
+    whose own time fails raises what that member's own call with all of its
+    times raises.
     """
     tt = np.asarray(t, dtype=float)
     family = isinstance(params, ParamFamily)
@@ -522,8 +691,12 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
             bad = ~(np.isfinite(times) & (times >= 0.0) & np.isfinite(2.0 * omegas * times))
         if not bad.any():
             return tt
+        # the first failing time's member, with all of its own times
+        members = np.broadcast_to(
+            np.arange(math.prod(params.shape)).reshape(params.shape), tt.shape).ravel()
         first = int(np.argmax(bad))
-        tt, omega, latest = times[first:first + 1], float(omegas[first]), float(times[first])
+        tt, omega = times[members == members[first]], float(omegas[first])
+        latest = float(tt.max())
     bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
     if bad.size:
         raise InvariantViolation(f"time must be finite and nonnegative, got {float(bad[0])!r}")
@@ -542,18 +715,27 @@ def relaxation_envelope(params: ModelParams | ParamFamily, tt: np.ndarray) -> np
     return np.exp(-rate * np.minimum(tt, _DECAY_CUTOFF / rate))
 
 
-def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
+def propagate_exact(rho0: np.ndarray, params: ModelParams | ParamFamily, t) -> np.ndarray:
     """Closed-form propagation of any valid 4x4 state, sector by sector.
 
     Every sector follows its closed form in the module docstring.  In the
     single-atom map ``T``, ``T_xy`` is the probability that an atom in ``y``
     at time 0 is in ``x`` at ``t`` (``e`` excited, ``g`` ground).  A scalar
-    ``t`` gives one state, a 1-D array a stack; every time must be finite and
-    nonnegative, with a finite phase ``2 omega t``.  The flow is completely
-    positive, so only ``rho0`` is validated.
+    ``t`` gives one state, an array a stack of its shape; every time must be
+    finite and nonnegative, with a finite phase ``2 omega t``.  The flow is
+    completely positive, so only ``rho0`` is validated.
+
+    For a :class:`ParamFamily` the times broadcast against the members as in
+    :func:`checked_times`, and ``rho0`` is one state for every member or one
+    per member (shape ``params.shape + (4, 4)``); the result has the
+    broadcast shape plus ``(4, 4)``.  Every member's states equal, bit for
+    bit, that member's own call.  The states are checked first, as one
+    stack, then the times: the first failing member raises its own message.
     """
-    rho0 = _one_state(rho0)
+    rho0 = _initial_states(rho0, params)
     tt = checked_times(params, t)
+    shape = tt.shape
+    tt = np.atleast_1d(tt)  # a time alone rounds as in an array: no numpy scalar arithmetic
 
     rate, gamma, omega = params.relaxation_rate, params.gamma, params.omega
     q = params.thermal_occupation
@@ -563,8 +745,8 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
         cosh, sinh = coherence_factors(params, tt)
     t_ee, t_eg = q + (1.0 - q) * decay, q * rise
     t_ge, t_gg = (1.0 - q) * rise, (1.0 - q) + q * decay
-    a0, b0, c0, d0 = np.diag(rho0).real.tolist()
-    s0, u0, y0 = b0 + c0, b0 - c0, rho0[1, 2].imag
+    a0, b0, c0, d0 = (rho0[..., k, k].real for k in range(4))
+    s0, u0, y0 = b0 + c0, b0 - c0, rho0[..., 1, 2].imag
     a = t_ee * t_ee * a0 + t_ee * t_eg * s0 + t_eg * t_eg * d0
     s = 2.0 * t_ee * t_ge * a0 + (t_ee * t_gg + t_eg * t_ge) * s0 + 2.0 * t_eg * t_gg * d0
     d = t_ge * t_ge * a0 + t_ge * t_gg * s0 + t_gg * t_gg * d0
@@ -573,8 +755,8 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
     u = decay * (u0 * cos_p - 2.0 * y0 * sin_p)
     y = decay * (y0 * cos_p + 0.5 * u0 * sin_p)
 
-    c1, c2 = rho0[0, 2] + rho0[1, 3], rho0[0, 1] + rho0[2, 3]
-    e1, e2 = rho0[0, 2] - rho0[1, 3], rho0[0, 1] - rho0[2, 3]
+    c1, c2 = rho0[..., 0, 2] + rho0[..., 1, 3], rho0[..., 0, 1] + rho0[..., 2, 3]
+    e1, e2 = rho0[..., 0, 2] - rho0[..., 1, 3], rho0[..., 0, 1] - rho0[..., 2, 3]
     sectors = []
     for sign, ch, sh in ((1.0, cosh, sinh), (-1.0, np.conj(cosh), np.conj(sinh))):
         u_k, v_k = c1 + sign * c2, e2 + sign * e1
@@ -586,13 +768,13 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams, t) -> np.ndarray:
 
     rho = np.empty(tt.shape + (4, 4), dtype=complex)
     for (i, j), value in (((0, 0), a), ((1, 1), 0.5 * (s + u)), ((2, 2), 0.5 * (s - u)),
-                          ((3, 3), d), ((1, 2), decay * rho0[1, 2].real + 1j * y),
-                          ((0, 3), rho0[0, 3] * decay),
+                          ((3, 3), d), ((1, 2), decay * rho0[..., 1, 2].real + 1j * y),
+                          ((0, 3), rho0[..., 0, 3] * decay),
                           ((0, 2), 0.5 * (c1 + e1)), ((1, 3), 0.5 * (c1 - e1)),
                           ((0, 1), 0.5 * (c2 + e2)), ((2, 3), 0.5 * (c2 - e2))):
         rho[..., i, j] = value
         rho[..., j, i] = np.conj(value)
-    return rho
+    return rho.reshape(shape + (4, 4))
 
 
 def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:

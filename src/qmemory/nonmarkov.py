@@ -93,8 +93,9 @@ def default_scan_step(params: ModelParams) -> float:
     return 0.01 / max(params.omega, params.relaxation_rate)
 
 
-def default_truncation_time(params: ModelParams) -> float:
-    """Truncation ``30 / (gamma (1 + 2m))``: the envelope is below 1e-13 there."""
+def default_truncation_time(params: ModelParams | ParamFamily):
+    """Truncation ``30 / (gamma (1 + 2m))``: the envelope is below 1e-13 there
+    (an array of one per member for a :class:`ParamFamily`)."""
     return 30.0 / params.relaxation_rate
 
 

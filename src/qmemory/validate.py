@@ -5,7 +5,12 @@ each other (exact propagator vs Runge-Kutta integration, population formulas
 vs partial-traced integrator states, analytic distance rate vs finite
 differences, interval-sum memory measure vs a fine Riemann sum, ...).  The
 distance check evaluates both routes over its 1000 random parameter draws
-as one :class:`~qmemory.dynamics.ParamFamily`, in one array pass.  One
+as one :class:`~qmemory.dynamics.ParamFamily`, in one array pass.  The
+exact, populations, semigroup and steady-state checks evaluate the 27-point
+parameter grid (or the semigroup's 50 draws from it) as families too: one
+integrator call and one propagator call each, whose every member equals its
+own call bit for bit, and whose first failure is the one a loop over the
+members raises first.  One
 check is special: the verbatim transcription of the published closed-form
 solution is *expected* to disagree with the derived propagator in specific,
 frozen ways (see ``published-solution-discrepancy``); that check passes when
@@ -33,6 +38,7 @@ from .dynamics import (
     ParamFamily,
     XSTATE_00,
     XSTATE_10,
+    _integrate,
     integrate_master,
     lindblad_rhs,
     parameter_grid,
@@ -98,27 +104,60 @@ class CheckResult:
     table: tuple = ()
 
 
+@functools.cache
+def _grid_columns() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """gamma, m and omega of :func:`~qmemory.dynamics.parameter_grid`, one
+    read-only array each, in its order."""
+    grid = parameter_grid()
+    columns = tuple(np.array([getattr(p, name) for p in grid]) for name in ("gamma", "m", "omega"))
+    for v in columns:
+        v.setflags(write=False)
+    return columns
+
+
+def _grid_family(index=slice(None), *, column: bool = False) -> ParamFamily:
+    """The grid members ``index`` as a 1-D family, or as a column (shape
+    ``(P, 1)``) whose members broadcast against a row of times."""
+    return ParamFamily(*(v[index, None] if column else v[index] for v in _grid_columns()))
+
+
+@functools.cache
+def _grid_thermal_states() -> np.ndarray:
+    """The thermal fixed point of every grid member, ``(27, 4, 4)``."""
+    states = np.array([embed_xstate(thermal_xstate(p)) for p in parameter_grid()])
+    states.setflags(write=False)
+    return states
+
+
+def _samples(trajectories) -> np.ndarray:
+    """The members' samples as one ``(P, n, 4, 4)`` array."""
+    return np.array([traj.samples for traj in trajectories])
+
+
+# The family checks call ``_integrate``, the body of ``integrate_master``,
+# directly: the benchmark's tracer wraps ``integrate_master`` and reads its
+# result as one member's trajectory.
 def _check_exact_vs_integrator(max_step):
     tol = 1e-8
-    worst = 0.0
-    for params in parameter_grid():
-        traj = integrate_master(_generic_state(), params, _CHECK_TIMES, max_step=max_step)
-        exact = propagate_exact(_generic_state(), params, traj.times)
-        worst = max(worst, float(np.max(np.abs(traj.samples - exact))))
+    trajectories = _integrate(_generic_state(), _grid_family(), _CHECK_TIMES, max_step)
+    exact = propagate_exact(_generic_state(), _grid_family(column=True), trajectories[0].times)
+    worst = float(np.max(np.abs(_samples(trajectories) - exact)))
     return worst <= tol, f"worst |rho_rk4 - rho_exact| = {worst:.3e} (tol {tol:.0e})", ()
 
 
 def _check_populations(max_step):
     tol = 1e-8
-    worst = 0.0
-    for params in parameter_grid():
-        for x0, formula in (
-            (XSTATE_10, population_from_excited),
-            (XSTATE_00, population_from_ground),
-        ):
-            traj = integrate_master(embed_xstate(x0), params, _CHECK_TIMES, max_step=max_step)
-            numeric = partial_trace_qubit2(traj.samples)[:, 0, 0].real
-            worst = max(worst, float(np.max(np.abs(numeric - formula(params, traj.times)))))
+    # every grid member from |10>, then from |00>: the failure order of a
+    # loop over the members and, within one, the two states
+    size = _grid_columns()[0].size
+    starts = np.tile([embed_xstate(XSTATE_10), embed_xstate(XSTATE_00)], (size, 1, 1))
+    trajectories = _integrate(
+        starts, _grid_family(np.repeat(np.arange(size), 2)), _CHECK_TIMES, max_step)
+    numeric = partial_trace_qubit2(_samples(trajectories).reshape(-1, 4, 4))[:, 0, 0].real
+    family, times = _grid_family(column=True), trajectories[0].times
+    formulas = np.stack(
+        [population_from_excited(family, times), population_from_ground(family, times)], axis=1)
+    worst = float(np.max(np.abs(numeric - formulas.ravel())))
     return worst <= tol, f"worst |p_traced - p_formula| = {worst:.3e} (tol {tol:.0e})", ()
 
 
@@ -137,25 +176,26 @@ def _check_distance_closed_form():
 def _check_distance_rate():
     tol = 1e-8
     h = 1e-6
+    t = np.linspace(h, 10.0, 50)
     worst = 0.0
     for params in (CANONICAL_PARAMS, ModelParams(0.5, 2.0, 0.3), ModelParams(0.1, 0.0, 1.2)):
-        for t in np.linspace(h, 10.0, 50):
-            fd = (
-                trace_distance_closed_form(params, t + h)
-                - trace_distance_closed_form(params, t - h)
-            ) / (2.0 * h)
-            worst = max(worst, abs(fd - trace_distance_rate(params, float(t))))
+        fd = (
+            trace_distance_closed_form(params, t + h) - trace_distance_closed_form(params, t - h)
+        ) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(fd - trace_distance_rate(params, t)))))
     return worst <= tol, f"worst |sigma_fd - sigma| = {worst:.3e} (tol {tol:.0e})", ()
 
 
 def _riemann_measure(params: ModelParams, dt: float) -> float:
     """``dt`` times the sum of ``max(sigma, 0)`` over the grid
     ``np.arange(0, default_truncation_time(params), dt)``, streamed in blocks
-    of :data:`_RIEMANN_BLOCK` points (``dt * k`` is the grid's ``k``-th point)."""
+    of :data:`_RIEMANN_BLOCK` points (``k * dt``, ``k`` a float, is the grid's
+    ``k``-th point)."""
     n = math.ceil(default_truncation_time(params) / dt)
     return math.fsum(
         float(np.sum(np.clip(
-            trace_distance_rate(params, dt * np.arange(i, min(i + _RIEMANN_BLOCK, n))),
+            trace_distance_rate(
+                params, np.arange(i, min(i + _RIEMANN_BLOCK, n), dtype=float) * dt),
             0.0, None)))
         for i in range(0, n, _RIEMANN_BLOCK)
     ) * dt
@@ -186,25 +226,23 @@ def _check_stationarity():
 def _check_semigroup():
     tol = 1e-11
     rng = np.random.default_rng(RNG_SEED + 1)
-    grid = parameter_grid()
-    worst = 0.0
-    for _ in range(50):
-        params = grid[int(rng.integers(len(grid)))]
-        t, s = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0))
-        first, direct = propagate_exact(_generic_state(), params, np.array([t, t + s]))
-        staged = propagate_exact(first, params, s)
-        worst = max(worst, float(np.max(np.abs(direct - staged))))
+    draws = [(int(rng.integers(len(_grid_columns()[0]))), float(rng.uniform(0.0, 5.0)),
+              float(rng.uniform(0.0, 5.0))) for _ in range(50)]
+    index, t, s = (np.array(v) for v in zip(*draws))
+    family = _grid_family(index, column=True)
+    first, direct = np.moveaxis(
+        propagate_exact(_generic_state(), family, np.column_stack([t, t + s])), 1, 0)
+    staged = propagate_exact(first[:, None], family, s[:, None])[:, 0]
+    worst = float(np.max(np.abs(direct - staged)))
     return worst <= tol, f"worst semigroup defect = {worst:.3e} (tol {tol:.0e})", ()
 
 
 def _check_steady(max_step):
     tol = 1e-10
-    worst = 0.0
-    rho0 = embed_xstate(GENERIC_XSTATE)
-    for params in parameter_grid():
-        t_end = default_truncation_time(params)
-        final = propagate_exact(rho0, params, t_end)
-        worst = max(worst, float(np.max(np.abs(final - embed_xstate(thermal_xstate(params))))))
+    family = _grid_family()
+    final = propagate_exact(
+        embed_xstate(GENERIC_XSTATE), family, default_truncation_time(family))
+    worst = float(np.max(np.abs(final - _grid_thermal_states())))
     # One full numeric integration to its steady state as well.
     params = CANONICAL_PARAMS
     t_end = default_truncation_time(params)

@@ -189,20 +189,45 @@ def rk4_sequential(liouv: np.ndarray, y: np.ndarray, h: float, n_steps: int) -> 
     return y
 
 
+def rk4_increments(terms: np.ndarray, h: float, n: int) -> list:
+    """The increments ``P^(2^j) - I``, ``j = 0 .. bit_length(n) - 1``, of one
+    parameter set's RK4 step matrix ``P = I + E`` of size ``h``.
+
+    The one-member construction the integrator used before it advanced
+    families, kept as the reference for its stacked one: row ``k - 1`` of
+    ``terms`` (4 x 256) is ``L^k / k!`` flattened, and each power is squared
+    on the increment, ``P^2 - I = 2E + E^2``.
+    """
+    inc = (np.array([h, h * h, h**3, h**4]) @ terms).reshape(16, 16)
+    increments = [inc]
+    for _ in range(n.bit_length() - 1):
+        inc = 2.0 * inc + inc @ inc
+        increments.append(inc)
+    return increments
+
+
+def rk4_powered_steps(increments: list, y: np.ndarray, n: int) -> np.ndarray:
+    """``n`` RK4 steps of one 16-entry state by binary powering with the
+    increments of :func:`rk4_increments`, lowest set bit first."""
+    for j, inc in enumerate(increments):
+        if n >> j & 1:
+            y = y + inc @ y
+    return y
+
+
 def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=None):
     """``integrate_master`` checked one sample at a time, as each span ends.
 
     The per-sample loop, kept as the reference for the integrator's single
-    pass over the stack of samples: each span is advanced by the library's
-    ``_rk4_steps`` with step-matrix powers built anew for that span (the
-    library reuses them across spans of equal length), then the sample is
-    Hermitized, drift-checked, renormalized and validated before the next
-    span is advanced.  Returns the samples; raises what the first failing
-    span or sample raises.
+    pass over the stack of samples: each span is advanced by
+    :func:`rk4_powered_steps` with step-matrix powers built anew for that span
+    (the library reuses them across spans of equal length, and stacks them
+    over a family's members), then the sample is Hermitized, drift-checked,
+    renormalized and validated before the next span is advanced.  Returns the
+    samples; raises what the first failing span or sample raises.
     """
     from qmemory.densmat import TRACE_TOL, validate_density_matrix
-    from qmemory.dynamics import (
-        SAMPLE_POSITIVITY_TOL, STEP_RESOLUTION, _rk4_increments, _rk4_steps)
+    from qmemory.dynamics import SAMPLE_POSITIVITY_TOL, STEP_RESOLUTION
     from qmemory.errors import InvariantViolation
 
     times = np.asarray(times, dtype=float)
@@ -220,7 +245,7 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
         n = max(1, math.ceil(span / h))
         try:
             with np.errstate(over="raise", invalid="raise"):
-                y = _rk4_steps(_rk4_increments(terms, span / n, n), y, n)
+                y = rk4_powered_steps(rk4_increments(terms, span / n, n), y, n)
         except FloatingPointError:
             raise InvariantViolation(
                 f"RK4 steps of {span / n!r} overflow by t={right:g}: max_step={max_step!r} "
@@ -242,6 +267,111 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
         )
         samples.append(rho)
     return samples
+
+
+# --- the validation checks' member loops -------------------------------------
+#
+# The exact, populations, semigroup and steady-state checks as they ran before
+# the dynamics took families: one call per grid member.  The distance-rate
+# check as it ran before it took arrays: one scalar call per time.  Each
+# returns ``(passed, detail, table)`` as the library's check does, and raises
+# what its first failing call raises.
+
+def exact_check_loop(max_step):
+    from qmemory.dynamics import integrate_master, parameter_grid, propagate_exact
+    from qmemory.validate import _CHECK_TIMES, _generic_state
+
+    tol = 1e-8
+    worst = 0.0
+    for params in parameter_grid():
+        traj = integrate_master(_generic_state(), params, _CHECK_TIMES, max_step=max_step)
+        exact = propagate_exact(_generic_state(), params, traj.times)
+        worst = max(worst, float(np.max(np.abs(traj.samples - exact))))
+    return worst <= tol, f"worst |rho_rk4 - rho_exact| = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def populations_check_loop(max_step):
+    from qmemory.densmat import embed_xstate, partial_trace_qubit2
+    from qmemory.dynamics import (
+        XSTATE_00, XSTATE_10, integrate_master, parameter_grid, population_from_excited,
+        population_from_ground)
+    from qmemory.validate import _CHECK_TIMES
+
+    tol = 1e-8
+    worst = 0.0
+    for params in parameter_grid():
+        for x0, formula in (
+            (XSTATE_10, population_from_excited),
+            (XSTATE_00, population_from_ground),
+        ):
+            traj = integrate_master(embed_xstate(x0), params, _CHECK_TIMES, max_step=max_step)
+            numeric = partial_trace_qubit2(traj.samples)[:, 0, 0].real
+            worst = max(worst, float(np.max(np.abs(numeric - formula(params, traj.times)))))
+    return worst <= tol, f"worst |p_traced - p_formula| = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def distance_rate_check_loop():
+    from qmemory.nonmarkov import trace_distance_closed_form, trace_distance_rate
+
+    tol = 1e-8
+    h = 1e-6
+    worst = 0.0
+    for params in (CANONICAL, ModelParams(0.5, 2.0, 0.3), ModelParams(0.1, 0.0, 1.2)):
+        for t in np.linspace(h, 10.0, 50):
+            fd = (
+                trace_distance_closed_form(params, t + h)
+                - trace_distance_closed_form(params, t - h)
+            ) / (2.0 * h)
+            worst = max(worst, abs(fd - trace_distance_rate(params, float(t))))
+    return worst <= tol, f"worst |sigma_fd - sigma| = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def semigroup_check_loop():
+    from qmemory.dynamics import parameter_grid, propagate_exact
+    from qmemory.validate import RNG_SEED, _generic_state
+
+    tol = 1e-11
+    rng = np.random.default_rng(RNG_SEED + 1)
+    grid = parameter_grid()
+    worst = 0.0
+    for _ in range(50):
+        params = grid[int(rng.integers(len(grid)))]
+        t, s = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0))
+        first, direct = propagate_exact(_generic_state(), params, np.array([t, t + s]))
+        staged = propagate_exact(first, params, s)
+        worst = max(worst, float(np.max(np.abs(direct - staged))))
+    return worst <= tol, f"worst semigroup defect = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def steady_check_loop(max_step):
+    from qmemory.densmat import embed_xstate
+    from qmemory.dynamics import (
+        XSTATE_10, integrate_master, parameter_grid, propagate_exact, thermal_xstate)
+    from qmemory.nonmarkov import default_truncation_time
+    from qmemory.validate import GENERIC_XSTATE
+
+    tol = 1e-10
+    worst = 0.0
+    rho0 = embed_xstate(GENERIC_XSTATE)
+    for params in parameter_grid():
+        t_end = default_truncation_time(params)
+        final = propagate_exact(rho0, params, t_end)
+        worst = max(worst, float(np.max(np.abs(final - embed_xstate(thermal_xstate(params))))))
+    params = CANONICAL
+    t_end = default_truncation_time(params)
+    traj = integrate_master(
+        embed_xstate(XSTATE_10), params, np.array([0.0, t_end]), max_step=max_step
+    )
+    rho_th = embed_xstate(thermal_xstate(params))
+    worst = max(worst, float(np.max(np.abs(traj.samples[-1] - rho_th))))
+    return worst <= tol, f"worst |steady - thermal| = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def trapezoid(y, x) -> float:
+    """The trapezoid rule: ``np.trapezoid`` from numpy 2.0 on, ``np.trapz``
+    (its name before) on the older versions that ``pyproject.toml`` accepts."""
+    rule = np.trapezoid if hasattr(np, "trapezoid") else np.trapz
+    return float(rule(y, x))
 
 
 def von_neumann_entropy_loop(rho: np.ndarray) -> float:

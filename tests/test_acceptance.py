@@ -39,7 +39,7 @@ from qmemory import (
     trace_distance_rate,
 )
 
-from helpers import CANONICAL, E_PUBLISHED_T_STAR, random_params
+from helpers import CANONICAL, E_PUBLISHED_T_STAR, random_params, trapezoid
 
 T_GRID = np.linspace(0.0, 10.0, 20)
 
@@ -117,7 +117,7 @@ def test_criterion_4_blp_measure():
 
     t = np.linspace(0.0, result.truncation_time, 750_001)
     sigma = np.asarray(trace_distance_rate(CANONICAL, t))
-    riemann = float(np.trapezoid(np.maximum(sigma, 0.0), t))
+    riemann = trapezoid(np.maximum(sigma, 0.0), t)
     assert abs(result.n_value - riemann) / riemann <= 0.01
 
     assert blp_measure(ModelParams(0.2, 0.5, 0.0)).n_value == 0.0

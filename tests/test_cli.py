@@ -159,6 +159,14 @@ class TestConfigFile:
         assert meta["m"] == "0.5"       # untouched default
         assert len(rows) == 7
 
+    def test_non_utf8_file_names_path_and_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"# sample\ngamma = 0.3\xff\n")
+        proc = run_cli("blp", "--config", str(cfg))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            f"qmemory: error: {cfg}:2: not UTF-8 text: byte 0xff (invalid start byte)\n")
+
     def test_out_key_in_config(self, tmp_path):
         target = tmp_path / "from-config.csv"
         cfg = tmp_path / "run.cfg"

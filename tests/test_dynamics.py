@@ -720,6 +720,174 @@ class TestIntegrator:
             integrate_per_sample(rho0, CANONICAL, times, 0.01)).tobytes()
 
 
+def _grid_family(*, column=False):
+    """The cross-check grid as a 1-D family, or as a column (27, 1)."""
+    grid = parameter_grid()
+    columns = [np.array([getattr(p, k) for p in grid]) for k in ("gamma", "m", "omega")]
+    return ParamFamily(*(v[:, None] if column else v for v in columns))
+
+
+def _error(call):
+    """The type and message that ``call`` raises."""
+    with pytest.raises(InvariantViolation) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def _member_params(family, index):
+    return ModelParams(*(float(np.broadcast_to(v, family.shape)[index])
+                         for v in (family.gamma, family.m, family.omega)))
+
+
+class TestExactPropagatorFamily:
+    """Every member of a family propagates bit for bit as its own call."""
+
+    def test_members_by_times(self):
+        rng = np.random.default_rng(301)
+        rho0 = random_density(rng, 4)
+        family = _grid_family(column=True)
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 40.0, 19))])
+        states = propagate_exact(rho0, family, times)
+        assert states.shape == (27, 20, 4, 4)
+        for i, params in enumerate(parameter_grid()):
+            assert states[i].tobytes() == propagate_exact(rho0, params, times).tobytes()
+
+    def test_member_times_and_states(self):
+        rng = np.random.default_rng(302)
+        members = [random_params(rng) for _ in range(40)]
+        family = ParamFamily(*(np.array([getattr(p, k) for p in members])
+                               for k in ("gamma", "m", "omega")))
+        rho0 = np.array([random_density(rng, 4) for _ in members])
+        times = rng.uniform(0.0, 30.0, len(members))
+        shared = propagate_exact(rho0[0], family, times)
+        stacked = propagate_exact(rho0, family, times)
+        assert stacked.shape == shared.shape == (40, 4, 4)
+        for i, params in enumerate(members):
+            assert shared[i].tobytes() == propagate_exact(rho0[0], params, times[i]).tobytes()
+            assert stacked[i].tobytes() == propagate_exact(rho0[i], params, times[i]).tobytes()
+        # a scalar time for every member, and a column family with a stack per member
+        at_one = propagate_exact(rho0, family, 2.5)
+        column = ParamFamily(family.gamma[:, None], family.m[:, None], family.omega[:, None])
+        pairs = propagate_exact(rho0[:, None], column, np.column_stack([times, 2 * times]))
+        for i, params in enumerate(members):
+            assert at_one[i].tobytes() == propagate_exact(rho0[i], params, 2.5).tobytes()
+            assert pairs[i].tobytes() == propagate_exact(
+                rho0[i], params, np.array([times[i], 2 * times[i]])).tobytes()
+
+    def test_first_bad_member_raises_its_own_message(self):
+        rng = np.random.default_rng(303)
+        family = _grid_family()
+        rho0 = np.array([random_density(rng, 4) for _ in range(27)])
+        bad = rho0.copy()
+        bad[4] = np.diag([0.6, 0.5, 0.0, -0.1])
+        bad[9] = np.eye(4)
+        assert _error(lambda: propagate_exact(bad, family, 1.0)) == _error(
+            lambda: propagate_exact(bad[4], _member_params(family, 4), 1.0))
+        times = np.ones(27)
+        times[6], times[11] = -1.0, math.nan
+        assert _error(lambda: propagate_exact(rho0, family, times)) == _error(
+            lambda: propagate_exact(rho0[6], _member_params(family, 6), times[6]))
+        # the phase of one member's time overflows at its own coupling
+        times[6], times[11] = 1.0, 1.5e308
+        assert _error(lambda: propagate_exact(rho0, family, times)) == _error(
+            lambda: propagate_exact(rho0[11], _member_params(family, 11), times[11]))
+        # a member's own call names its latest time, not its first failing one
+        column = _grid_family(column=True)
+        pairs = np.ones((27, 2))
+        pairs[11] = 1.2e308, 1.5e308
+        assert _error(lambda: propagate_exact(rho0[0], column, pairs)) == _error(
+            lambda: propagate_exact(rho0[0], _member_params(family, 11), pairs[11]))
+
+    def test_state_shapes(self):
+        family = _grid_family()
+        with pytest.raises(DimensionMismatchError, match="one per member, shape \\(27, 4, 4\\)"):
+            propagate_exact(np.array([np.eye(4) / 4.0] * 3), family, 1.0)
+
+
+class TestIntegratorFamily:
+    """Every member of a family integrates bit for bit as its own call."""
+
+    @pytest.mark.parametrize("max_step", [None, 0.5])
+    def test_members_equal_their_own_calls(self, max_step):
+        rng = np.random.default_rng(311)
+        family = _grid_family()
+        rho0 = np.array([random_density(rng, 4) for _ in range(27)])
+        times = np.linspace(0.0, 10.0, 20)
+        trajectories = integrate_master(rho0, family, times, max_step=max_step)
+        assert len(trajectories) == 27
+        steps = set()
+        for i, (traj, params) in enumerate(zip(trajectories, parameter_grid())):
+            own = integrate_master(rho0[i], params, times, max_step=max_step)
+            assert traj.times.tobytes() == own.times.tobytes()
+            assert traj.samples.tobytes() == own.samples.tobytes()
+            assert (traj.max_trace_drift, traj.max_hermiticity_defect, traj.rk4_steps,
+                    traj.span_powers) == (own.max_trace_drift, own.max_hermiticity_defect,
+                                          own.rk4_steps, own.span_powers)
+            steps.add(traj.rk4_steps)
+        # the default step differs per member, a max_step is the same for all
+        assert (len(steps) == 1) == (max_step is not None)
+
+    def test_model_params_are_the_one_member_family(self):
+        rho0 = embed_xstate(XSTATE_10)
+        times = np.linspace(0.0, 10.0, 20)
+        single = ParamFamily(CANONICAL.gamma, CANONICAL.m, [CANONICAL.omega])
+        (traj,) = integrate_master(rho0, single, times)
+        assert traj.samples.tobytes() == integrate_master(rho0, CANONICAL, times).samples.tobytes()
+        assert integrate_master(rho0, ParamFamily([], [], []), times) == ()
+        with pytest.raises(DimensionMismatchError, match="1-D family"):
+            integrate_master(rho0, _grid_family(column=True), times)
+
+    @pytest.mark.parametrize("max_step, times, first", [
+        (0.5, np.linspace(0.0, 10.0, 20), None),
+        (2.0, np.array([0.0, 5.0, 75.0]), 2),
+        (5.0, np.array([0.0, 100.0, 1000.0]), 2),
+        (5.0, np.array([0.0, 1000.0]), 2),
+        (1.5, np.array([0.0, 3.0, 60.0]), 15),
+    ])
+    def test_first_failure_in_member_order(self, max_step, times, first):
+        # the members fail in different ways (drift, overflow, a negative
+        # eigenvalue) and at different times; the family raises what the loop
+        # over its members raises first, from member ``first`` on
+        rng = np.random.default_rng(312)
+        rho0 = np.array([embed_xstate(XSTATE_10), embed_xstate(XSTATE_00),
+                         random_density(rng, 4)] * 9)
+        outcomes = [_outcome(lambda: integrate_master(
+                        rho0[i], params, times, max_step=max_step).samples)
+                    for i, params in enumerate(parameter_grid())]
+        failed = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, tuple)]
+        assert (failed[0] if failed else None) == first
+        family = _outcome(lambda: [traj.samples for traj in integrate_master(
+            rho0, _grid_family(), times, max_step=max_step)])
+        if failed:
+            assert family == outcomes[first]
+        else:
+            assert family == [b"".join(outcome) for outcome in outcomes]
+
+    def test_shared_budget_keeps_fewer_power_lists_with_the_same_samples(self):
+        # test_kept_powers_are_bounded's 128 spans for eight copies of one
+        # member: a list holds 8 x 10 matrices, so fewer lists are kept
+        lengths = 6.0 + np.arange(64) / 16.0
+        times = np.concatenate([[0.0], np.cumsum(np.tile(lengths, 2))])
+        rho0 = embed_xstate(XSTATE_10)
+        family = ParamFamily(np.full(8, CANONICAL.gamma), CANONICAL.m, CANONICAL.omega)
+        own = integrate_master(rho0, CANONICAL, times, max_step=0.01)
+        for traj in integrate_master(rho0, family, times, max_step=0.01):
+            assert traj.samples.tobytes() == own.samples.tobytes()
+            assert traj.span_powers == 2 * 64 - dynamics._KEPT_POWER_MATRICES // 80
+        assert own.span_powers == 2 * 64 - dynamics._KEPT_POWER_MATRICES // 10
+
+    def test_unneeded_squarings_are_not_taken(self):
+        # an unstable member that needs one power beside a stable one that
+        # needs 60: squaring the first 59 more times would overflow
+        terms = np.zeros((2, 4, 256), dtype=complex)
+        terms[:, 0] = (1e3 * np.eye(16)).reshape(256)
+        with np.errstate(over="raise", invalid="raise"):
+            increments = dynamics._rk4_increments(
+                terms, np.array([1.0, 1e-300]), np.array([1.0, 2.0**59]))
+        assert len(increments) == 60
+        assert [level[0].tolist() for level in increments[:2]] == [[0, 1], [1]]
+
+
 class TestTrajectoryRecord:
     def test_sample_count_mismatch(self):
         with pytest.raises(InvariantViolation):

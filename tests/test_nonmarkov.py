@@ -74,6 +74,7 @@ from helpers import (
     random_params,
     reduced_distance,
     swap_geometric_series,
+    trapezoid,
 )
 
 
@@ -166,7 +167,7 @@ class TestBlpMeasure:
         result = blp_measure(CANONICAL)
         t = np.linspace(0.0, result.truncation_time, 750_001)
         sigma = np.asarray(trace_distance_rate(CANONICAL, t))
-        riemann = float(np.trapezoid(np.maximum(sigma, 0.0), t))
+        riemann = trapezoid(np.maximum(sigma, 0.0), t)
         assert result.n_value == pytest.approx(riemann, rel=1e-4)
 
     def test_frozen_values_at_other_couplings(self):

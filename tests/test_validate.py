@@ -26,6 +26,14 @@ from qmemory.nonmarkov import (
 )
 from qmemory.validate import GENERIC_STATE
 
+from helpers import (
+    distance_rate_check_loop,
+    exact_check_loop,
+    populations_check_loop,
+    semigroup_check_loop,
+    steady_check_loop,
+)
+
 EXPECTED_NAMES = [
     "exact-propagator-vs-integrator",
     "populations-vs-integrator",
@@ -117,6 +125,32 @@ class TestDistanceFamily:
             for g, m, omega, t in _sequential_draws())
         assert validate._check_distance_closed_form() == (
             True, f"worst |D_pair - D_closed| = {worst:.3e} (tol 1e-12)", ())
+
+
+class TestFamilyChecks:
+    """The checks that evaluate grid families report what their member loops
+    report: the same worst values, and the same first failure."""
+
+    @pytest.mark.parametrize("max_step", [None, 0.5, 0.05, 2.0])
+    def test_results_equal_the_member_loops(self, monkeypatch, max_step):
+        family = run_validation(max_step=max_step)
+        for name, loop in (
+            ("_check_exact_vs_integrator", exact_check_loop),
+            ("_check_populations", populations_check_loop),
+            ("_check_semigroup", semigroup_check_loop),
+            ("_check_steady", steady_check_loop),
+            ("_check_distance_rate", distance_rate_check_loop),
+        ):
+            monkeypatch.setattr(validate, name, loop)
+        assert family == run_validation(max_step=max_step)
+
+    def test_distance_rate_detail_is_the_scalar_loops(self):
+        assert validate._check_distance_rate() == distance_rate_check_loop()
+
+    def test_coarse_step_populations_abort_is_the_first_member_failure(self):
+        by_name = {r.name: r for r in run_validation(max_step=0.5)}
+        assert by_name["populations-vs-integrator"].detail == (
+            "aborted: sample(t=0.526316) has eigenvalue -5.431e-07 below 0 beyond slack 1e-09")
 
 
 class TestBoundedMemory:
