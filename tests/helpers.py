@@ -271,8 +271,8 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
 
 # --- the validation checks' member loops -------------------------------------
 #
-# The exact, populations, semigroup and steady-state checks as they ran before
-# the dynamics took families: one call per grid member.  The distance-rate
+# The exact, populations, semigroup, stationarity and steady-state checks as
+# they ran before they took families: one call per grid member.  The distance-rate
 # check as it ran before it took arrays: one scalar call per time.  Each
 # returns ``(passed, detail, table)`` as the library's check does, and raises
 # what its first failing call raises.
@@ -341,6 +341,18 @@ def semigroup_check_loop():
         staged = propagate_exact(first, params, s)
         worst = max(worst, float(np.max(np.abs(direct - staged))))
     return worst <= tol, f"worst semigroup defect = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def stationarity_check_loop():
+    from qmemory.densmat import embed_xstate
+    from qmemory.dynamics import lindblad_rhs, parameter_grid, thermal_xstate
+
+    tol = 1e-12
+    worst = 0.0
+    for params in parameter_grid():
+        rho_th = embed_xstate(thermal_xstate(params))
+        worst = max(worst, float(np.max(np.abs(lindblad_rhs(rho_th, params)))))
+    return worst <= tol, f"worst |L(rho_thermal)| = {worst:.3e} (tol {tol:.0e})", ()
 
 
 def steady_check_loop(max_step):
