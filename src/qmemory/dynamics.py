@@ -50,6 +50,9 @@ equals, bit for bit, that member's own call at its own time.
 :func:`integrate_master` takes a 1-D family on one shared time grid and
 advances its members together, a block at a time, with stacked 16x16
 products; a :class:`ModelParams` is the one-member case of the same code.
+Its spans advance without floating-point traps, and one vectorised pass over
+the samples decides every failure: a non-finite sample is the overflow of
+its span, then come trace drift and validity.
 
 A previously published closed-form solution of the same rate equations ships
 verbatim as :func:`propagate_xstate_published`.  It is defective (it fails the
@@ -98,6 +101,9 @@ _BLOCK_MEMBERS = 8
 # with the powers scales with the span times the rates, not with the step
 # count, so a finer ``max_step`` does not move this limit.
 MAX_SPAN_STEPS = 1e21
+# Largest rate, gamma (1 + 2m) or omega, that the integrator accepts: the
+# generator's fourth power L^4 / 4! overflows from about 4e76 on.
+MAX_RK4_RATE = 1e76
 
 # Canonical initial states of the watched pair: atom 1 excited / both ground.
 XSTATE_10 = XState(0.0, 1.0, 0.0, 0.0)
@@ -355,8 +361,9 @@ def superoperator(params: ModelParams) -> np.ndarray:
 # --- RK4 integration ---------------------------------------------------------
 
 def _rk4_increments(terms: np.ndarray, h: np.ndarray, n: np.ndarray) -> list:
-    """The increments ``P^(2^j) - I``, ``j = 0 .. bit_length(n) - 1``, of
-    the classic RK4 step matrix ``P = I + E`` of size ``h``, for each member.
+    """The increments ``P^(2^j) - I``, ``j = 0 .. bit_length(max(n)) - 1``,
+    of the classic RK4 step matrix ``P = I + E`` of size ``h``, for each
+    member.
 
     For the linear, constant generator ``L`` one step is ``P = I + E`` with
     ``E = hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24``; row ``k - 1`` of a member's
@@ -364,58 +371,35 @@ def _rk4_increments(terms: np.ndarray, h: np.ndarray, n: np.ndarray) -> list:
     ``h`` and the step counts ``n`` (integers held as floats) have one entry
     per member.  Each power is squared on the increment (``P^2 = I + 2E +
     E^2``), so that the small entries of ``E`` are never rounded against the
-    identity.  Entry ``j`` is ``(members, increments, odd)``: only the
-    members whose ``n`` has more than ``j`` bits are squared that far, and
-    ``odd`` picks the rows whose member's ``n`` has bit ``j`` set (all of
-    them: ``slice(None)``).
+    identity.  Entry ``j`` is ``(increments, rows)``: every member is squared
+    as far as the largest ``n`` needs, and ``rows`` picks the members whose
+    ``n`` has bit ``j`` set, the only ones that apply that power (all of
+    them: ``slice(None)``; none: ``None``).
     """
     # the powers of h as Python floats, which numpy's power does not round alike
     coeffs = np.array([[x, x * x, x**3, x**4] for x in h.tolist()])
     inc = (coeffs[:, None, :] @ terms).reshape(-1, 16, 16)
-    members = np.arange(len(inc))
-    level = np.arange(int(np.frexp(n)[1].max(initial=0)))[:, None]
-    needed = n >= np.ldexp(1.0, level)  # n has more than j bits
-    set_bit = np.floor(np.ldexp(n, -level)) % 2.0 == 1.0
-    counts = needed.sum(axis=1).tolist()
-    all_odd = (set_bit | ~needed).all(axis=1).tolist()
+    level = np.arange(int(np.frexp(n)[1].max()))[:, None]
+    odd = np.floor(np.ldexp(n, -level)) % 2.0 == 1.0
     increments = []
-    for j, count in enumerate(counts):
+    for j, bits in enumerate(odd):
         if j:
-            if count < len(members):
-                keep = needed[j, members]
-                members, inc = members[keep], inc[keep]
             inc = 2.0 * inc + inc @ inc
-        odd = slice(None) if all_odd[j] else np.flatnonzero(set_bit[j, members])
-        increments.append((members, inc, odd))
+        rows = slice(None) if bits.all() else np.flatnonzero(bits) if bits.any() else None
+        increments.append((inc, rows))
     return increments
 
 
-def _rk4_steps(increments: list, y: np.ndarray, n: np.ndarray) -> np.ndarray:
+def _rk4_steps(increments: list, y: np.ndarray) -> np.ndarray:
     """``n`` RK4 steps ``y -> P^n y`` per member (``y`` of shape ``(P, 16)``)
     by binary powering: ``y -> y + (P^(2^j) - I) y`` for every set bit ``j``
     of that member's ``n``, lowest first, with the increments of
     :func:`_rk4_increments`."""
-    for members, inc, odd in increments:
-        if isinstance(odd, slice) and members.size == len(y):
-            y = y + (inc @ y[:, :, None])[..., 0]
-            continue
-        rows = members[odd]
-        if rows.size:
-            y = y.copy()
-            y[rows] += (inc[odd] @ y[rows, :, None])[..., 0]
+    y = y.copy()
+    for inc, rows in increments:
+        if rows is not None:
+            y[rows] += (inc[rows] @ y[rows, :, None])[..., 0]
     return y
-
-
-def _first_overflow(terms, h, y, n) -> int:
-    """The first member whose span, advanced alone, overflows (floating-point
-    errors raising); the members before it are advanced in ``y``."""
-    for p in range(len(h) - 1):  # the last one, all others being fine
-        one = slice(p, p + 1)
-        try:
-            y[one] = _rk4_steps(_rk4_increments(terms[one], h[one], n[one]), y[one], n[one])
-        except FloatingPointError:
-            return p
-    return len(h) - 1
 
 
 def integrate_master(
@@ -448,7 +432,10 @@ def integrate_master(
         trajectory equals, bit for bit, that member's own call, except that
         ``span_powers`` counts the power lists the family built, whose kept
         matrices share one budget.  The first member (in order) whose own
-        call would fail raises its failure.
+        call would fail raises its failure.  A member whose rate
+        ``max(gamma (1 + 2m), omega)`` is above :data:`MAX_RK4_RATE` raises
+        :class:`InvariantViolation` naming it: its ``L^4 / 4!`` would
+        overflow.
     t_grid : strictly increasing finite sample times starting at 0.
     max_step : override for the internal step bound, finite and positive; by
         default the step satisfies ``h <= min(grid spacing, 1e-3 / relaxation
@@ -457,11 +444,14 @@ def integrate_master(
         steps and a finite number of steps.  A step beyond RK4's stability
         limit whose powers overflow raises :class:`InvariantViolation`.
 
-    Every sample is Hermitized by averaging with its adjoint and renormalized
-    when the trace drift exceeds 1e-12 (drift magnitude logged); the worst raw
-    drift and Hermiticity defect are reported on the returned
-    :class:`Trajectory`.  The samples are checked as one stack after the last
-    span, with one :func:`validate_density_matrix` call.
+    The spans advance without floating-point checks; then every sample is
+    Hermitized by averaging with its adjoint and renormalized when the trace
+    drift exceeds 1e-12 (drift magnitude logged), and the worst raw drift and
+    Hermiticity defect are reported on the returned :class:`Trajectory`.  The
+    samples are checked as one stack after the last span: a member's first
+    failing sample is a non-finite one (its span overflowed), then one whose
+    drift exceeds the tolerance, then one that :func:`validate_density_matrix`
+    rejects.
     """
     trajectories = _integrate(rho0, params, t_grid, max_step)
     return trajectories if isinstance(params, ParamFamily) else trajectories[0]
@@ -488,111 +478,85 @@ def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
 
     gamma, m, omega = (np.broadcast_to(np.asarray(v, dtype=float), (size,))
                        for v in (params.gamma, params.m, params.omega))
+    rate = np.maximum(gamma * (1.0 + 2.0 * m), omega)
+    h_default = STEP_RESOLUTION / rate
+    h_bound = h_default if max_step is None else np.full(size, float(max_step))
+    # Members fail in member order: the members before the first rejected
+    # one are still integrated and checked, and may fail first.
+    longest = float(spans.max()) if spans.size else 0.0
+    with np.errstate(over="ignore"):  # a subnormal max_step: infinitely many steps
+        rejected = ~((rate <= MAX_RK4_RATE) & (longest / h_default <= MAX_SPAN_STEPS)
+                     & np.isfinite(longest / h_bound))
+    limit = int(np.argmax(rejected)) if rejected.any() else size
     trajectories = []
-    for lo in range(0, size, _BLOCK_MEMBERS):
-        block = slice(lo, lo + _BLOCK_MEMBERS)
+    for lo in range(0, limit, _BLOCK_MEMBERS):
+        block = slice(lo, min(lo + _BLOCK_MEMBERS, limit))
         trajectories += _integrate_block(starts if starts.ndim == 2 else starts[block],
-                                         gamma[block], m[block], omega[block], times, max_step)
-    return tuple(trajectories)
+                                         gamma[block], m[block], omega[block], h_bound[block],
+                                         times, max_step)
+    if limit == size:
+        return tuple(trajectories)
+    if rate[limit] > MAX_RK4_RATE:
+        raise InvariantViolation(f"max(gamma (1 + 2m), omega) = {float(rate[limit])!r} "
+                                 f"is above the integrator's limit of {MAX_RK4_RATE:g}")
+    hb, hd = float(h_bound[limit]), float(h_default[limit])
+    raise InvalidGridError(
+        f"a span of {longest!r} needs {longest / hb:.3g} steps of {hb!r}; the limit "
+        f"is a finite step count and {MAX_SPAN_STEPS:g} steps of the default {hd!r}"
+    )
 
 
-def _integrate_block(starts, gamma, m, omega, times, max_step) -> tuple[Trajectory, ...]:
+def _integrate_block(starts, gamma, m, omega, h_bound, times, max_step) -> tuple[Trajectory, ...]:
     """The trajectories of one block of members, or the failure of its
     first failing member."""
     size, spans = len(gamma), np.diff(times)
-    h_default = STEP_RESOLUTION / np.maximum(gamma * (1.0 + 2.0 * m), omega)
-    h_bound = h_default if max_step is None else np.full(size, float(max_step))
-    # Each member fails by itself, in member order: ``limit`` is the first
-    # member known to fail and ``failure`` its error; later members no longer
-    # matter, earlier ones are still integrated and checked.
-    limit, failure = size, None
-    done = np.full(size, spans.size)  # samples each member completed
-    longest = float(spans.max()) if spans.size else 0.0
-    with np.errstate(over="ignore"):  # a subnormal max_step: infinitely many steps
-        too_long = ~((longest / h_default <= MAX_SPAN_STEPS) & np.isfinite(longest / h_bound))
-    if too_long.any():
-        limit = int(np.argmax(too_long))
-        done[limit] = 0
-        hb, hd = float(h_bound[limit]), float(h_default[limit])
-        failure = InvalidGridError(
-            f"a span of {longest!r} needs {longest / hb:.3g} steps of {hb!r}; the limit "
-            f"is a finite step count and {MAX_SPAN_STEPS:g} steps of the default {hd!r}"
-        )
-
     # row k - 1 of a member's terms is L^k / k!, flattened
-    liouv = _generators(*(v[:limit, None, None] for v in (gamma, m, omega)))
+    liouv = _generators(*(v[:, None, None] for v in (gamma, m, omega)))
     square = liouv @ liouv
-    terms = np.empty((limit, 4, 16, 16), dtype=complex)
+    terms = np.empty((size, 4, 16, 16), dtype=complex)
     terms[:, 0] = liouv
     np.divide(square, 2.0, out=terms[:, 1])
     np.divide(square @ liouv, 6.0, out=terms[:, 2])
     np.divide(square @ square, 24.0, out=terms[:, 3])
     terms = terms.reshape(-1, 4, 256)
-    with np.errstate(over="ignore"):  # only for members already past the limit
-        counts = np.maximum(1.0, np.ceil(spans[:, None] / h_bound))
+    counts = np.maximum(1.0, np.ceil(spans[:, None] / h_bound))
     steps = spans[:, None] / counts
     keys = [(h.tobytes(), n.tobytes()) for h, n in zip(steps, counts)]
     last_use = {key: i for i, key in enumerate(keys)}
-    kept, kept_matrices = {}, 0
-    built = np.zeros(size, dtype=int)
-    raw = np.zeros((spans.size, size, 16), dtype=complex)
-    y = np.broadcast_to(starts.reshape(-1, 16), (size, 16))[:limit].astype(complex)
-    with np.errstate(over="raise", invalid="raise"):
-        for i, (key, right) in enumerate(zip(keys, times[1:])):
-            if limit == 0:
-                break
-            h, n = steps[i, :limit], counts[i, :limit]
+    kept, kept_matrices, built = {}, 0, 0
+    raw = np.empty((spans.size, size, 16), dtype=complex)
+    y = np.broadcast_to(starts.reshape(-1, 16), (size, 16)).astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite sample
+        for i, key in enumerate(keys):
             increments, stored = kept.pop(key, (None, 0))
             kept_matrices -= stored
-            try:
-                if increments is None:
-                    increments = _rk4_increments(terms[:limit], h, n)
-                    stored = sum(len(level[0]) for level in increments)
-                    built[:limit] += 1
-                y = _rk4_steps(increments, y, n)
-            except FloatingPointError:
-                # redone one member at a time: the first that overflows alone fails here
-                first, increments = _first_overflow(terms[:limit], h, y, n), None
-                limit, done[first] = first, i
-                failure = InvariantViolation(
-                    f"RK4 steps of {float(h[first])!r} overflow by t={right:g}: "
-                    f"max_step={max_step!r} is beyond RK4's stability limit for these rates"
-                )
-                # the call fails now; the members before it are only checked
-                y, kept, kept_matrices = y.reshape(-1, 16)[:limit], {}, 0
-            if (increments is not None and last_use[key] > i
-                    and kept_matrices + stored <= _KEPT_POWER_MATRICES):
+            if increments is None:
+                increments = _rk4_increments(terms, steps[i], counts[i])
+                stored, built = len(increments) * size, built + 1
+            y = raw[i] = _rk4_steps(increments, y)
+            if last_use[key] > i and kept_matrices + stored <= _KEPT_POWER_MATRICES:
                 kept[key] = increments, stored
                 kept_matrices += stored
-            raw[i, :limit] = y
-
-    return _checked_trajectories(starts, times, raw, done, limit, failure, built, counts)
+    return _checked_trajectories(starts, times, raw, steps, counts, built, max_step)
 
 
-def _checked_trajectories(starts, times, raw, done, limit, failure, built, counts):
+def _checked_trajectories(starts, times, raw, steps, counts, built, max_step):
     """The trajectories of the raw samples of :func:`_integrate_block`,
     checked as a loop over one member after another would check them: a
-    sample's trace drift, then its validity, then later samples.  Member
-    ``limit`` failed with ``failure`` (a span limit or an overflow) after its
-    first ``done[limit]`` samples, which are checked before it raises."""
-    size, n_spans = raw.shape[1], raw.shape[0]
-    end = size if failure is None else limit + 1
-    raw = raw[:, :end].transpose(1, 0, 2).reshape(end, n_spans, 4, 4)
+    non-finite sample (the overflow of its span), then a sample's trace
+    drift, then its validity, then later samples."""
+    n_spans, size = raw.shape[:2]
+    raw = raw.transpose(1, 0, 2).reshape(size, n_spans, 4, 4)
+    finite = np.isfinite(raw).all(axis=(-2, -1))
+    if not finite.all():  # zeroed, so no warning below; a zero trace fails the drift check
+        raw = np.where(finite[..., None, None], raw, 0.0)
     rho = 0.5 * (raw + raw.conj().swapaxes(-1, -2))
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     drift = np.abs(tr - 1.0)
     sample = np.arange(n_spans)
-    ran = sample < done[:end, None]
-    bad = ~(drift <= TRACE_TOL) & ran  # NaN too
-    checked = np.where(bad, sample, done[:end, None]).min(axis=1, initial=n_spans)
-    drifted = np.flatnonzero(checked < done[:end])
-    if drifted.size:
-        limit = int(drifted[0])
-        failure = InvariantViolation(
-            f"integrator trace drift {drift[limit, checked[limit]]:.3e} at "
-            f"t={times[checked[limit] + 1]:g} exceeds {TRACE_TOL:.0e} before renormalization"
-        )
-        end = limit + 1
+    checked = np.where(drift <= TRACE_TOL, n_spans, sample).min(axis=1, initial=n_spans)
+    failed = np.flatnonzero(checked < n_spans)
+    end = int(failed[0]) + 1 if failed.size else size
     ok = sample < checked[:end, None]
     for p, k in zip(*np.nonzero(ok & (drift[:end] > 1e-12))):
         logger.debug(
@@ -604,8 +568,18 @@ def _checked_trajectories(starts, times, raw, done, limit, failure, built, count
         rho[:end][ok], dim=4, positivity_tol=SAMPLE_POSITIVITY_TOL,
         name=[labels[k] for k in np.nonzero(ok)[1].tolist()],
     )
-    if failure is not None:
-        raise failure
+    if failed.size:
+        p = end - 1
+        k = int(checked[p])
+        if not finite[p, k]:
+            raise InvariantViolation(
+                f"RK4 steps of {float(steps[k, p])!r} overflow by t={times[k + 1]:g}: "
+                f"max_step={max_step!r} is beyond RK4's stability limit for these rates"
+            )
+        raise InvariantViolation(
+            f"integrator trace drift {drift[p, k]:.3e} at t={times[k + 1]:g} exceeds "
+            f"{TRACE_TOL:.0e} before renormalization"
+        )
 
     samples = np.concatenate(
         (np.broadcast_to(starts.reshape(-1, 1, 4, 4), (size, 1, 4, 4)), rho), axis=1)
@@ -615,8 +589,7 @@ def _checked_trajectories(starts, times, raw, done, limit, failure, built, count
     steps = [sum(map(int, column)) for column in counts.T.tolist()]
     return tuple(
         Trajectory(times=times, samples=samples[p], max_trace_drift=drifts[p],
-                   max_hermiticity_defect=defects[p], rk4_steps=steps[p],
-                   span_powers=int(built[p]))
+                   max_hermiticity_defect=defects[p], rk4_steps=steps[p], span_powers=built)
         for p in range(size)
     )
 

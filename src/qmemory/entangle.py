@@ -29,7 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .densmat import _neg_p_log2_p
-from .dynamics import ModelParams, population_from_excited, population_from_ground
+from .dynamics import (
+    MAX_PARAMETER, ModelParams, population_from_excited, population_from_ground)
 from .errors import InvariantViolation
 
 
@@ -43,7 +44,7 @@ class EntanglementVariant(Enum):
 def binary_entropy(p) -> float | np.ndarray:
     """Shannon entropy of a bit with probability ``p``, in bits."""
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < -1e-15) or np.any(arr > 1.0 + 1e-15):
+    if not np.all((arr >= -1e-15) & (arr <= 1.0 + 1e-15)):  # NaN too
         raise InvariantViolation(f"probability outside [0, 1]: {p!r}")
     arr = np.clip(arr, 0.0, 1.0)
     value = _neg_p_log2_p(arr) + _neg_p_log2_p(1.0 - arr)
@@ -86,10 +87,14 @@ def steady_entanglement(
 
     Both populations relax to ``q = m / (1 + 2m)`` regardless of preparation,
     so ``PUBLISHED`` gives ``-2 q log2 q`` and ``SUBSYSTEM`` the binary
-    entropy of ``q``.  Zero for ``m = 0`` (the bath empties both atoms).
+    entropy of ``q``.  Zero for ``m = 0`` (the bath empties both atoms);
+    ``m`` above :data:`~qmemory.dynamics.MAX_PARAMETER` is rejected, as
+    :class:`~qmemory.dynamics.ModelParams` rejects it.
     """
     if not (math.isfinite(m) and m >= 0.0):
         raise InvariantViolation(f"occupation m must be finite and nonnegative, got {m!r}")
+    if m > MAX_PARAMETER:  # 1 + 2m would overflow from about 9e307 on
+        raise InvariantViolation(f"m = {m!r} is above the limit of {MAX_PARAMETER:g}")
     q = m / (1.0 + 2.0 * m)
     return float(_reading(q, q, variant))
 

@@ -671,15 +671,16 @@ def blp_measure_maximized(
     A winning product pair's ``tail_bound`` is the integral of its speed bound
     from ``t_max`` on: a bound on the total variation, so on every later gain.
 
-    Raises :class:`InvariantViolation` for ``grid_size < 2`` and
+    Raises :class:`InvariantViolation` for a ``grid_size`` that is not an
+    integer of at least 2 and
     :class:`InvalidGridError` above :data:`MAX_GRID_SIZE`, then for the
     window checks of the canonical measure (:func:`blp_measure`: ``dt`` and
     ``t_max`` positive and finite, at most :data:`MAX_INTERVALS` intervals,
     which keeps every phase ``omega t`` below ``pi`` times that), then when
     ``t_max / dt`` exceeds :data:`MAX_SCAN_POINTS`.
     """
-    if grid_size < 2:
-        raise InvariantViolation(f"grid_size must be at least 2, got {grid_size!r}")
+    if not (isinstance(grid_size, (int, np.integer)) and grid_size >= 2):
+        raise InvariantViolation(f"grid_size must be an integer of at least 2, got {grid_size!r}")
     if grid_size > MAX_GRID_SIZE:
         raise InvalidGridError(
             f"grid_size {grid_size!r} is above the limit of {MAX_GRID_SIZE} "

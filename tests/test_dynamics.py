@@ -577,8 +577,9 @@ class TestIntegrator:
             integrate_master(rho0, CANONICAL, [0.0, 1000.0], max_step=5.0)
 
     def test_nan_trace_drift_rejected(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "_rk4_steps", lambda increments, y, n: y * math.nan)
-        with pytest.raises(InvariantViolation, match="trace drift nan"):
+        # a NaN sample is reported as the overflow of its span
+        monkeypatch.setattr(dynamics, "_rk4_steps", lambda increments, y: y * math.nan)
+        with pytest.raises(InvariantViolation, match="overflow by t=1: max_step=None"):
             integrate_master(embed_xstate(XSTATE_10), CANONICAL, [0.0, 1.0])
 
     def test_infinite_grid_time_rejected(self):
@@ -666,19 +667,18 @@ class TestIntegrator:
         (("valid", "overflow", "negative"), "overflow by t=2"),
     ])
     def test_first_failure_order(self, monkeypatch, spans, message):
-        # a sample's drift, then its validity, then later samples and spans
+        # a sample's overflow (a non-finite state), then its drift, then its
+        # validity, then later samples
         states = {
             "valid": np.eye(4, dtype=complex).reshape(16) / 4.0,
             "negative": np.diag([0.6, 0.5, 0.0, -0.1]).astype(complex).reshape(16),
             "drifted": np.eye(4, dtype=complex).reshape(16) / 2.0,
+            "overflow": np.full(16, complex(math.inf, math.nan)),
         }
         script = iter(spans)
 
-        def steps(increments, y, n):
-            state = next(script)
-            if state == "overflow":
-                raise FloatingPointError(state)
-            return states[state]
+        def steps(increments, y):
+            return states[next(script)]
 
         monkeypatch.setattr(dynamics, "_rk4_steps", steps)
         with pytest.raises(InvariantViolation, match=message):
@@ -876,16 +876,40 @@ class TestIntegratorFamily:
             assert traj.span_powers == 2 * 64 - dynamics._KEPT_POWER_MATRICES // 80
         assert own.span_powers == 2 * 64 - dynamics._KEPT_POWER_MATRICES // 10
 
-    def test_unneeded_squarings_are_not_taken(self):
+    def test_unused_powers_are_not_applied(self):
         # an unstable member that needs one power beside a stable one that
-        # needs 60: squaring the first 59 more times would overflow
+        # needs 60: the first one's powers overflow from the seventh squaring
+        # (1001^128) on, and it never applies them
         terms = np.zeros((2, 4, 256), dtype=complex)
         terms[:, 0] = (1e3 * np.eye(16)).reshape(256)
-        with np.errstate(over="raise", invalid="raise"):
+        with np.errstate(over="ignore", invalid="ignore"):
             increments = dynamics._rk4_increments(
                 terms, np.array([1.0, 1e-300]), np.array([1.0, 2.0**59]))
-        assert len(increments) == 60
-        assert [level[0].tolist() for level in increments[:2]] == [[0, 1], [1]]
+            y = dynamics._rk4_steps(increments, np.ones((2, 16), dtype=complex))
+        assert len(increments) == 60 and not np.isfinite(increments[-1][0][0]).any()
+        assert y[0].tolist() == [1001.0] * 16
+        assert np.isfinite(y[1]).all()
+
+    def test_rate_limit(self):
+        # L^4 / 4! overflows from about 4e76 on: such members are rejected by
+        # name, in member order, without a warning, and the rates just below
+        # integrate cleanly
+        rho0 = embed_xstate(XSTATE_10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for params, rate in ((ModelParams(1e100, 0.0, 0.0), "1e\\+100"),
+                                 (ModelParams(1e-3, 0.0, 2e76), "2e\\+76")):
+                with pytest.raises(InvariantViolation, match=f"omega\\) = {rate} is above the"):
+                    integrate_master(rho0, params, [0.0, 1e-90])
+            for params in (ModelParams(1e76, 0.0, 0.0), ModelParams(1e76 / 3.0, 1.0, 1e76)):
+                traj = integrate_master(rho0, params, [0.0, 1e-78, 1e-77])
+                assert traj.max_trace_drift < 1e-10
+            family = ParamFamily([0.2, 4e75, 0.2, 1e77], 0.5, [0.8, 0.0, 0.0, 0.0])
+            with pytest.raises(InvariantViolation, match="omega\\) = 2e\\+77 is above"):
+                integrate_master(rho0, family, [0.0, 1e-78])
+            # an earlier member's failure comes first
+            with pytest.raises(InvariantViolation, match="overflow by t=1000"):
+                integrate_master(rho0, family, [0.0, 1000.0], max_step=5.0)
 
 
 class TestTrajectoryRecord:

@@ -62,6 +62,11 @@ class TestBinaryEntropy:
         assert binary_entropy(1.0 + 1e-16) == 0.0
         assert binary_entropy(-1e-16) == 0.0
 
+    def test_nan_rejected(self):
+        for bad in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(InvariantViolation, match="probability outside \\[0, 1\\]"):
+                binary_entropy(bad)
+
 
 class TestEntanglementEntropy:
     def test_zero_at_start(self):
@@ -211,6 +216,13 @@ class TestSteadyEntanglement:
         for bad in (-0.5, math.nan, math.inf):
             with pytest.raises(InvariantViolation):
                 steady_entanglement(bad)
+
+    def test_occupation_limit(self):
+        # both populations relax to q -> 1/2: a plateau of one bit
+        for variant in (PUBLISHED, SUBSYSTEM):
+            assert steady_entanglement(1e100, variant) == pytest.approx(1.0, abs=1e-15)
+            with pytest.raises(InvariantViolation, match="m = 1e\\+101 is above the limit of 1e\\+100"):
+                steady_entanglement(1e101, variant)
 
 
 class TestVariantTokens:

@@ -708,6 +708,13 @@ class TestMaximizedMeasure:
             with pytest.raises(InvariantViolation):
                 blp_measure_maximized(CANONICAL, grid_size=bad)
 
+    def test_non_integer_grid_size_named(self):
+        for bad in (3.0, "3", None):
+            with pytest.raises(InvariantViolation, match=f"integer of at least 2, got {bad!r}"):
+                blp_measure_maximized(CANONICAL, grid_size=bad)
+        assert blp_measure_maximized(CANONICAL, grid_size=np.int64(3)).n_value == (
+            blp_measure_maximized(CANONICAL, grid_size=3).n_value)
+
     def test_grid_size_limit(self):
         assert MAX_GRID_SIZE == 13
         # a short window keeps the largest accepted grid quick
