@@ -27,11 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import __version__
-from .dynamics import MAX_PARAMETER, ModelParams
+from .dynamics import MAX_PARAMETER, ModelParams, ParamFamily
 from .entangle import EntanglementVariant, entanglement_entropy
 from .errors import InvariantViolation, QmemoryError
 from .nonmarkov import (
-    NON_MARKOVIAN,
+    canonical_measures,
     classify_dynamics,
     trace_distance_closed_form,
     trace_distance_rate,
@@ -208,20 +208,53 @@ def _echo_value(value) -> str:
 
 
 def _write_csv(out_path: str | None, command: str, echo: dict, header: tuple,
-               template: str, rows) -> None:
-    """Write the ``#`` lines, the header and the rows, each row a tuple formatted
-    by the printf ``template``, in blocks of :data:`_WRITE_BLOCK` lines; every
-    check that can fail has run before the first byte."""
-    head = [f"# qmemory {__version__}\n", f"# command: {command}\n",
-            *(f"# {key} = {_echo_value(echo[key])}\n" for key in sorted(echo)),
-            ",".join(header) + "\n"]
-    lines = itertools.chain(head, map(template.__mod__, rows))
-    blocks = iter(lambda: "".join(itertools.islice(lines, _WRITE_BLOCK)), "")
+               blocks) -> None:
+    """Write the ``#`` lines, the header and the row ``blocks`` (strings of
+    formatted rows, see :func:`_column_blocks` and :func:`_family_blocks`);
+    every check that can fail has run before the first byte."""
+    head = "".join([f"# qmemory {__version__}\n", f"# command: {command}\n",
+                    *(f"# {key} = {_echo_value(echo[key])}\n" for key in sorted(echo)),
+                    ",".join(header) + "\n"])
     if out_path is None:
-        sys.stdout.writelines(blocks)
+        sys.stdout.writelines(itertools.chain([head], blocks))
     else:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(blocks)
+            fh.writelines(itertools.chain([head], blocks))
+
+
+def _column_blocks(template: str, rows: int, columns):
+    """Rows ``template % (c0[i], c1[i], ...)``, :data:`_WRITE_BLOCK` rows per
+    ``%`` call, where ``columns(block)`` gives the column slices ``block``:
+    only one block's cells exist at a time, as numbers or as text."""
+    for start in range(0, rows, _WRITE_BLOCK):
+        block = np.column_stack(columns(slice(start, start + _WRITE_BLOCK)))
+        yield (template * len(block)) % tuple(block.ravel().tolist())
+
+
+def _family_blocks(t: np.ndarray, members: int, member_rows):
+    """Rows ``lead + "%.8e" % t[j] + "," + "%.8e" % curve[j] + tail`` of
+    ``members`` curves over the shared times ``t``, member after member.
+
+    ``member_rows(block)`` gives the ``(leads, tails, curves)`` of a slice of
+    members, at most :data:`_WRITE_BLOCK` rows' worth (one member where a
+    curve is longer).  The times are formatted once (once per block of
+    :data:`_WRITE_BLOCK` times where a curve is longer), and each member's
+    constant cells are baked into its row template, so the one ``%`` call per
+    block formats only the curve values.
+    """
+    def time_cells(start):
+        times = t[start:start + _WRITE_BLOCK]
+        return (("%.8e\n" * len(times)) % tuple(times.tolist())).splitlines()
+
+    shared = time_cells(0) if t.size <= _WRITE_BLOCK else None
+    per_block = max(1, _WRITE_BLOCK // t.size)
+    for first in range(0, members, per_block):
+        leads, tails, curves = member_rows(slice(first, first + per_block))
+        for start in range(0, t.size, _WRITE_BLOCK):
+            cells = shared or time_cells(start)
+            template = "".join([lead + (",%.8e" + tail + lead).join(cells) + ",%.8e" + tail
+                                for lead, tail in zip(leads, tails)])
+            yield template % tuple(curves[:, start:start + _WRITE_BLOCK].ravel().tolist())
 
 
 def _common_echo(cfg: RunConfig) -> dict:
@@ -231,7 +264,12 @@ def _common_echo(cfg: RunConfig) -> dict:
 
 def _time_grid(cfg: RunConfig, curves: int = 1) -> np.ndarray:
     """The shared sample times, once ``curves`` curves of them fit in
-    :data:`MAX_ROWS` rows; checked before anything is allocated."""
+    :data:`MAX_ROWS` rows; checked before anything is allocated.
+
+    Every closed form accepts these times (finite and nonnegative, with
+    ``2 omega t`` at most 2e200), so rows computed block by block while
+    others are written cannot fail.
+    """
     rows = curves * cfg.steps
     if rows > MAX_ROWS:
         raise InvariantViolation(
@@ -245,10 +283,13 @@ def _time_grid(cfg: RunConfig, curves: int = 1) -> np.ndarray:
 
 def cmd_trace_distance(cfg: RunConfig) -> int:
     t = _time_grid(cfg)
-    d = trace_distance_closed_form(cfg.params, t)
-    sigma = trace_distance_rate(cfg.params, t)
+
+    def columns(block: slice):
+        return (t[block], trace_distance_closed_form(cfg.params, t[block]),
+                trace_distance_rate(cfg.params, t[block]))
+
     _write_csv(cfg.out_path, "trace-distance", _common_echo(cfg), ("t", "D", "sigma"),
-               "%.8e,%.8e,%.8e\n", zip(t, d, sigma))
+               _column_blocks("%.8e,%.8e,%.8e\n", t.size, columns))
     return 0
 
 
@@ -262,19 +303,25 @@ def cmd_sweep(cfg: RunConfig, param: str, lo: float, hi: float, points: int) -> 
     t = _time_grid(cfg, points)
     values = np.linspace(lo, hi, points)
 
-    curves = np.empty((points, t.size))
-    flags = []
-    for value, curve in zip(values.tolist(), curves):
-        p = replace(cfg.params, **{param: value})
-        flags.append(1 if classify_dynamics(p, cfg.eps).regime == NON_MARKOVIAN else 0)
-        curve[:] = trace_distance_closed_form(p, t)
+    def family(swept: np.ndarray) -> ParamFamily:
+        return ParamFamily(**{**vars(cfg.params), param: swept})
+
+    # every member's interval limit is checked before the first byte
+    flags = np.concatenate([canonical_measures(family(values[first:first + _WRITE_BLOCK]))
+                            > cfg.eps for first in range(0, points, _WRITE_BLOCK)])
+    lead = param + ",%.8e,"
+
+    def member_rows(block: slice):
+        swept = values[block]
+        curves = trace_distance_closed_form(family(swept[:, None]), t)
+        return ([lead % value for value in swept.tolist()],
+                [",1\n" if flag else ",0\n" for flag in flags[block].tolist()], curves)
+
     echo = _common_echo(cfg)
     del echo[param]  # the swept parameter lives in the sweep_value column
     echo.update({"param": param, "from": float(lo), "to": float(hi), "points": points})
-    rows = ((param, value, ti, di, flag)
-            for value, d, flag in zip(values, curves, flags) for ti, di in zip(t, d))
     _write_csv(cfg.out_path, "sweep", echo, ("sweep_param", "sweep_value", "t", "D", "N_flag"),
-               "%s,%.8e,%.8e,%.8e,%d\n", rows)
+               _family_blocks(t, points, member_rows))
     return 0
 
 
@@ -287,7 +334,9 @@ def cmd_blp(cfg: RunConfig) -> int:
     if cfg.out_path is not None:
         result = verdict.result
         _write_csv(cfg.out_path, "blp", _common_echo(cfg), ("t_start", "t_end", "gain"),
-                   "%.8e,%.8e,%.8e\n", zip(result.starts, result.ends, result.gains))
+                   _column_blocks("%.8e,%.8e,%.8e\n", len(result.gains),
+                                  lambda block: (result.starts[block], result.ends[block],
+                                                 result.gains[block])))
     return 0
 
 
@@ -307,17 +356,24 @@ def cmd_entanglement(cfg: RunConfig, gammas: list[float] | None) -> int:
     t = _time_grid(cfg, 1 if gammas is None else len(gammas))
     echo = _common_echo(cfg)
     if gammas is None:
-        e = entanglement_entropy(cfg.params, t, cfg.variant)
-        d = trace_distance_closed_form(cfg.params, t)
-        _write_csv(cfg.out_path, "entanglement", echo, ("t", "E", "D"), "%.8e,%.8e,%.8e\n",
-                   zip(t, e, d))
+        def columns(block: slice):
+            return (t[block], entanglement_entropy(cfg.params, t[block], cfg.variant),
+                    trace_distance_closed_form(cfg.params, t[block]))
+
+        _write_csv(cfg.out_path, "entanglement", echo, ("t", "E", "D"),
+                   _column_blocks("%.8e,%.8e,%.8e\n", t.size, columns))
         return 0
-    family = [(gamma, entanglement_entropy(replace(cfg.params, gamma=gamma), t, cfg.variant))
+    curves = [entanglement_entropy(replace(cfg.params, gamma=gamma), t, cfg.variant)
               for gamma in gammas]
     del echo["gamma"]  # per-row column instead
     echo["gammas"] = ",".join(repr(g) for g in gammas)
-    rows = ((gamma, ti, ei) for gamma, e in family for ti, ei in zip(t, e))
-    _write_csv(cfg.out_path, "entanglement", echo, ("gamma", "t", "E"), "%.8e,%.8e,%.8e\n", rows)
+
+    def member_rows(block: slice):
+        leads = ["%.8e," % gamma for gamma in gammas[block]]
+        return leads, ["\n"] * len(leads), np.array(curves[block])
+
+    _write_csv(cfg.out_path, "entanglement", echo, ("gamma", "t", "E"),
+               _family_blocks(t, len(gammas), member_rows))
     return 0
 
 

@@ -283,6 +283,26 @@ def _interval_count(params: ModelParams, dt: float | None, t_max: float | None):
     return float(t_max), count
 
 
+def _full_gains(ratio, full):
+    """``A (1 - q^F) / (1 - q)`` for ``ratio = R / omega`` in long double and
+    ``F`` full intervals, elementwise for arrays: the same long-double
+    operations, in the same order, round alike for one member or many."""
+    half = 0.5 * ratio  # R / 2 omega
+    step = ratio * _PI_EXT  # R pi / omega
+    first = np.exp(-ratio * (_PI_EXT - np.arctan(half))) / (1.0 + half * half)
+    return first * np.expm1(-full * step) / np.expm1(-step)
+
+
+def _cut_gain(rate: float, omega: float, t_max: float, count: int) -> float:
+    """``max(D(t_max) - D(t_{K-1}), 0)``: the last of ``count`` intervals, cut
+    at ``t_max``.  D = e^{-R t} cos^2(omega t) in scalar math: a scalar call of
+    :func:`trace_distance_closed_form` costs about as much as the whole sum."""
+    start = _zero_time(omega, count - 1)
+    rise = (math.exp(-rate * t_max) * math.cos(omega * t_max) ** 2
+            - math.exp(-rate * start) * math.cos(omega * start) ** 2)
+    return max(rise, 0.0)
+
+
 def _canonical_measure(params: ModelParams, t_max: float | None):
     """``(t_max, N, K)`` of the canonical pair in O(1), from the geometric series.
 
@@ -300,19 +320,57 @@ def _canonical_measure(params: ModelParams, t_max: float | None):
     full = count - cut
     n_value = np.longdouble(0.0)
     if full:
-        ratio = np.longdouble(rate) / omega
-        half = 0.5 * ratio  # R / 2 omega
-        step = ratio * _PI_EXT  # R pi / omega
-        first = np.exp(-ratio * (_PI_EXT - np.arctan(half))) / (1.0 + half * half)
-        n_value = first * np.expm1(-full * step) / np.expm1(-step)
+        n_value = _full_gains(np.longdouble(rate) / omega, full)
     if cut:
-        start = _zero_time(omega, count - 1)
-        # D = e^{-R t} cos^2(omega t) in scalar math: a scalar call of
-        # trace_distance_closed_form costs about as much as the whole sum
-        rise = (math.exp(-rate * t_max) * math.cos(omega * t_max) ** 2
-                - math.exp(-rate * start) * math.cos(omega * start) ** 2)
-        n_value += max(rise, 0.0)
+        n_value += _cut_gain(rate, omega, t_max, count)
     return t_max, float(n_value), count
+
+
+def canonical_measures(params: ParamFamily) -> np.ndarray:
+    """N of every member of a family on its default window, in one array pass.
+
+    Each member's value equals, bit for bit, the ``n_value`` of its own
+    :func:`classify_dynamics` call with the default ``t_max``: the interval
+    count, the cut test and the geometric sum are that call's expressions
+    over the member arrays (long double where it uses long double), and the
+    two terms it takes from ``math`` (the peak phase's ``atan2`` and the cut
+    interval) are taken from ``math`` per member.  The first member (in C
+    order) with more than :data:`MAX_INTERVALS` intervals raises its own
+    call's :class:`InvalidGridError`.
+    """
+    gamma, m, omega, rate, t_max = (
+        np.broadcast_to(v, params.shape).ravel()
+        for v in (params.gamma, params.m, params.omega, params.relaxation_rate,
+                  default_truncation_time(params)))
+    approx_count = omega * t_max / math.pi
+    over = ~(approx_count <= MAX_INTERVALS)
+    if over.any():
+        first = int(np.argmax(over))
+        _interval_count(ModelParams(float(gamma[first]), float(m[first]), float(omega[first])),
+                        None, None)
+        raise AssertionError("unreachable: the interval limit passed a rejected member")
+    count = np.ceil(approx_count - 0.5).astype(np.int64)
+    n_value = np.zeros(count.shape)
+    some = count > 0  # omega > 0 on these members
+    rate, omega, t_max, count = rate[some], omega[some], t_max[some], count[some]
+    while True:  # as _interval_count: zeros before t_max, up to rounding
+        late = (count > 0) & (_zero_time(omega, count - 1) >= t_max)
+        if not late.any():
+            break
+        count -= late
+    peak_phase = math.pi - np.fromiter(
+        map(math.atan2, rate.tolist(), (2.0 * omega).tolist()), float, rate.size)
+    cut = (count > 0) & ((peak_phase + (count - 1) * math.pi) / omega > t_max)
+    full = count - cut
+    gains = np.zeros(count.shape, dtype=np.longdouble)
+    geometric = full > 0
+    gains[geometric] = _full_gains(rate[geometric].astype(np.longdouble) / omega[geometric],
+                                   full[geometric])
+    gains[cut] += np.fromiter(
+        map(_cut_gain, rate[cut].tolist(), omega[cut].tolist(), t_max[cut].tolist(),
+            count[cut].tolist()), float, int(cut.sum()))
+    n_value[some] = gains  # rounded to double once, as float(n_value) does
+    return n_value.reshape(params.shape)
 
 
 def blp_measure(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from qmemory import ModelParams, XState, superoperator
+from qmemory import ModelParams, XState, classify_dynamics, superoperator
 from qmemory.nonmarkov import _GAIN_FLOOR
 
 # --- frozen oracle values ----------------------------------------------------
@@ -135,6 +135,21 @@ def blp_geometric_series(params: ModelParams) -> float:
     s_0 = (math.pi - math.atan(rate / (2.0 * omega))) / omega
     weight = 4.0 * omega**2 / (4.0 * omega**2 + rate**2)
     return weight * math.exp(-rate * s_0) / -math.expm1(-rate * math.pi / omega)
+
+
+def threshold_ratio(eps: float) -> float:
+    """The smallest double ``x = omega / R`` with ``N > eps`` at ``R = 1``
+    (gamma = 1, m = 0), by bisection on ``classify_dynamics``: 0.376175... at
+    ``eps = 1e-3``."""
+    lo, hi = 0.0, 10.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if classify_dynamics(ModelParams(1.0, 0.0, mid), eps).n_value > eps:
+            hi = mid
+        else:
+            lo = mid
 
 
 def canonical_interval_columns(params: ModelParams, t_max: float) -> tuple:

@@ -14,13 +14,15 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmemory import ModelParams, classify_dynamics, NON_MARKOVIAN
+from qmemory import ModelParams, classify_dynamics, NON_MARKOVIAN, trace_distance_closed_form
 from qmemory import cli
+from qmemory.nonmarkov import MAX_INTERVALS
 
-from helpers import N_CANONICAL
+from helpers import N_CANONICAL, threshold_ratio
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -263,6 +265,35 @@ class TestSweep:
         coupled = [float(r[3]) for r in rows if float(r[1]) == 0.8]
         assert any(hi < lo for hi, lo in zip(coupled, coupled[1:]))  # revives
 
+    # gamma = 0.2, m = 0.5: R = 0.4.  x* is the eps = 1e-3 threshold of
+    # omega / R, and MAX_INTERVALS intervals fit the default window 30 / R up
+    # to omega = MAX_INTERVALS pi R / 30.
+    @pytest.mark.parametrize("param, lo, hi, points, straddles", [
+        ("gamma", 0.01, 3.0, 257, False),
+        ("m", 0.0, 3.0, 257, False),
+        ("omega", 0.0, 2.0, 257, True),  # the first member is uncoupled
+        ("omega", 0.4 * threshold_ratio(1e-3) * (1 - 1e-12),
+         0.4 * threshold_ratio(1e-3) * (1 + 1e-12), 201, True),
+        ("omega", MAX_INTERVALS * math.pi * 0.4 / 30 * (1 - 1e-9),
+         MAX_INTERVALS * math.pi * 0.4 / 30 * (1 - 1e-12), 101, False),
+    ])
+    def test_members_match_scalar_calls(self, tmp_path, param, lo, hi, points, straddles):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--param", param, "--from", repr(lo), "--to", repr(hi),
+                         "--points", str(points), "--steps", "7", "--out", str(out)]) == 0
+        rows = parse_csv(out.read_text())[2]
+        t = np.linspace(0.0, 20.0, 7)
+        flags = set()
+        for member, value in enumerate(np.linspace(lo, hi, points).tolist()):
+            params = ModelParams(**{"gamma": 0.2, "m": 0.5, "omega": 0.8, param: value})
+            flag = int(classify_dynamics(params, 1e-3).regime == NON_MARKOVIAN)
+            expected = [(param, "%.8e" % value, "%.8e" % ti, "%.8e" % di, str(flag))
+                        for ti, di in zip(t, trace_distance_closed_form(params, t))]
+            assert rows[7 * member:7 * member + 7] == expected, member
+            flags.add(flag)
+        if straddles:
+            assert flags == {0, 1}
+
     def test_argument_errors(self):
         assert run_cli("sweep", "--from", "0", "--to", "1", "--points", "3").returncode == 1
         assert run_cli("sweep", "--param", "tau", "--from", "0", "--to", "1",
@@ -371,8 +402,9 @@ class TestRowLimit:
         assert proc.stdout == ""
 
     def test_sweep_family_memory(self):
-        # one float array for the family's curves: about 70 bytes a member
-        # at 2 steps, against about 250 for a record per member
+        # the members' values and flags as arrays, their curves and rows a
+        # block at a time: about 50 bytes a member at 2 steps, against about
+        # 250 for a record per member
         points = 20000
         tracemalloc.start()
         try:
@@ -383,6 +415,20 @@ class TestRowLimit:
         finally:
             tracemalloc.stop()
         assert peak < 125 * points
+
+    @pytest.mark.parametrize("command", ["trace-distance", "entanglement"])
+    def test_curve_memory(self, command):
+        # whole-array curves, evaluated before any row is formatted, peaked at
+        # 48 bytes a row (trace-distance); one list of Python floats per
+        # column adds about 100 more
+        steps = 200_000
+        tracemalloc.start()
+        try:
+            assert cli.main([command, "--steps", str(steps), "--out", os.devnull]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * steps
 
 
 class TestEntanglement:
@@ -540,6 +586,77 @@ class TestDeterminism:
         assert run_cli("blp").stdout == run_cli("blp").stdout
 
 
+# --- block writer ------------------------------------------------------------
+
+# Doubles that stress "%.8e": signed zeros, the smallest subnormal, the largest
+# double, and values at or next to a tie of the ninth significant digit.
+EDGE_DOUBLES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                9.9999999995e-5, -9.9999999995e-5, 9.9999999995e-6, 1.00000000005,
+                1.00000000015, 2.5000000005e100, 9.999999995e-300, 2.2250738585072014e-308]
+CELLS = st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from(EDGE_DOUBLES)), min_size=1, max_size=16)
+BLOCK = cli._WRITE_BLOCK
+
+
+def _factorisations(rows: int):
+    """(members, steps) pairs with ``rows`` rows: one curve, one row per
+    member, and the smallest factor > 1 as the member count."""
+    smallest = next((k for k in range(2, rows + 1) if rows % k == 0), 1)
+    return sorted({(1, rows), (rows, 1), (smallest, rows // smallest)})
+
+
+def _cycled(cells, count: int, shift: int) -> np.ndarray:
+    return np.resize(np.roll(np.array(cells, dtype=float), shift), count)
+
+
+class TestBlockWriter:
+    """One ``%`` per block of rows gives the bytes of one ``template % row``
+    per row, at every block boundary and in every row shape."""
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @settings(max_examples=10, deadline=None)
+    @given(cells=CELLS)
+    def test_curve_and_interval_rows(self, rows, cells):
+        template = "%.8e,%.8e,%.8e\n"
+        columns = [_cycled(cells, rows, shift) for shift in range(3)]
+        expected = "".join(template % row for row in zip(*columns))
+        # trace-distance and entanglement pass array slices, blp tuples of floats
+        for kind in (np.asarray, lambda c: tuple(c.tolist())):
+            c0, c1, c2 = map(kind, columns)
+            blocks = list(cli._column_blocks(template, rows,
+                                             lambda block: (c0[block], c1[block], c2[block])))
+            assert "".join(blocks) == expected
+            assert len(blocks) == -(-rows // BLOCK)
+
+    @pytest.mark.parametrize("rows", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @settings(max_examples=10, deadline=None)
+    @given(cells=CELLS, bits=st.lists(st.integers(0, 1), min_size=1, max_size=16))
+    def test_family_rows(self, rows, cells, bits):
+        for members, steps in _factorisations(rows):
+            t = _cycled(cells, steps, 1)
+            values = _cycled(cells, members, 2)
+            curves = _cycled(cells, rows, 0).reshape(members, steps)
+            flags = np.resize(bits, members).tolist()
+
+            def sweep_rows(block):  # as cmd_sweep bakes a member's cells
+                return (["gamma,%.8e," % v for v in values[block].tolist()],
+                        [",%d\n" % f for f in flags[block]], curves[block])
+
+            def gamma_rows(block):  # as cmd_entanglement --gammas
+                return (["%.8e," % v for v in values[block].tolist()],
+                        ["\n"] * len(values[block]), curves[block])
+
+            sweep = "".join("%s,%.8e,%.8e,%.8e,%d\n" % ("gamma", values[i], t[j], curves[i, j],
+                                                         flags[i])
+                            for i in range(members) for j in range(steps))
+            gammas = "".join("%.8e,%.8e,%.8e\n" % (values[i], t[j], curves[i, j])
+                             for i in range(members) for j in range(steps))
+            for member_rows, expected in ((sweep_rows, sweep), (gamma_rows, gammas)):
+                blocks = list(cli._family_blocks(t, members, member_rows))
+                assert "".join(blocks) == expected, (members, steps)
+                assert all(block.count("\n") <= BLOCK for block in blocks)
+
+
 # --- arbitrary arguments ------------------------------------------------------
 
 # Finite values across the whole double range, with its extremes made likely.
@@ -548,8 +665,9 @@ ANY_FLOAT = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-300, -1e-300, 1e300, -1e300, 1.7976931348623157e308]),
 )
 ANY_COUNT = st.one_of(st.integers(-3, 3000), st.integers(-10**12, 10**12))
-# The costliest accepted call measured is a 500000-member sweep at the row
-# limit: about 30 s on 2 cores.  A call past this budget counts as a hang.
+# The costliest accepted calls measured are at the row limit: a
+# 500000-member sweep or 10**6 curve rows, about 2 s each on 2 shared cores.
+# A call past this budget counts as a hang.
 EXAMPLE_BUDGET_S = 90
 
 

@@ -18,6 +18,7 @@ from qmemory import (
     MARKOVIAN,
     ModelParams,
     NON_MARKOVIAN,
+    ParamFamily,
     blp_measure,
     blp_measure_maximized,
     classify_dynamics,
@@ -45,6 +46,7 @@ from qmemory.nonmarkov import (
     _scan_grid,
     _sector_basis,
     _slope_bound,
+    canonical_measures,
 )
 from qmemory.errors import InvalidGridError, InvariantViolation, QmemoryError
 from qmemory.validate import GENERIC_STATE, RNG_SEED
@@ -74,6 +76,7 @@ from helpers import (
     random_params,
     reduced_distance,
     swap_geometric_series,
+    threshold_ratio,
     trapezoid,
 )
 
@@ -449,6 +452,53 @@ class TestClassification:
         for eps in (-1e-3, math.nan, math.inf):
             with pytest.raises(InvariantViolation):
                 classify_dynamics(CANONICAL, eps=eps)
+
+
+class TestFamilyMeasures:
+    """``canonical_measures`` takes every member's N in one array pass; each
+    equals that member's own ``classify_dynamics`` call bit for bit."""
+
+    def test_every_member_matches_its_own_call(self):
+        rng = np.random.default_rng(2112)
+        size = 6000
+        gamma = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), size))
+        m = np.where(rng.random(size) < 0.2, 0.0,
+                     np.exp(rng.uniform(math.log(1e-3), math.log(10.0), size)))
+        rate = gamma * (1.0 + 2.0 * m)
+        ratio = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size))
+        # within 1e-12 relative of the eps = 1e-3 threshold x* = 0.376175...
+        x_star = threshold_ratio(1e-3)
+        assert x_star == pytest.approx(0.376175, abs=1e-6)
+        ratio[:1000] = x_star * (1.0 + rng.uniform(-1e-12, 1e-12, 1000))
+        omega = ratio * rate
+        omega[1000:1100] = 0.0
+        # just inside MAX_INTERVALS intervals of the default window 30 / R
+        omega[1100:1400] = (MAX_INTERVALS * math.pi / 30.0 * rate[1100:1400]
+                            * (1.0 - rng.uniform(1e-12, 1e-9, 300)))
+        n_values = canonical_measures(ParamFamily(gamma, m, omega))
+        flags = set()
+        for i in range(size):
+            verdict = classify_dynamics(ModelParams(float(gamma[i]), float(m[i]), float(omega[i])))
+            assert n_values[i].tobytes() == np.float64(verdict.n_value).tobytes(), i
+            if i < 1000:
+                flags.add(verdict.regime)
+        assert flags == {MARKOVIAN, NON_MARKOVIAN}  # the threshold members straddle x*
+        assert np.count_nonzero(n_values[1000:1100]) == 0
+
+    def test_family_shape(self):
+        omega = np.array([[0.0, 0.1, 0.8], [1.0, 2.0, 40.0]])
+        n_values = canonical_measures(ParamFamily(0.2, 0.5, omega))
+        assert n_values.shape == (2, 3)
+        for index in np.ndindex(omega.shape):
+            assert n_values[index] == classify_dynamics(
+                ModelParams(0.2, 0.5, float(omega[index]))).n_value
+
+    def test_first_member_over_the_limit_raises_its_own_error(self):
+        omega = np.array([0.8, 3.1e4, 3e4])
+        with pytest.raises(InvalidGridError) as member:
+            classify_dynamics(ModelParams(0.5, 0.5, 3.1e4))
+        with pytest.raises(InvalidGridError, match=re.escape(str(member.value))):
+            canonical_measures(ParamFamily(0.5, 0.5, omega))
 
 
 class TestScalingCollapse:
