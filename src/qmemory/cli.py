@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -29,7 +28,7 @@ import numpy as np
 from . import __version__
 from .dynamics import MAX_PARAMETER, ModelParams, ParamFamily
 from .entangle import EntanglementVariant, entanglement_entropy
-from .errors import InvariantViolation, QmemoryError
+from .errors import InvariantViolation, QmemoryError, _real
 from .nonmarkov import (
     canonical_measures,
     classify_dynamics,
@@ -74,13 +73,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.steps, int) and self.steps >= 2):
             raise InvariantViolation(f"steps must be an integer >= 2, got {self.steps!r}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise InvariantViolation(f"t_max must be positive and finite, got {self.t_max!r}")
-        if self.t_max > MAX_PARAMETER:
-            raise InvariantViolation(
-                f"t_max = {self.t_max!r} is above the limit of {MAX_PARAMETER:g}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise InvariantViolation(f"eps must be nonnegative and finite, got {self.eps!r}")
+        object.__setattr__(self, "t_max",
+                           _real("t_max", self.t_max, MAX_PARAMETER, strict=True))
+        object.__setattr__(self, "eps", _real("eps", self.eps))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -191,9 +186,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     params = ModelParams(gamma=merged["gamma"], m=merged["m"], omega=merged["omega"])
     return RunConfig(
         params=params,
-        t_max=float(merged["t_max"]),
+        t_max=merged["t_max"],
         steps=merged["steps"],
-        eps=float(merged["eps"]),
+        eps=merged["eps"],
         variant=variant,
         out_path=merged["out"],
     )
@@ -363,14 +358,15 @@ def cmd_entanglement(cfg: RunConfig, gammas: list[float] | None) -> int:
         _write_csv(cfg.out_path, "entanglement", echo, ("t", "E", "D"),
                    _column_blocks("%.8e,%.8e,%.8e\n", t.size, columns))
         return 0
-    curves = [entanglement_entropy(replace(cfg.params, gamma=gamma), t, cfg.variant)
-              for gamma in gammas]
+    # every decay rate is checked before the first byte
+    family = ParamFamily(**{**vars(cfg.params), "gamma": np.array(gammas)[:, None]})
     del echo["gamma"]  # per-row column instead
     echo["gammas"] = ",".join(repr(g) for g in gammas)
 
     def member_rows(block: slice):
         leads = ["%.8e," % gamma for gamma in gammas[block]]
-        return leads, ["\n"] * len(leads), np.array(curves[block])
+        members = ParamFamily(family.gamma[block], family.m, family.omega)
+        return leads, ["\n"] * len(leads), entanglement_entropy(members, t, cfg.variant)
 
     _write_csv(cfg.out_path, "entanglement", echo, ("gamma", "t", "E"),
                _family_blocks(t, len(gammas), member_rows))

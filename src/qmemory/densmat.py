@@ -27,6 +27,7 @@ from .errors import (
     NegativeEigenvalueError,
     NonHermitianError,
     NotXFormError,
+    _real,
 )
 
 # Validation tolerances.  Hermiticity and trace are tight (pure round-off);
@@ -125,6 +126,7 @@ def validate_density_matrix(
     checking it alone would raise.
     """
     rho = np.asarray(rho, dtype=complex)
+    positivity_tol = _real("positivity_tol", positivity_tol)
 
     def label(k: int) -> str:
         return name if isinstance(name, str) else name[k]

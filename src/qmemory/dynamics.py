@@ -77,7 +77,8 @@ from .densmat import (
     hermiticity_defect,
     validate_density_matrix,
 )
-from .errors import DimensionMismatchError, InvalidGridError, InvariantViolation
+from .errors import (
+    DimensionMismatchError, InvalidGridError, InvariantViolation, _real, _real_array)
 
 logger = logging.getLogger(__name__)
 
@@ -139,31 +140,26 @@ def parameter_grid() -> tuple["ModelParams", ...]:
 @dataclass(frozen=True)
 class ModelParams:
     """Model parameters: decay rate ``gamma > 0``, mean reservoir occupancy
-    ``m >= 0``, exchange coupling ``omega >= 0``."""
+    ``m >= 0``, exchange coupling ``omega >= 0``, each a real number (see
+    :func:`~qmemory.errors._real`) stored as a Python float."""
 
     gamma: float
     m: float
     omega: float
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "m", "omega"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise InvariantViolation(f"{name} must be a finite number, got {v!r}")
-        if self.gamma <= 0:
-            raise InvariantViolation(f"gamma must be positive, got {self.gamma!r}")
-        if self.gamma < MIN_GAMMA:
-            raise InvariantViolation(
-                f"gamma = {self.gamma!r} is below the limit of {MIN_GAMMA:g}")
-        if self.m < 0:
-            raise InvariantViolation(f"m must be nonnegative, got {self.m!r}")
-        if self.omega < 0:
-            raise InvariantViolation(f"omega must be nonnegative, got {self.omega!r}")
-        for name, v in (("gamma", self.gamma), ("m", self.m), ("omega", self.omega),
-                        ("gamma (1 + 2m)", self.relaxation_rate)):
-            if v > MAX_PARAMETER:
-                raise InvariantViolation(
-                    f"{name} = {v!r} is above the limit of {MAX_PARAMETER:g}")
+        gamma = _real("gamma", self.gamma, MAX_PARAMETER, strict=True)
+        if gamma < MIN_GAMMA:
+            raise InvariantViolation(f"gamma = {gamma!r} is below the limit of {MIN_GAMMA:g}")
+        m = _real("m", self.m, MAX_PARAMETER)
+        omega = _real("omega", self.omega, MAX_PARAMETER)
+        if gamma * (1.0 + 2.0 * m) > MAX_PARAMETER:
+            raise InvariantViolation(f"gamma (1 + 2m) = {gamma * (1.0 + 2.0 * m)!r} "
+                                     f"is above the limit of {MAX_PARAMETER:g}")
+        if gamma is not self.gamma or m is not self.m or omega is not self.omega:  # converted
+            object.__setattr__(self, "gamma", gamma)
+            object.__setattr__(self, "m", m)
+            object.__setattr__(self, "omega", omega)
 
     @property
     def relaxation_rate(self) -> float:
@@ -196,10 +192,7 @@ class ParamFamily:
     def __post_init__(self) -> None:
         values = []
         for name in ("gamma", "m", "omega"):
-            v = np.asarray(getattr(self, name))
-            if v.dtype.kind not in "biuf":
-                raise InvariantViolation(f"{name} must be an array of numbers, got dtype {v.dtype}")
-            v = np.array(v, dtype=float)
+            v = np.array(_real_array(name, getattr(self, name)))
             v.setflags(write=False)
             object.__setattr__(self, name, v)
             values.append(v)
@@ -465,7 +458,7 @@ def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
             f"integrate_master takes a 1-D family, got shape {params.shape}")
     starts = _initial_states(rho0, params)
     size = params.shape[0] if isinstance(params, ParamFamily) else 1
-    times = np.asarray(t_grid, dtype=float)
+    times = _real_array("t_grid", t_grid, error=InvalidGridError)
     if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
         raise InvalidGridError("t_grid must be a nonempty 1-D array of finite times")
     if times[0] != 0.0:
@@ -473,14 +466,13 @@ def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
     spans = np.diff(times)
     if not np.all(spans > 0):
         raise InvalidGridError("t_grid must be strictly increasing")
-    if max_step is not None and not (math.isfinite(float(max_step)) and float(max_step) > 0.0):
-        raise InvalidGridError(f"max_step must be finite and positive, got {max_step!r}")
+    if max_step is not None:
+        max_step = _real("max_step", max_step, strict=True, error=InvalidGridError)
 
-    gamma, m, omega = (np.broadcast_to(np.asarray(v, dtype=float), (size,))
-                       for v in (params.gamma, params.m, params.omega))
+    gamma, m, omega = (np.broadcast_to(v, (size,)) for v in (params.gamma, params.m, params.omega))
     rate = np.maximum(gamma * (1.0 + 2.0 * m), omega)
     h_default = STEP_RESOLUTION / rate
-    h_bound = h_default if max_step is None else np.full(size, float(max_step))
+    h_bound = h_default if max_step is None else np.full(size, max_step)
     # Members fail in member order: the members before the first rejected
     # one are still integrated and checked, and may fail first.
     longest = float(spans.max()) if spans.size else 0.0
@@ -635,8 +627,9 @@ def coherence_factors(params: ModelParams | ParamFamily, t):
 
 
 def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
-    """``t`` (scalar or array) as a float array, once every time is finite and
-    nonnegative and the phase ``2 omega t`` is finite at the latest of them.
+    """``t`` (scalar or array of integer or float dtype) as a float array, once
+    every time is finite and nonnegative and the phase ``2 omega t`` is finite
+    at the latest of them.
 
     The closed forms accept exactly these times; raises
     :class:`InvariantViolation` naming the first time that fails.  For a
@@ -645,7 +638,7 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
     whose own time fails raises what that member's own call with all of its
     times raises.
     """
-    tt = np.asarray(t, dtype=float)
+    tt = _real_array("time", t)
     family = isinstance(params, ParamFamily)
     if family:
         tt = np.broadcast_to(tt, np.broadcast_shapes(tt.shape, params.shape))
@@ -751,14 +744,12 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams | ParamFamily, t) -> n
 
 
 def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:
-    """:func:`propagate_exact` for one X state at one time ``t`` (a Python
-    ``int`` or ``float``); the flow keeps the X family closed.  Validates
+    """:func:`propagate_exact` for one X state at one time ``t`` (a real
+    number, not an array); the flow keeps the X family closed.  Validates
     ``x0`` and returns a validated state.
     """
     rho0 = embed_xstate(x0)
-    if not isinstance(t, (int, float)):
-        raise InvariantViolation(f"time must be a Python int or float, got {t!r}")
-    return extract_xstate(propagate_exact(rho0, params, t)).validate()
+    return extract_xstate(propagate_exact(rho0, params, _real("time", t))).validate()
 
 
 def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XState:
@@ -771,8 +762,7 @@ def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XSt
     record is NOT validated and must not be fed to other operations.
     """
     x0.validate()
-    if not (isinstance(t, (int, float)) and math.isfinite(t)) or t < 0:
-        raise InvariantViolation(f"time must be finite and nonnegative, got {t!r}")
+    t = _real("time", t)
     m = params.m
     a0, b0, c0, d0 = x0.a, x0.b, x0.c, x0.d
     norm = (2.0 * m + 1.0) ** 2

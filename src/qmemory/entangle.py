@@ -23,15 +23,14 @@ exchange coupling — the decay rate only sets how fast the plateau is reached.
 """
 from __future__ import annotations
 
-import math
 from enum import Enum
 
 import numpy as np
 
 from .densmat import _neg_p_log2_p
 from .dynamics import (
-    MAX_PARAMETER, ModelParams, population_from_excited, population_from_ground)
-from .errors import InvariantViolation
+    MAX_PARAMETER, ModelParams, ParamFamily, population_from_excited, population_from_ground)
+from .errors import InvariantViolation, _real, _real_array
 
 
 class EntanglementVariant(Enum):
@@ -43,7 +42,7 @@ class EntanglementVariant(Enum):
 
 def binary_entropy(p) -> float | np.ndarray:
     """Shannon entropy of a bit with probability ``p``, in bits."""
-    arr = np.asarray(p, dtype=float)
+    arr = _real_array("probability", p)
     if not np.all((arr >= -1e-15) & (arr <= 1.0 + 1e-15)):  # NaN too
         raise InvariantViolation(f"probability outside [0, 1]: {p!r}")
     arr = np.clip(arr, 0.0, 1.0)
@@ -61,7 +60,7 @@ def _reading(p_plus, p_minus, variant: EntanglementVariant):
 
 
 def entanglement_entropy(
-    params: ModelParams,
+    params: ModelParams | ParamFamily,
     t,
     variant: EntanglementVariant = EntanglementVariant.PUBLISHED,
 ):
@@ -69,7 +68,9 @@ def entanglement_entropy(
 
     ``PUBLISHED`` evaluates the two-population form; ``SUBSYSTEM`` the binary
     entropy of the excited-start population.  Zero at ``t = 0`` for both.
-    Accepts the times of :func:`~qmemory.dynamics.checked_times`.
+    Accepts the times of :func:`~qmemory.dynamics.checked_times`, and a
+    :class:`~qmemory.dynamics.ParamFamily`, whose every member's values equal
+    that member's own call bit for bit.
     """
     # The populations are probabilities; round-off in their closed forms can
     # push them ~1e-16 outside [0, 1], which would make -p log2 p negative.
@@ -91,10 +92,7 @@ def steady_entanglement(
     ``m`` above :data:`~qmemory.dynamics.MAX_PARAMETER` is rejected, as
     :class:`~qmemory.dynamics.ModelParams` rejects it.
     """
-    if not (math.isfinite(m) and m >= 0.0):
-        raise InvariantViolation(f"occupation m must be finite and nonnegative, got {m!r}")
-    if m > MAX_PARAMETER:  # 1 + 2m would overflow from about 9e307 on
-        raise InvariantViolation(f"m = {m!r} is above the limit of {MAX_PARAMETER:g}")
+    m = _real("m", m, MAX_PARAMETER)  # 1 + 2m would overflow from about 9e307 on
     q = m / (1.0 + 2.0 * m)
     return float(_reading(q, q, variant))
 

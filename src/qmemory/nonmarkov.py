@@ -56,7 +56,7 @@ from .dynamics import (
     population_from_ground,
     relaxation_envelope,
 )
-from .errors import InvalidGridError, InvariantViolation
+from .errors import InvalidGridError, InvariantViolation, _real
 
 logger = logging.getLogger(__name__)
 
@@ -257,19 +257,16 @@ def _tail_bound(params: ModelParams, t_max: float) -> float:
     return math.exp(-params.relaxation_rate * t_max)
 
 
-def _interval_count(params: ModelParams, dt: float | None, t_max: float | None):
+def _interval_count(params: ModelParams, t_max: float | None):
     """The checked window ``t_max`` and its number K of increase intervals.
 
     K counts the zeros :func:`_zero_time` below ``t_max``, evaluated with the
     float expressions that build :func:`blp_measure`'s columns.  Raises
-    :class:`InvalidGridError` for a bad ``dt`` or ``t_max`` and when
-    ``[0, t_max]`` holds more than :data:`MAX_INTERVALS` intervals.
+    :class:`InvalidGridError` for a bad ``t_max`` and when ``[0, t_max]``
+    holds more than :data:`MAX_INTERVALS` intervals.
     """
-    if t_max is None:
-        t_max = default_truncation_time(params)
-    dt_ok = dt is None or (dt > 0 and math.isfinite(dt))
-    if not (dt_ok and t_max > 0 and math.isfinite(t_max)):
-        raise InvalidGridError(f"dt and t_max must be positive and finite, got {dt!r}, {t_max!r}")
+    t_max = default_truncation_time(params) if t_max is None else _real(
+        "t_max", t_max, strict=True, error=InvalidGridError)
     omega = params.omega
     approx_count = omega * t_max / math.pi
     if not (math.isfinite(approx_count) and approx_count <= MAX_INTERVALS):
@@ -280,7 +277,7 @@ def _interval_count(params: ModelParams, dt: float | None, t_max: float | None):
     count = math.ceil(approx_count - 0.5)  # zeros before t_max, up to rounding
     while count and _zero_time(omega, count - 1) >= t_max:
         count -= 1
-    return float(t_max), count
+    return t_max, count
 
 
 def _full_gains(ratio, full):
@@ -312,7 +309,7 @@ def _canonical_measure(params: ModelParams, t_max: float | None):
     the K intervals ends after ``t_max``, it adds ``max(D(t_max) - D(t_{K-1}),
     0)``.  Checks as :func:`_interval_count`.
     """
-    t_max, count = _interval_count(params, None, t_max)
+    t_max, count = _interval_count(params, t_max)
     if count == 0:
         return t_max, 0.0, 0
     rate, omega = params.relaxation_rate, params.omega
@@ -346,8 +343,7 @@ def canonical_measures(params: ParamFamily) -> np.ndarray:
     over = ~(approx_count <= MAX_INTERVALS)
     if over.any():
         first = int(np.argmax(over))
-        _interval_count(ModelParams(float(gamma[first]), float(m[first]), float(omega[first])),
-                        None, None)
+        _interval_count(ModelParams(gamma[first], m[first], omega[first]), None)
         raise AssertionError("unreachable: the interval limit passed a rejected member")
     count = np.ceil(approx_count - 0.5).astype(np.int64)
     n_value = np.zeros(count.shape)
@@ -390,7 +386,9 @@ def blp_measure(
     no sampling.  Raises :class:`InvalidGridError` when ``[0, t_max]`` holds
     more than :data:`MAX_INTERVALS` intervals.
     """
-    t_max, count = _interval_count(params, dt, t_max)
+    if dt is not None:
+        _real("dt", dt, strict=True, error=InvalidGridError)
+    t_max, count = _interval_count(params, t_max)
     omega = params.omega
     k = np.arange(count, dtype=float)
     starts = _zero_time(omega, k)
@@ -433,8 +431,7 @@ def classify_dynamics(
     ``result`` is read.  Accepts and rejects the same ``t_max`` as
     :func:`blp_measure`, with the same errors.
     """
-    if not (eps >= 0 and math.isfinite(eps)):
-        raise InvariantViolation(f"eps must be finite and nonnegative, got {eps!r}")
+    eps = _real("eps", eps)
     t_max, n_value, count = _canonical_measure(params, t_max)
     regime = NON_MARKOVIAN if n_value > eps else MARKOVIAN
     return Classification(regime=regime, n_value=n_value, eps=eps, interval_count=count,
@@ -744,10 +741,10 @@ def blp_measure_maximized(
             f"grid_size {grid_size!r} is above the limit of {MAX_GRID_SIZE} "
             f"(the cost grows as grid_size**4)"
         )
-    if dt is None:
-        dt = default_scan_step(params)
-    t_max, _ = _interval_count(params, dt, t_max)
-    points = t_max / float(dt)
+    dt = default_scan_step(params) if dt is None else _real(
+        "dt", dt, strict=True, error=InvalidGridError)
+    t_max, _ = _interval_count(params, t_max)
+    points = t_max / dt
     if not points <= MAX_SCAN_POINTS:
         raise InvalidGridError(
             f"t_max / dt = {points:.3g} sample points per candidate curve, "

@@ -307,7 +307,7 @@ class TestSweep:
     def test_nan_endpoint_is_not_an_order_error(self, lo, hi):
         proc = run_cli("sweep", "--param", "omega", "--from", lo, "--to", hi, "--points", "3")
         assert proc.returncode == 1
-        assert "omega must be a finite number, got nan" in proc.stderr
+        assert "omega must be finite and nonnegative, got nan" in proc.stderr
         assert "must not exceed" not in proc.stderr
 
 

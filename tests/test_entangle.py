@@ -7,6 +7,7 @@ import pytest
 from qmemory import (
     EntanglementVariant,
     ModelParams,
+    ParamFamily,
     XSTATE_10,
     binary_entropy,
     embed_xstate,
@@ -19,6 +20,7 @@ from qmemory import (
     steady_entanglement,
     von_neumann_entropy,
 )
+from qmemory.dynamics import MIN_GAMMA
 from qmemory.errors import InvariantViolation
 
 from helpers import (
@@ -148,6 +150,34 @@ class TestEntanglementEntropy:
             entanglement_entropy(CANONICAL, -0.1)
         with pytest.raises(InvariantViolation):
             entanglement_entropy(CANONICAL, np.array([0.0, -1.0]))
+
+
+class TestFamilyEntropy:
+    """A :class:`ParamFamily` of decay rates gives each member's own curve
+    bit for bit, whole or in the member slices ``entanglement --gammas``
+    writes one block at a time."""
+
+    # out to Gamma t = 1e99 * 1e300, beyond the float range
+    TIMES = np.concatenate([np.linspace(0.0, 20.0, 401), [1e10, 1e300]])
+    GAMMAS = np.concatenate([[MIN_GAMMA, 1.5 * MIN_GAMMA, 1e-100],
+                             np.geomspace(1e-3, 10.0, 30), [1e50, 1e99]])
+
+    @pytest.mark.parametrize("variant", [PUBLISHED, SUBSYSTEM])
+    @pytest.mark.parametrize("m, omega", [(0.5, 1.5), (0.0, 0.0), (2.0, 40.0)])
+    def test_every_member_matches_its_own_call(self, variant, m, omega):
+        t = self.TIMES
+        family = ParamFamily(self.GAMMAS[:, None], m, omega)
+        curves = entanglement_entropy(family, t, variant)
+        assert curves.shape == (self.GAMMAS.size, t.size)
+        per_block = 4096 // t.size  # the members of one --gammas block
+        assert self.GAMMAS.size > 3 * per_block
+        for first in range(0, self.GAMMAS.size, per_block):
+            block = slice(first, first + per_block)
+            members = ParamFamily(family.gamma[block], family.m, family.omega)
+            assert entanglement_entropy(members, t, variant).tobytes() == curves[block].tobytes()
+        for i, gamma in enumerate(self.GAMMAS.tolist()):
+            own = entanglement_entropy(ModelParams(gamma, m, omega), t, variant)
+            assert own.tobytes() == curves[i].tobytes(), gamma
 
 
 class TestRevival:
