@@ -27,6 +27,7 @@ from .errors import (
     NegativeEigenvalueError,
     NonHermitianError,
     NotXFormError,
+    _matrix,
     _real,
 )
 
@@ -65,12 +66,8 @@ class XState:
 def embed_xstate(x: XState) -> np.ndarray:
     """The 4x4 complex density matrix of ``x``, checked by
     :func:`validate_density_matrix` under the name ``X state``."""
-    rho = np.zeros((4, 4), dtype=complex)
-    rho[0, 0], rho[1, 1], rho[2, 2], rho[3, 3] = x.a, x.b, x.c, x.d
-    rho[1, 2] = x.z
-    rho[2, 1] = np.conj(x.z)
-    rho[0, 3] = x.w
-    rho[3, 0] = np.conj(x.w)
+    rho = _matrix("X state", [[x.a, 0, 0, x.w], [0, x.b, x.z, 0], [0, 0, x.c, 0], [0, 0, 0, x.d]])
+    rho[2, 1], rho[3, 0] = rho[1, 2].conjugate(), rho[0, 3].conjugate()
     return validate_density_matrix(rho, dim=4, name="X state")
 
 
@@ -78,18 +75,16 @@ def extract_xstate(rho: np.ndarray) -> XState:
     """Read the X components back out of a 4x4 matrix.
 
     Raises :class:`NotXFormError` if any entry outside the X pattern exceeds
-    :data:`XFORM_TOL` in magnitude.  The returned record is not validated:
-    extraction is also used on derivative matrices, whose populations sum to
-    0, not 1.
+    :data:`XFORM_TOL` in magnitude or is NaN.  The returned record is not
+    validated: extraction is also used on derivative matrices, whose
+    populations sum to 0, not 1.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho = _matrix("rho", rho, 4)
     mask = np.zeros((4, 4), dtype=bool)
     mask[np.arange(4), np.arange(4)] = True
     mask[1, 2] = mask[2, 1] = mask[0, 3] = mask[3, 0] = True
     off = np.abs(rho[~mask])
-    if off.size and off.max() > XFORM_TOL:
+    if not off.max() <= XFORM_TOL:  # a NaN fails too, and argmax picks it
         idx = np.argwhere(~mask)[int(np.argmax(off))]
         raise NotXFormError(
             f"entry ({idx[0]}, {idx[1]}) = {rho[idx[0], idx[1]]:.3e} lies outside "
@@ -102,7 +97,7 @@ def extract_xstate(rho: np.ndarray) -> XState:
 def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
     """Largest entry-wise deviation of ``mat`` from its own adjoint; for a
     stack ``(n, d, d)``, an array with one value per matrix."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = _matrix("mat", mat, stack=True)
     defect = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
     return float(defect) if mat.ndim == 2 else defect
 
@@ -125,18 +120,12 @@ def validate_density_matrix(
     a sequence of ``n`` names.  The first failing matrix raises exactly what
     checking it alone would raise.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = _matrix(name if isinstance(name, str) else "rho", rho, dim, stack=True)
     positivity_tol = _real("positivity_tol", positivity_tol)
 
     def label(k: int) -> str:
         return name if isinstance(name, str) else name[k]
 
-    if rho.ndim not in (2, 3) or rho.shape[-1] != rho.shape[-2]:
-        shape = rho.shape[1:] if rho.ndim == 3 else rho.shape
-        raise DimensionMismatchError(f"{label(0)} must be square, got shape {shape}")
-    if dim is not None and rho.shape[-1] != dim:
-        raise DimensionMismatchError(
-            f"{label(0)} must be {dim}x{dim}, got shape {rho.shape[-2:]}")
     mats = rho if rho.ndim == 3 else rho[np.newaxis]
     finite = np.isfinite(mats).all(axis=(1, 2))
     with np.errstate(invalid="ignore"):  # inf - inf in a matrix already failing
@@ -175,9 +164,7 @@ def partial_trace_qubit2(rho: np.ndarray) -> np.ndarray:
     indices 0 and 1 (``a + b`` for an X state) and the coherence collects the
     (0,2) and (1,3) entries.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
-        raise DimensionMismatchError(f"expected a 4x4 matrix, got shape {rho.shape}")
+    rho = _matrix("rho", rho, 4, stack=True)
     return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)
 
 
@@ -189,9 +176,7 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
     non-finite entry and :class:`NonHermitianError` when the symmetry defect
     exceeds 1e-12 (times ``max |h|`` where that is above 1).
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {h.shape}")
+    h = _matrix("h", h)
     if not np.isfinite(h).all():
         raise InvariantViolation("matrix has a non-finite entry")
     defect = hermiticity_defect(h)
@@ -205,15 +190,13 @@ def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
 
 def trace_distance(rho: np.ndarray, tau: np.ndarray) -> float:
     """Trace distance ``0.5 * ||rho - tau||_1`` between two density matrices."""
-    rho = np.asarray(rho, dtype=complex)
-    tau = np.asarray(tau, dtype=complex)
+    rho, tau = _matrix("rho", rho), _matrix("tau", tau)
     if rho.shape != tau.shape:
         raise DimensionMismatchError(
-            f"operands differ in shape: {rho.shape} vs {tau.shape}"
+            f"rho and tau differ in shape: {rho.shape} vs {tau.shape}"
         )
-    validate_density_matrix(rho, name="rho")
-    validate_density_matrix(tau, name="tau")
-    vals = hermitian_eigenvalues(rho - tau)
+    vals = hermitian_eigenvalues(
+        validate_density_matrix(rho, name="rho") - validate_density_matrix(tau, name="tau"))
     return float(0.5 * np.sum(np.abs(vals)))
 
 
@@ -231,7 +214,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     pure states); anything more negative raises
     :class:`NegativeEigenvalueError`.
     """
-    vals = hermitian_eigenvalues(np.asarray(rho, dtype=complex))
+    vals = hermitian_eigenvalues(_matrix("rho", rho))
     negative = vals[vals < -POSITIVITY_TOL]
     if negative.size:
         raise NegativeEigenvalueError(

@@ -78,7 +78,7 @@ from .densmat import (
     validate_density_matrix,
 )
 from .errors import (
-    DimensionMismatchError, InvalidGridError, InvariantViolation, _real, _real_array)
+    DimensionMismatchError, InvalidGridError, InvariantViolation, _matrix, _real, _real_array)
 
 logger = logging.getLogger(__name__)
 
@@ -289,27 +289,16 @@ def _generator_terms() -> tuple:
     return dissipators, np.kron(_EXCHANGE, eye) - np.kron(eye, _EXCHANGE)
 
 
-def _one_state(rho: np.ndarray) -> np.ndarray:
-    """``rho`` checked by :func:`validate_density_matrix` as one 4x4 state;
-    a stack, which that function also accepts, is rejected."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2:
-        raise DimensionMismatchError(f"rho must be square, got shape {rho.shape}")
-    return validate_density_matrix(rho, dim=4)
-
-
 def _initial_states(rho0: np.ndarray, params: ModelParams | ParamFamily) -> np.ndarray:
     """One valid 4x4 state, or for a :class:`ParamFamily` one per member
     (shape ``params.shape + (4, 4)``), checked as one stack: the first
     invalid member raises what checking it alone would raise."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.ndim == 2 or not isinstance(params, ParamFamily):
-        return _one_state(rho0)
-    if rho0.shape != params.shape + (4, 4):
+    rho0 = _matrix("rho0", rho0, 4, stack=math.inf if isinstance(params, ParamFamily) else False)
+    if rho0.ndim > 2 and rho0.shape != params.shape + (4, 4):
         raise DimensionMismatchError(
             f"rho0 must be one 4x4 state or one per member, shape {params.shape + (4, 4)}, "
             f"got shape {rho0.shape}")
-    validate_density_matrix(rho0.reshape(-1, 4, 4), dim=4)
+    validate_density_matrix(rho0.reshape(-1, 4, 4), name="rho0")
     return rho0
 
 
@@ -320,7 +309,8 @@ def lindblad_rhs(rho: np.ndarray, params: ModelParams) -> np.ndarray:
     The result is traceless and Hermitian to round-off (checked by tests, not
     re-checked here).
     """
-    return (superoperator(params) @ _one_state(rho).reshape(16)).reshape(4, 4)
+    rho = validate_density_matrix(_matrix("rho", rho, 4))
+    return (superoperator(params) @ rho.reshape(16)).reshape(4, 4)
 
 
 def _generators(gamma, m, omega) -> np.ndarray:

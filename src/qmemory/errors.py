@@ -1,6 +1,7 @@
-"""Exception types raised across the package, and the two rules that every
-numeric argument of the public API passes: :func:`_real` for a scalar and
-:func:`_real_array` for an array (or a scalar that may be one)."""
+"""Exception types raised across the package, and the three rules that every
+numeric argument of the public API passes: :func:`_real` for a scalar,
+:func:`_real_array` for an array (or a scalar that may be one) and
+:func:`_matrix` for a matrix or a stack of matrices."""
 import math
 
 import numpy as np
@@ -64,11 +65,40 @@ def _real(name, value, high=_FLOAT_MAX, *, strict=False, error=InvariantViolatio
     raise error(f"{name} = {value!r} is above the limit of {high:g}")
 
 
-def _real_array(name, value, *, error=InvariantViolation) -> np.ndarray:
-    """``value`` as a float array, once its dtype is integer or float: bool,
-    string, object and complex arrays (and such scalars) raise ``error``
-    naming ``name``."""
-    v = np.asarray(value)
-    if v.dtype.kind not in "iuf":
+def _numbers(name, value, kinds, error) -> np.ndarray:
+    """``value`` as an array, once it is not ragged and its dtype kind is one
+    of ``kinds``; raises ``error`` naming ``name`` otherwise."""
+    try:
+        v = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape": a ragged sequence
+        raise error(f"{name} must be an array of numbers, got a ragged sequence") from None
+    if v.dtype.kind not in kinds:
         raise error(f"{name} must be an array of numbers, got dtype {v.dtype}")
-    return v.astype(float, copy=False)
+    return v
+
+
+def _real_array(name, value, *, error=InvariantViolation) -> np.ndarray:
+    """``value`` as a float array, once its dtype is integer or float: ragged
+    sequences and bool, string, object and complex arrays (and such scalars)
+    raise ``error`` naming ``name``."""
+    return _numbers(name, value, "iuf", error).astype(float, copy=False)
+
+
+def _matrix(name, value, dim=None, *, stack=False) -> np.ndarray:
+    """``value`` as a complex array, once it is one square matrix of integer,
+    float or complex dtype, of size ``dim`` if that is given.
+
+    With ``stack``, a stack of such matrices with up to that many leading
+    axes passes too (``True``: one, a stack ``(n, d, d)``; ``math.inf``: any
+    number).  A ragged sequence or another dtype (bool, string, object)
+    raises :class:`InvariantViolation` naming ``name``, any other shape
+    :class:`DimensionMismatchError`.
+    """
+    v = _numbers(name, value, "iufc", InvariantViolation)
+    matrices = 2 <= v.ndim <= 2 + stack
+    if not matrices or v.shape[-1] != v.shape[-2]:
+        raise DimensionMismatchError(
+            f"{name} must be square, got shape {v.shape[-2:] if matrices else v.shape}")
+    if dim is not None and v.shape[-1] != dim:
+        raise DimensionMismatchError(f"{name} must be {dim}x{dim}, got shape {v.shape[-2:]}")
+    return np.asarray(v, dtype=complex)

@@ -1,10 +1,12 @@
 """One argument rule at the library boundary.
 
-Every numeric argument of the public API passes one of two rules: a real
-scalar (Python or numpy int or float, never a bool) or an array of integer
-or float dtype.  Anything else, and any value out of range, is rejected with
+Every numeric argument of the public API passes one of three rules: a real
+scalar (Python or numpy int or float, never a bool), an array of integer or
+float dtype, or a square matrix (or stack of them) of integer, float or
+complex dtype.  Anything else, and any value out of range, is rejected with
 a :class:`QmemoryError` whose message names the argument.
 """
+import dataclasses
 import inspect
 import math
 import re
@@ -17,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import qmemory
 from qmemory import (
     XSTATE_10,
+    XState,
     ModelParams,
     ParamFamily,
     QmemoryError,
@@ -26,7 +29,12 @@ from qmemory import (
     classify_dynamics,
     embed_xstate,
     entanglement_entropy,
+    extract_xstate,
+    hermitian_eigenvalues,
+    hermiticity_defect,
     integrate_master,
+    lindblad_rhs,
+    partial_trace_qubit2,
     population_from_excited,
     population_from_ground,
     propagate_exact,
@@ -34,12 +42,14 @@ from qmemory import (
     propagate_xstate_published,
     run_validation,
     steady_entanglement,
+    trace_distance,
     trace_distance_closed_form,
     trace_distance_pair,
     trace_distance_rate,
     validate_density_matrix,
+    von_neumann_entropy,
 )
-from qmemory.errors import InvalidGridError, InvariantViolation
+from qmemory.errors import DimensionMismatchError, InvalidGridError, InvariantViolation
 
 from helpers import CANONICAL
 
@@ -78,12 +88,33 @@ TABLE = {
     "run_validation": (run_validation, dict(max_step=None), ("max_step",)),
 }
 
+# Public callables that take a matrix or an X state: one valid call (every
+# argument by keyword) and the names of those parameters.
+MATRICES = {
+    "embed_xstate": (embed_xstate, dict(x=XSTATE_10), ("x",)),
+    "extract_xstate": (extract_xstate, dict(rho=RHO), ("rho",)),
+    "hermitian_eigenvalues": (hermitian_eigenvalues, dict(h=RHO), ("h",)),
+    "hermiticity_defect": (hermiticity_defect, dict(mat=RHO), ("mat",)),
+    "partial_trace_qubit2": (partial_trace_qubit2, dict(rho=RHO), ("rho",)),
+    "trace_distance": (trace_distance, dict(rho=RHO, tau=RHO), ("rho", "tau")),
+    "validate_density_matrix": (validate_density_matrix, dict(rho=RHO), ("rho",)),
+    "von_neumann_entropy": (von_neumann_entropy, dict(rho=RHO), ("rho",)),
+    "integrate_master": (integrate_master, dict(rho0=RHO, params=CANONICAL, t_grid=[0.0, 1.0]),
+                         ("rho0",)),
+    "lindblad_rhs": (lindblad_rhs, dict(rho=RHO, params=CANONICAL), ("rho",)),
+    "propagate_exact": (propagate_exact, dict(rho0=RHO, params=CANONICAL, t=1.0), ("rho0",)),
+    "propagate_xstate_exact": (propagate_xstate_exact,
+                               dict(x0=XSTATE_10, params=CANONICAL, t=1.0), ("x0",)),
+    "propagate_xstate_published": (propagate_xstate_published,
+                                   dict(x0=XSTATE_10, params=CANONICAL, t=1.0), ("x0",)),
+}
+
 # Records whose float fields the library fills in, and the X state, whose
 # fields are a matrix's entries: their constructors are not argument checks.
 RECORDS = {"XState", "Trajectory", "BlpResult", "Classification", "IncreaseInterval"}
 
 # The word a message uses for a parameter, where it is not the name itself.
-MESSAGE_WORDS = {"t": "time", "p": "probability"}
+MESSAGE_WORDS = {"t": "time", "p": "probability", "x": "X state", "x0": "X state"}
 
 JUNK = st.one_of(
     st.text(max_size=3),
@@ -93,21 +124,53 @@ JUNK = st.one_of(
     st.sampled_from([math.nan, math.inf, 1e308, -0.0, 0.5, True, "1", 1j]).map(np.array),
 )
 
+# Junk for a matrix, or for one field of an X state: strings, None, bool and
+# object arrays, ragged lists, 0-d, 1-d and 4-d arrays, wrong sizes and a
+# stack; a field also gets non-finite numbers.
+MATRIX_JUNK = st.one_of(
+    st.text(max_size=3),
+    st.sampled_from([
+        None, True, 0.25, math.nan, complex(math.inf, 0.0), np.array(0.25), np.array(True),
+        np.eye(4, dtype=bool), np.eye(4).astype(object) / 4, np.full((4, 4), None),
+        [[1, 0], [0]], [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25], [0, 0, 0, 0.25]],
+        [0.25, [0.25]], np.full(4, 0.25), np.eye(4).reshape(1, 1, 4, 4) / 4, np.zeros((0, 0)),
+        np.eye(2) / 2, np.eye(3) / 3, np.zeros((4, 3)),
+        np.array([np.eye(4) / 4] * 2), np.eye(4, dtype=np.float32) / 4,
+    ]),
+)
+XSTATE_FIELDS = tuple(f.name for f in dataclasses.fields(XState))
+
 
 def _names(message: str, param: str) -> bool:
     word = MESSAGE_WORDS.get(param, param)
     return re.search(rf"(?<![\w]){re.escape(word)}(?![\w])", message) is not None
 
 
-def test_table_covers_every_float_parameter():
+def _public_parameters():
+    """``(name, parameters)`` of each public callable other than the records."""
     for name in qmemory.__all__:
         obj = getattr(qmemory, name)
         if not callable(obj) or name in RECORDS:
             continue
         try:
-            parameters = inspect.signature(obj).parameters
+            yield name, inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
+
+
+def _returned_or_named(fn, kwargs, param):
+    """Call ``fn`` under warnings as errors: it returns, or raises a
+    :class:`QmemoryError` that names ``param``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            fn(**kwargs)
+        except QmemoryError as exc:
+            assert _names(str(exc), param), (param, kwargs[param], str(exc))
+
+
+def test_table_covers_every_float_parameter():
+    for name, parameters in _public_parameters():
         floats = {p for p, v in parameters.items() if "float" in str(v.annotation)}
         if floats:
             assert name in TABLE, f"{name} takes {sorted(floats)} but has no row"
@@ -130,12 +193,37 @@ def test_junk_is_returned_or_rejected_by_name(name, data):
     fn, valid, numeric = TABLE[name]
     param = data.draw(st.sampled_from(numeric), label="param")
     value = data.draw(JUNK, label="value")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            fn(**{**valid, param: value})
-        except QmemoryError as exc:
-            assert _names(str(exc), param), (param, value, str(exc))
+    _returned_or_named(fn, {**valid, param: value}, param)
+
+
+def test_matrices_cover_every_matrix_parameter():
+    for name, parameters in _public_parameters():
+        arrays = {p for p, v in parameters.items()
+                  if "np.ndarray" in str(v.annotation) or "XState" in str(v.annotation)}
+        covered = {p for table in (MATRICES, TABLE) if name in table for p in table[name][2]}
+        assert arrays <= covered, f"{name} takes {sorted(arrays - covered)} but has no row"
+    for name, (fn, valid, matrices) in MATRICES.items():
+        assert set(valid) <= set(inspect.signature(fn).parameters), name
+        assert set(matrices) <= set(valid), name
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+def test_valid_matrix_row_call(name):
+    fn, valid, _ = MATRICES[name]
+    fn(**valid)
+
+
+@pytest.mark.parametrize("name", sorted(MATRICES))
+@settings(max_examples=40, derandomize=True)
+@given(data=st.data())
+def test_junk_matrix_is_returned_or_rejected_by_name(name, data):
+    fn, valid, matrices = MATRICES[name]
+    param = data.draw(st.sampled_from(matrices), label="param")
+    value = data.draw(MATRIX_JUNK, label="value")
+    if isinstance(valid[param], XState):
+        field = data.draw(st.sampled_from(XSTATE_FIELDS), label="field")
+        value = dataclasses.replace(valid[param], **{field: value})
+    _returned_or_named(fn, {**valid, param: value}, param)
 
 
 # Inputs that raised a bare TypeError or ValueError, or were taken as numbers:
@@ -187,6 +275,42 @@ PROBES = {
     "ModelParams(m=10**400)": (lambda: ModelParams(0.2, 10**400, 0), InvariantViolation,
                                r"m = 10{400} is above the limit of 1e\+100"),
 }
+PROBES.update({
+    f"{f.__name__}(\"x\")": (lambda f=f: f("x"), InvariantViolation,
+                             f"{word} must be an array of numbers, got dtype <U1")
+    for f, word in ((extract_xstate, "rho"), (hermitian_eigenvalues, "h"),
+                    (hermiticity_defect, "mat"), (partial_trace_qubit2, "rho"),
+                    (validate_density_matrix, "rho"), (von_neumann_entropy, "rho"))})
+PROBES.update({
+    'propagate_exact("x")': (lambda: propagate_exact("x", CANONICAL, 1.0), InvariantViolation,
+                             "rho0 must be an array of numbers, got dtype <U1"),
+    'integrate_master("x")': (lambda: integrate_master("x", CANONICAL, [0.0, 1.0]),
+                              InvariantViolation, "rho0 must be an array of numbers"),
+    'trace_distance("x", "y")': (lambda: trace_distance("x", "y"), InvariantViolation,
+                                 "rho must be an array of numbers"),
+    'lindblad_rhs("x")': (lambda: lindblad_rhs("x", CANONICAL), InvariantViolation,
+                          "rho must be an array of numbers"),
+    'XState("x", 0, 0, 0).validate()': (lambda: XState("x", 0, 0, 0).validate(),
+                                        InvariantViolation,
+                                        "X state must be an array of numbers, got dtype <U"),
+    "propagate_exact(ragged)": (lambda: propagate_exact([[1, 0], [0]], CANONICAL, 1.0),
+                                InvariantViolation,
+                                "rho0 must be an array of numbers, got a ragged sequence"),
+    "ParamFamily(m=ragged)": (lambda: ParamFamily(0.2, [[0.1], [0.2, 0.3]], 0.8),
+                              InvariantViolation,
+                              "m must be an array of numbers, got a ragged sequence"),
+    "integrate_master(t_grid=ragged)": (
+        lambda: integrate_master(RHO, CANONICAL, [[0.0], [1.0, 2.0]]), InvalidGridError,
+        "t_grid must be an array of numbers, got a ragged sequence"),
+    "trace_distance_closed_form(ragged)": (
+        lambda: trace_distance_closed_form(CANONICAL, [[1.0], [1.0, 2.0]]), InvariantViolation,
+        "time must be an array of numbers, got a ragged sequence"),
+    "hermiticity_defect(1.0)": (lambda: hermiticity_defect(1.0), DimensionMismatchError,
+                                re.escape("mat must be square, got shape ()")),
+    "validate_density_matrix(bool 4x4)": (
+        lambda: validate_density_matrix(np.eye(4, dtype=bool)), InvariantViolation,
+        "rho must be an array of numbers, got dtype bool"),
+})
 for f in (trace_distance_closed_form, population_from_excited, entanglement_entropy,
           propagate_exact):
     for t in ("1", True):

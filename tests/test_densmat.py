@@ -170,6 +170,16 @@ class TestXState:
         with pytest.raises(NotXFormError):
             extract_xstate(rho)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_extract_rejects_non_finite_off_pattern_entries(self, value):
+        # a NaN is not above the tolerance, and not within it either
+        rho = embed_xstate(XState(0.25, 0.25, 0.25, 0.25))
+        for i, j in ((0, 1), (3, 2)):
+            bad = rho.copy()
+            bad[i, j] = value
+            with pytest.raises(NotXFormError, match=rf"entry \({i}, {j}\)"):
+                extract_xstate(bad)
+
     def test_extract_wrong_shape(self):
         with pytest.raises(DimensionMismatchError):
             extract_xstate(np.eye(3) / 3.0)
