@@ -15,108 +15,65 @@ Modules
               propagator by coherence sector, population closed forms,
               thermal fixed point.
 ``nonmarkov`` distance curves, increase intervals, the accumulated backflow
-              measure, classification, and its maximization over preparations.
+              measure and classification.
+``pairs``     the measure maximized over product-state pairs, behind
+              ``nonmarkov.blp_measure_maximized``.
 ``entangle``  entanglement entropy in both published readings, steady values.
+``errors``    exception types and the argument rules of the public API.
 ``validate``  cross-check suite pitting closed forms against numerics.
 ``cli``       the ``qmemory`` command-line tool.
-"""
-from __future__ import annotations
 
+``import qmemory`` loads none of them, nor numpy: each name of ``__all__``,
+and each module that defines one, is imported when it is first read as an
+attribute of the package (PEP 562), so a command that needs only
+``nonmarkov`` never loads ``validate`` or ``pairs``.
+"""
 __version__ = "0.1.0"
 
-from .densmat import (
-    XState,
-    embed_xstate,
-    extract_xstate,
-    hermitian_eigenvalues,
-    hermiticity_defect,
-    partial_trace_qubit2,
-    trace_distance,
-    validate_density_matrix,
-    von_neumann_entropy,
-)
-from .dynamics import (
-    GRID_GAMMAS,
-    GRID_OCCUPATIONS,
-    GRID_OMEGAS,
-    ModelParams,
-    ParamFamily,
-    Trajectory,
-    XSTATE_00,
-    XSTATE_10,
-    integrate_master,
-    lindblad_rhs,
-    parameter_grid,
-    population_from_excited,
-    population_from_ground,
-    propagate_exact,
-    propagate_xstate_exact,
-    propagate_xstate_published,
-    superoperator,
-    thermal_xstate,
-)
-from .entangle import (
-    EntanglementVariant,
-    binary_entropy,
-    entanglement_entropy,
-    steady_entanglement,
-)
-from .errors import (
-    DimensionMismatchError,
-    InvalidGridError,
-    InvariantViolation,
-    NegativeEigenvalueError,
-    NonHermitianError,
-    NotXFormError,
-    QmemoryError,
-)
-from .nonmarkov import (
-    BlpResult,
-    Classification,
-    IncreaseInterval,
-    MARKOVIAN,
-    NON_MARKOVIAN,
-    blp_measure,
-    blp_measure_maximized,
-    classify_dynamics,
-    default_scan_step,
-    default_truncation_time,
-    first_revival_time,
-    trace_distance_closed_form,
-    trace_distance_pair,
-    trace_distance_rate,
-)
-from .validate import (
-    CANONICAL_PARAMS,
-    CheckResult,
-    GENERIC_XSTATE,
-    run_validation,
-)
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "densmat": (
+        "XState", "embed_xstate", "extract_xstate", "hermitian_eigenvalues",
+        "hermiticity_defect", "partial_trace_qubit2", "trace_distance",
+        "validate_density_matrix", "von_neumann_entropy"),
+    "dynamics": (
+        "GRID_GAMMAS", "GRID_OCCUPATIONS", "GRID_OMEGAS", "ModelParams",
+        "ParamFamily", "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
+        "lindblad_rhs", "parameter_grid", "population_from_excited",
+        "population_from_ground", "propagate_exact", "propagate_xstate_exact",
+        "propagate_xstate_published", "superoperator", "thermal_xstate"),
+    "entangle": (
+        "EntanglementVariant", "binary_entropy", "entanglement_entropy",
+        "steady_entanglement"),
+    "errors": (
+        "DimensionMismatchError", "InvalidGridError", "InvariantViolation",
+        "NegativeEigenvalueError", "NonHermitianError", "NotXFormError", "QmemoryError"),
+    "nonmarkov": (
+        "BlpResult", "Classification", "IncreaseInterval", "MARKOVIAN",
+        "NON_MARKOVIAN", "blp_measure", "blp_measure_maximized",
+        "classify_dynamics", "default_scan_step", "default_truncation_time",
+        "first_revival_time", "trace_distance_closed_form", "trace_distance_pair",
+        "trace_distance_rate"),
+    "validate": ("CANONICAL_PARAMS", "CheckResult", "GENERIC_XSTATE", "run_validation"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    # densmat
-    "XState", "embed_xstate", "extract_xstate", "hermitian_eigenvalues",
-    "hermiticity_defect", "partial_trace_qubit2", "trace_distance",
-    "validate_density_matrix", "von_neumann_entropy",
-    # dynamics
-    "GRID_GAMMAS", "GRID_OCCUPATIONS", "GRID_OMEGAS", "ModelParams",
-    "ParamFamily", "Trajectory", "XSTATE_00", "XSTATE_10", "integrate_master",
-    "lindblad_rhs", "parameter_grid", "population_from_excited",
-    "population_from_ground", "propagate_exact", "propagate_xstate_exact",
-    "propagate_xstate_published", "superoperator", "thermal_xstate",
-    # entangle
-    "EntanglementVariant", "binary_entropy", "entanglement_entropy",
-    "steady_entanglement",
-    # errors
-    "DimensionMismatchError", "InvalidGridError", "InvariantViolation",
-    "NegativeEigenvalueError", "NonHermitianError", "NotXFormError", "QmemoryError",
-    # nonmarkov
-    "BlpResult", "Classification", "IncreaseInterval", "MARKOVIAN",
-    "NON_MARKOVIAN", "blp_measure", "blp_measure_maximized",
-    "classify_dynamics", "default_scan_step", "default_truncation_time",
-    "first_revival_time", "trace_distance_closed_form", "trace_distance_pair",
-    "trace_distance_rate",
-    # validate
-    "CANONICAL_PARAMS", "CheckResult", "GENERIC_XSTATE", "run_validation",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    """Import a public name, or a module that defines some, on first read;
+    the import keeps a module here, and this keeps a name."""
+    from importlib import import_module
+
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 invalid arguments, 2 validation failure, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import itertools
 import sys
 from dataclasses import dataclass, replace
@@ -35,7 +36,6 @@ from .nonmarkov import (
     trace_distance_closed_form,
     trace_distance_rate,
 )
-from .validate import run_validation
 
 # Largest number of CSV data rows one invocation may emit.
 MAX_ROWS = 10**6
@@ -78,6 +78,35 @@ class RunConfig:
         object.__setattr__(self, "eps", _real("eps", self.eps))
 
 
+# Subcommands, in the order of the help listing: name -> help line.
+_COMMANDS = {
+    "trace-distance": "distance between the two canonical preparations vs time",
+    "sweep": "distance curves across a parameter family",
+    "blp": "accumulated information-backflow measure",
+    "entanglement": "entanglement entropy vs time",
+    "validate": "run all internal cross-checks",
+}
+
+
+def _register_lazily(name: str) -> None:
+    """Put the submodule ``name`` in ``sys.modules``, unless it is there,
+    through :class:`importlib.util.LazyLoader`: the module runs when one of
+    its attributes is first read, so a command that never reads one never
+    pays for its import."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+
+
+# The cross-check suite: only ``cmd_validate`` reads it.
+_register_lazily(__package__ + ".validate")
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this tool reserves 2 for validation."""
 
@@ -86,7 +115,30 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags of subcommand ``command``."""
+    if command == "validate":
+        return
+    for key, (parse, _, text) in _SETTINGS.items():
+        choices = [v.value for v in EntanglementVariant] if key == "variant" else None
+        p.add_argument("--" + key.replace("_", "-"), type=parse, choices=choices, help=text)
+    p.add_argument("--config", help="key = value config file; flags override it")
+    if command == "sweep":
+        p.add_argument("--param", choices=("gamma", "m", "omega"), required=True,
+                       help="which parameter the family varies")
+        p.add_argument("--from", dest="sweep_from", type=float, required=True,
+                       help="first family value")
+        p.add_argument("--to", dest="sweep_to", type=float, required=True,
+                       help="last family value")
+        p.add_argument("--points", type=int, required=True, help="family size (>= 1)")
+    elif command == "entanglement":
+        p.add_argument("--gammas",
+                       help="comma-separated decay rates; switches to the "
+                            "gamma-family output (columns gamma,t,E)")
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
     parser = _Parser(
         prog="qmemory",
         description=(
@@ -97,38 +149,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 parser_class=_Parser)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        for key, (parse, _, text) in _SETTINGS.items():
-            choices = [v.value for v in EntanglementVariant] if key == "variant" else None
-            p.add_argument("--" + key.replace("_", "-"), type=parse, choices=choices, help=text)
-        p.add_argument("--config", help="key = value config file; flags override it")
-
-    p = sub.add_parser("trace-distance",
-                       help="distance between the two canonical preparations vs time")
-    add_common(p)
-
-    p = sub.add_parser("sweep", help="distance curves across a parameter family")
-    add_common(p)
-    p.add_argument("--param", choices=("gamma", "m", "omega"), required=True,
-                   help="which parameter the family varies")
-    p.add_argument("--from", dest="sweep_from", type=float, required=True,
-                   help="first family value")
-    p.add_argument("--to", dest="sweep_to", type=float, required=True,
-                   help="last family value")
-    p.add_argument("--points", type=int, required=True, help="family size (>= 1)")
-
-    p = sub.add_parser("blp", help="accumulated information-backflow measure")
-    add_common(p)
-
-    p = sub.add_parser("entanglement", help="entanglement entropy vs time")
-    add_common(p)
-    p.add_argument("--gammas",
-                   help="comma-separated decay rates; switches to the "
-                        "gamma-family output (columns gamma,t,E)")
-
-    sub.add_parser("validate", help="run all internal cross-checks")
+    for name, text in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, building one subcommand's parser
+    where that settles the outcome.
+
+    When ``argv`` starts with a subcommand, the full parser hands every later
+    argument to that subcommand's parser, named ``qmemory <command>``, so
+    that parser alone prints the same help, usage and errors.  Arguments it
+    leaves over are the top level's to reject: the full parser then parses
+    again and prints that error.
+    """
+    command = argv[0] if argv else None
+    if command in _COMMANDS:
+        parser = _Parser(prog=f"qmemory {command}")
+        _add_arguments(parser, command)
+        args, extras = parser.parse_known_args(argv[1:])
+        if not extras:
+            args.command = command
+            return args
+    return build_parser().parse_args(argv)
 
 
 # --- config resolution -------------------------------------------------------
@@ -374,6 +418,8 @@ def cmd_entanglement(cfg: RunConfig, gammas: list[float] | None) -> int:
 
 
 def cmd_validate() -> int:
+    from .validate import run_validation
+
     results = run_validation()
     for result in results:
         status = "PASS" if result.passed else "FAIL"
@@ -386,7 +432,7 @@ def cmd_validate() -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         if args.command == "validate":
             return cmd_validate()

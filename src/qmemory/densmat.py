@@ -28,6 +28,7 @@ from .errors import (
     NonHermitianError,
     NotXFormError,
     _matrix,
+    _number,
     _real,
 )
 
@@ -57,15 +58,24 @@ class XState:
     w: complex = 0.0 + 0.0j
 
     def validate(self) -> "XState":
-        """Raise :class:`InvariantViolation` unless the embedded matrix passes
-        :func:`validate_density_matrix`; return ``self``."""
+        """Raise :class:`InvariantViolation` unless the fields and the embedded
+        matrix pass :func:`embed_xstate`; return ``self``."""
         embed_xstate(self)
         return self
 
 
 def embed_xstate(x: XState) -> np.ndarray:
     """The 4x4 complex density matrix of ``x``, checked by
-    :func:`validate_density_matrix` under the name ``X state``."""
+    :func:`validate_density_matrix` under the name ``X state``.
+
+    First each population must be a real number and each coherence a real or
+    complex one (:func:`~qmemory.errors._number`), named by its field: numpy's
+    type promotion of the six together would take a bool as 0 or 1 and a
+    complex population with zero imaginary part as real.  Their ranges are the
+    matrix's to check, within its round-off slack.
+    """
+    for field in ("a", "b", "c", "d", "z", "w"):
+        _number(f"X state field {field}", getattr(x, field), complex_ok=field in "zw")
     rho = _matrix("X state", [[x.a, 0, 0, x.w], [0, x.b, x.z, 0], [0, 0, x.c, 0], [0, 0, 0, x.d]])
     rho[2, 1], rho[3, 0] = rho[1, 2].conjugate(), rho[0, 3].conjugate()
     return validate_density_matrix(rho, dim=4, name="X state")
@@ -87,7 +97,7 @@ def extract_xstate(rho: np.ndarray) -> XState:
     if not off.max() <= XFORM_TOL:  # a NaN fails too, and argmax picks it
         idx = np.argwhere(~mask)[int(np.argmax(off))]
         raise NotXFormError(
-            f"entry ({idx[0]}, {idx[1]}) = {rho[idx[0], idx[1]]:.3e} lies outside "
+            f"rho entry ({idx[0]}, {idx[1]}) = {rho[idx[0], idx[1]]:.3e} lies outside "
             f"the X pattern (magnitude above {XFORM_TOL:.0e})"
         )
     a, b, c, d = rho.diagonal().real.tolist()
@@ -96,9 +106,11 @@ def extract_xstate(rho: np.ndarray) -> XState:
 
 def hermiticity_defect(mat: np.ndarray) -> float | np.ndarray:
     """Largest entry-wise deviation of ``mat`` from its own adjoint; for a
-    stack ``(n, d, d)``, an array with one value per matrix."""
+    stack ``(n, d, d)``, an array with one value per matrix.  An infinite
+    entry gives NaN (``inf - inf``), without a warning."""
     mat = _matrix("mat", mat, stack=True)
-    defect = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    with np.errstate(invalid="ignore"):
+        defect = np.abs(mat - np.swapaxes(mat.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
     return float(defect) if mat.ndim == 2 else defect
 
 
@@ -128,8 +140,8 @@ def validate_density_matrix(
 
     mats = rho if rho.ndim == 3 else rho[np.newaxis]
     finite = np.isfinite(mats).all(axis=(1, 2))
+    defect = hermiticity_defect(mats)
     with np.errstate(invalid="ignore"):  # inf - inf in a matrix already failing
-        defect = hermiticity_defect(mats)
         deviation = np.abs(np.trace(mats, axis1=1, axis2=2).real - 1.0)
     # the eigensolve needs finite entries: run it on the matrices before the
     # first that fails an earlier check, which settle the first failure
@@ -168,22 +180,23 @@ def partial_trace_qubit2(rho: np.ndarray) -> np.ndarray:
     return rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)).trace(axis1=-3, axis2=-1)
 
 
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
+def hermitian_eigenvalues(h: np.ndarray, *, name: str = "h") -> np.ndarray:
     """Real eigenvalues of a Hermitian matrix, sorted descending.
 
     Computed by LAPACK (``np.linalg.eigvalsh``, which reads the lower
     triangle) for every size.  Raises :class:`InvariantViolation` for a
     non-finite entry and :class:`NonHermitianError` when the symmetry defect
-    exceeds 1e-12 (times ``max |h|`` where that is above 1).
+    exceeds 1e-12 (times ``max |h|`` where that is above 1); every message
+    names the matrix ``name``.
     """
-    h = _matrix("h", h)
+    h = _matrix(name, h)
     if not np.isfinite(h).all():
-        raise InvariantViolation("matrix has a non-finite entry")
+        raise InvariantViolation(f"{name} has a non-finite entry")
     defect = hermiticity_defect(h)
     # the tolerance is relative to max |h| only above 1, so that is read only then
     if defect > HERMITICITY_TOL and defect > HERMITICITY_TOL * float(abs(h).max()):
         raise NonHermitianError(
-            f"matrix is not Hermitian: max |h - h^dag| = {defect:.3e}"
+            f"{name} is not Hermitian: max |{name} - {name}^dag| = {defect:.3e}"
         )
     return np.linalg.eigvalsh(h)[::-1]
 
@@ -214,7 +227,7 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     pure states); anything more negative raises
     :class:`NegativeEigenvalueError`.
     """
-    vals = hermitian_eigenvalues(_matrix("rho", rho))
+    vals = hermitian_eigenvalues(rho, name="rho")
     negative = vals[vals < -POSITIVITY_TOL]
     if negative.size:
         raise NegativeEigenvalueError(

@@ -78,7 +78,8 @@ from .densmat import (
     validate_density_matrix,
 )
 from .errors import (
-    DimensionMismatchError, InvalidGridError, InvariantViolation, _matrix, _real, _real_array)
+    DimensionMismatchError, InvalidGridError, InvariantViolation, _matrix, _params, _real,
+    _real_array)
 
 logger = logging.getLogger(__name__)
 
@@ -224,6 +225,12 @@ class ParamFamily:
         return self.m / (1.0 + 2.0 * self.m)
 
 
+# What the params rule (errors._params) accepts: one parameter set, or a
+# family too where the function takes one.
+ONE_SET = (ModelParams,)
+ANY_SET = (ModelParams, ParamFamily)
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time grid plus the integrator samples: an ``(n, 4, 4)`` stack of
@@ -244,16 +251,20 @@ class Trajectory:
     span_powers: int = 0
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        times = _real_array("times", self.times, error=InvalidGridError)
         if times.ndim != 1 or times.size == 0:
             raise InvalidGridError("times must be a nonempty 1-D array")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise InvalidGridError("times must be strictly increasing")
-        if len(self.samples) != times.size:
+        samples = _matrix("samples", self.samples, 4, stack=True)
+        if samples.shape[:-2] != times.shape:
             raise InvariantViolation(
-                f"{len(self.samples)} samples for {times.size} grid points"
-            )
+                f"samples must be one 4x4 state per time, got shape {samples.shape} "
+                f"for {times.size} times")
         object.__setattr__(self, "times", times)
+        object.__setattr__(self, "samples", samples)
+        for name in ("max_trace_drift", "max_hermiticity_defect"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
 
 
 # --- Lindblad generator -----------------------------------------------------
@@ -326,19 +337,27 @@ def _generators(gamma, m, omega) -> np.ndarray:
     return liouv
 
 
-@lru_cache(maxsize=64)
 def superoperator(params: ModelParams) -> np.ndarray:
     """16x16 matrix of the generator acting on row-major vectorized states.
 
     Row-major, ``vec(A rho B) = kron(A, B^T) vec(rho)``.  The jump operators
     are real and ``L^dag L`` and the exchange are symmetric, so ``D[L]`` is
     ``kron(L, L) - (kron(L^dag L, I) + kron(I, L^dag L)) / 2`` and the
-    commutator ``kron(H, I) - kron(I, H)``.  Cached per parameter set and
-    returned read-only.
+    commutator ``kron(H, I) - kron(I, H)``.  Cached per parameter set (the
+    params rule runs first, so no junk reaches the cache's hashing) and
+    returned read-only; ``superoperator.cache_info`` reports the cache.
     """
+    return _cached_superoperator(_params(params, ONE_SET))
+
+
+@lru_cache(maxsize=64)
+def _cached_superoperator(params: ModelParams) -> np.ndarray:
     liouv = _generators(params.gamma, params.m, params.omega)
     liouv.setflags(write=False)
     return liouv
+
+
+superoperator.cache_info = _cached_superoperator.cache_info
 
 
 # --- RK4 integration ---------------------------------------------------------
@@ -443,6 +462,7 @@ def integrate_master(
 def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
     """:func:`integrate_master`, one trajectory per member (one for a
     :class:`ModelParams`)."""
+    _params(params, ANY_SET)
     if isinstance(params, ParamFamily) and len(params.shape) != 1:
         raise DimensionMismatchError(
             f"integrate_master takes a 1-D family, got shape {params.shape}")
@@ -622,14 +642,16 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
     at the latest of them.
 
     The closed forms accept exactly these times; raises
-    :class:`InvariantViolation` naming the first time that fails.  For a
+    :class:`InvariantViolation` naming ``params`` when it is neither a
+    :class:`ModelParams` nor a :class:`ParamFamily`, then naming the first
+    time that fails.  For a
     :class:`ParamFamily` the times are broadcast against the members (a
     read-only view, one time per member), and the first member (in C order)
     whose own time fails raises what that member's own call with all of its
     times raises.
     """
+    family = isinstance(_params(params, ANY_SET), ParamFamily)
     tt = _real_array("time", t)
-    family = isinstance(params, ParamFamily)
     if family:
         tt = np.broadcast_to(tt, np.broadcast_shapes(tt.shape, params.shape))
     if tt.ndim == 0:  # one float: no array reductions, which cost microseconds
@@ -739,6 +761,7 @@ def propagate_xstate_exact(x0: XState, params: ModelParams, t: float) -> XState:
     ``x0`` and returns a validated state.
     """
     rho0 = embed_xstate(x0)
+    _params(params, ONE_SET)
     return extract_xstate(propagate_exact(rho0, params, _real("time", t))).validate()
 
 
@@ -752,6 +775,7 @@ def propagate_xstate_published(x0: XState, params: ModelParams, t: float) -> XSt
     record is NOT validated and must not be fed to other operations.
     """
     x0.validate()
+    _params(params, ONE_SET)
     t = _real("time", t)
     m = params.m
     a0, b0, c0, d0 = x0.a, x0.b, x0.c, x0.d
@@ -793,8 +817,8 @@ def population_from_excited(params: ModelParams | ParamFamily, t):
     the closed form mixes the thermal background with an exchange
     oscillation at ``2 omega`` under the relaxation envelope.
     """
-    m = params.m
     tt = checked_times(params, t)
+    m = params.m
     osc = 1.0 + (1.0 + 2.0 * m) * np.cos(2.0 * params.omega * tt)
     value = (2.0 * m + osc * relaxation_envelope(params, tt)) / (2.0 * (1.0 + 2.0 * m))
     return float(value) if tt.ndim == 0 else value
@@ -814,5 +838,5 @@ def population_from_ground(params: ModelParams | ParamFamily, t):
 
 def thermal_xstate(params: ModelParams) -> XState:
     """Thermal fixed point: product of single-atom thermal states."""
-    q = params.thermal_occupation
+    q = _params(params, ONE_SET).thermal_occupation
     return XState(a=q * q, b=q * (1.0 - q), c=q * (1.0 - q), d=(1.0 - q) ** 2)

@@ -1,7 +1,8 @@
-"""Exception types raised across the package, and the three rules that every
-numeric argument of the public API passes: :func:`_real` for a scalar,
-:func:`_real_array` for an array (or a scalar that may be one) and
-:func:`_matrix` for a matrix or a stack of matrices."""
+"""Exception types raised across the package, and the rules that every
+argument of the public API passes: :func:`_real` for a real scalar,
+:func:`_number` for one entry of a state, :func:`_real_array` for an array
+(or a scalar that may be one), :func:`_matrix` for a matrix or a stack of
+matrices and :func:`_params` for a parameter set."""
 import math
 
 import numpy as np
@@ -39,6 +40,19 @@ class InvalidGridError(QmemoryError, ValueError):
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
+_REALS = (int, float, np.integer, np.floating)
+_NUMBERS = _REALS + (complex, np.complexfloating)
+
+
+def _number(name, value, *, complex_ok=False):
+    """``value``, once it is one real number (``int``, ``float``, numpy
+    integer or floating), or with ``complex_ok`` also a complex one; raises
+    :class:`InvariantViolation` naming ``name`` for anything else (``bool``,
+    ``str``, ``None``, arrays).  Its range is left to the caller."""
+    if isinstance(value, _NUMBERS if complex_ok else _REALS) and not isinstance(value, bool):
+        return value
+    raise InvariantViolation(
+        f"{name} must be a {'complex' if complex_ok else 'real'} number, got {value!r}")
 
 
 def _real(name, value, high=_FLOAT_MAX, *, strict=False, error=InvariantViolation):
@@ -52,7 +66,7 @@ def _real(name, value, high=_FLOAT_MAX, *, strict=False, error=InvariantViolatio
     """
     if type(value) is float:  # first: ModelParams and classify_dynamics check on hot paths
         v = value
-    elif isinstance(value, (int, np.integer, np.floating)) and not isinstance(value, bool):
+    elif isinstance(value, _REALS) and not isinstance(value, bool):
         # a Python int beyond the float range stays an int: it compares exactly
         v = value if isinstance(value, int) and abs(value) > _FLOAT_MAX else float(value)
     else:
@@ -102,3 +116,14 @@ def _matrix(name, value, dim=None, *, stack=False) -> np.ndarray:
     if dim is not None and v.shape[-1] != dim:
         raise DimensionMismatchError(f"{name} must be {dim}x{dim}, got shape {v.shape[-2:]}")
     return np.asarray(v, dtype=complex)
+
+
+def _params(value, kinds):
+    """``value``, once it is an instance of one of ``kinds``: ``ModelParams``,
+    and ``ParamFamily`` where the function takes a family.  Raises
+    :class:`InvariantViolation` naming ``params`` otherwise.  The caller
+    passes the classes, which live in :mod:`qmemory.dynamics`."""
+    if isinstance(value, kinds):
+        return value
+    raise InvariantViolation(f"params must be a {' or a '.join(k.__name__ for k in kinds)}, "
+                             f"got {type(value).__name__}")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from qmemory import ModelParams, XState, classify_dynamics, superoperator
-from qmemory.nonmarkov import _GAIN_FLOOR
+from qmemory.pairs import _GAIN_FLOOR
 
 # --- frozen oracle values ----------------------------------------------------
 

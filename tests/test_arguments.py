@@ -3,13 +3,16 @@
 Every numeric argument of the public API passes one of three rules: a real
 scalar (Python or numpy int or float, never a bool), an array of integer or
 float dtype, or a square matrix (or stack of them) of integer, float or
-complex dtype.  Anything else, and any value out of range, is rejected with
-a :class:`QmemoryError` whose message names the argument.
+complex dtype.  A ``params`` argument must be a ``ModelParams``, or a
+``ParamFamily`` where the function takes one.  Anything else, and any value
+out of range, is rejected with a :class:`QmemoryError` whose message names
+the argument.  The result records follow the same rules.
 """
 import dataclasses
 import inspect
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -18,18 +21,26 @@ from hypothesis import given, settings, strategies as st
 
 import qmemory
 from qmemory import (
+    MARKOVIAN,
     XSTATE_10,
+    BlpResult,
+    Classification,
+    IncreaseInterval,
     XState,
     ModelParams,
     ParamFamily,
     QmemoryError,
+    Trajectory,
     binary_entropy,
     blp_measure,
     blp_measure_maximized,
     classify_dynamics,
+    default_scan_step,
+    default_truncation_time,
     embed_xstate,
     entanglement_entropy,
     extract_xstate,
+    first_revival_time,
     hermitian_eigenvalues,
     hermiticity_defect,
     integrate_master,
@@ -42,6 +53,8 @@ from qmemory import (
     propagate_xstate_published,
     run_validation,
     steady_entanglement,
+    superoperator,
+    thermal_xstate,
     trace_distance,
     trace_distance_closed_form,
     trace_distance_pair,
@@ -49,11 +62,18 @@ from qmemory import (
     validate_density_matrix,
     von_neumann_entropy,
 )
-from qmemory.errors import DimensionMismatchError, InvalidGridError, InvariantViolation
+from qmemory.errors import (
+    DimensionMismatchError,
+    InvalidGridError,
+    InvariantViolation,
+    NonHermitianError,
+    NotXFormError,
+)
 
 from helpers import CANONICAL
 
 RHO = embed_xstate(XSTATE_10)
+TRAJECTORY = dict(times=[0.0, 1.0], samples=np.stack([RHO, RHO]))
 
 # Public callables that take a real scalar or a time: one valid call (every
 # argument by keyword) and the names of its numeric parameters.
@@ -86,6 +106,19 @@ TABLE = {
     "trace_distance_pair": (trace_distance_pair, dict(params=CANONICAL, t=1.0), ("t",)),
     "trace_distance_rate": (trace_distance_rate, dict(params=CANONICAL, t=1.0), ("t",)),
     "run_validation": (run_validation, dict(max_step=None), ("max_step",)),
+    # the records: constructors that check are rejected by name, the others return
+    "XState": (XState, dict(a=0.0, b=1.0, c=0.0, d=0.0), ("a", "b", "c", "d")),
+    "Trajectory": (Trajectory, dict(TRAJECTORY, max_trace_drift=0.0, max_hermiticity_defect=0.0),
+                   ("max_trace_drift", "max_hermiticity_defect")),
+    "IncreaseInterval": (IncreaseInterval, dict(t_start=1.0, t_end=2.0, gain=0.25),
+                         ("t_start", "t_end", "gain")),
+    "BlpResult": (BlpResult, dict(n_value=0.25, starts=(1.0,), ends=(2.0,), gains=(0.25,),
+                                  pair_label="x", truncation_time=10.0, tail_bound=0.0),
+                  ("n_value", "truncation_time", "tail_bound")),
+    "Classification": (Classification,
+                       dict(regime=MARKOVIAN, n_value=0.0, eps=1e-3, interval_count=0,
+                            params=CANONICAL, truncation_time=20.0),
+                       ("n_value", "eps", "truncation_time")),
 }
 
 # Public callables that take a matrix or an X state: one valid call (every
@@ -107,11 +140,28 @@ MATRICES = {
                                dict(x0=XSTATE_10, params=CANONICAL, t=1.0), ("x0",)),
     "propagate_xstate_published": (propagate_xstate_published,
                                    dict(x0=XSTATE_10, params=CANONICAL, t=1.0), ("x0",)),
+    "Trajectory": (Trajectory, TRAJECTORY, ("times", "samples")),
 }
 
-# Records whose float fields the library fills in, and the X state, whose
-# fields are a matrix's entries: their constructors are not argument checks.
-RECORDS = {"XState", "Trajectory", "BlpResult", "Classification", "IncreaseInterval"}
+# Public callables that take a parameter set: one valid call (every argument
+# by keyword).  The rows above that pass ``params``, and these.
+PARAMS = {name: table[name][:2] for table in (TABLE, MATRICES) for name in table
+          if "params" in table[name][1]}
+PARAMS.update({
+    "superoperator": (superoperator, dict(params=CANONICAL)),
+    "thermal_xstate": (thermal_xstate, dict(params=CANONICAL)),
+    "default_scan_step": (default_scan_step, dict(params=CANONICAL)),
+    "default_truncation_time": (default_truncation_time, dict(params=CANONICAL)),
+    "first_revival_time": (first_revival_time, dict(params=CANONICAL)),
+})
+
+# Junk for a parameter set, down to objects with the right attributes; a
+# ParamFamily is junk too where the annotation names ModelParams alone.
+PARAMS_JUNK = [None, "x", 0.2, True, (0.2, 0.5, 0.8), [0.2, 0.5, 0.8], np.array([0.2, 0.5, 0.8]),
+               {"gamma": 0.2, "m": 0.5, "omega": 0.8}, ModelParams,
+               types.SimpleNamespace(gamma=0.2, m=0.5, omega=0.8, relaxation_rate=0.4,
+                                     thermal_occupation=0.25)]
+FAMILY = ParamFamily([0.2, 0.3], 0.5, 0.8)
 
 # The word a message uses for a parameter, where it is not the name itself.
 MESSAGE_WORDS = {"t": "time", "p": "probability", "x": "X state", "x0": "X state"}
@@ -136,6 +186,8 @@ MATRIX_JUNK = st.one_of(
         [0.25, [0.25]], np.full(4, 0.25), np.eye(4).reshape(1, 1, 4, 4) / 4, np.zeros((0, 0)),
         np.eye(2) / 2, np.eye(3) / 3, np.zeros((4, 3)),
         np.array([np.eye(4) / 4] * 2), np.eye(4, dtype=np.float32) / 4,
+        np.full((4, 4), math.nan), np.full((4, 4), math.inf), np.full((2, 2), -math.inf),
+        np.diag([math.inf, 0.0, 0.0, 0.0]), np.array([[0.5, math.nan], [math.nan, 0.5]]),
     ]),
 )
 XSTATE_FIELDS = tuple(f.name for f in dataclasses.fields(XState))
@@ -147,10 +199,10 @@ def _names(message: str, param: str) -> bool:
 
 
 def _public_parameters():
-    """``(name, parameters)`` of each public callable other than the records."""
+    """``(name, parameters)`` of each public callable, the records included."""
     for name in qmemory.__all__:
         obj = getattr(qmemory, name)
-        if not callable(obj) or name in RECORDS:
+        if not callable(obj):
             continue
         try:
             yield name, inspect.signature(obj).parameters
@@ -226,6 +278,33 @@ def test_junk_matrix_is_returned_or_rejected_by_name(name, data):
     _returned_or_named(fn, {**valid, param: value}, param)
 
 
+def _takes_params(annotation) -> bool:
+    return "ModelParams" in str(annotation) or "ParamFamily" in str(annotation)
+
+
+def test_params_cover_every_params_parameter():
+    for name, parameters in _public_parameters():
+        taking = {p for p, v in parameters.items() if _takes_params(v.annotation)}
+        if taking:
+            assert name in PARAMS, f"{name} takes a parameter set but has no row"
+            assert taking == {"params"}, (name, taking)
+    for name, (fn, valid) in PARAMS.items():
+        assert set(valid) <= set(inspect.signature(fn).parameters), name
+        assert "params" in valid, name
+
+
+@pytest.mark.parametrize("name", sorted(PARAMS))
+def test_junk_params_rejected_by_name(name):
+    fn, valid = PARAMS[name]
+    annotation = str(inspect.signature(fn).parameters["params"].annotation)
+    junk = PARAMS_JUNK + ([] if "ParamFamily" in annotation else [FAMILY])
+    for value in junk:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvariantViolation, match="^params must be a ModelParams"):
+                fn(**{**valid, "params": value})
+
+
 # Inputs that raised a bare TypeError or ValueError, or were taken as numbers:
 # each a call, its error class and a pattern of its message.
 PROBES = {
@@ -292,7 +371,36 @@ PROBES.update({
                           "rho must be an array of numbers"),
     'XState("x", 0, 0, 0).validate()': (lambda: XState("x", 0, 0, 0).validate(),
                                         InvariantViolation,
-                                        "X state must be an array of numbers, got dtype <U"),
+                                        "X state field a must be a real number, got 'x'"),
+    "XState(True, 0, 0, 0).validate()": (lambda: XState(True, 0, 0, 0).validate(),
+                                         InvariantViolation,
+                                         "X state field a must be a real number, got True"),
+    "XState(1+0j, 0, 0, 0).validate()": (lambda: XState(1 + 0j, 0, 0, 0).validate(),
+                                         InvariantViolation,
+                                         re.escape("X state field a must be a real number, "
+                                                   "got (1+0j)")),
+    "embed_xstate(XState(z=True))": (
+        lambda: embed_xstate(XState(0.0, 1.0, 0.0, 0.0, z=True)), InvariantViolation,
+        "X state field z must be a complex number, got True"),
+    "classify_dynamics(None)": (lambda: classify_dynamics(None), InvariantViolation,
+                                "params must be a ModelParams, got NoneType"),
+    "trace_distance_closed_form(None, 1.0)": (
+        lambda: trace_distance_closed_form(None, 1.0), InvariantViolation,
+        "params must be a ModelParams or a ParamFamily, got NoneType"),
+    'IncreaseInterval("x", 1.0, 0.0)': (lambda: IncreaseInterval("x", 1.0, 0.0),
+                                        InvariantViolation, "t_start must be a real number"),
+    'BlpResult("x", (), (), (), "l", 1.0, 0.0)': (
+        lambda: BlpResult("x", (), (), (), "l", 1.0, 0.0), InvariantViolation,
+        "n_value must be a real number"),
+    "hermitian_eigenvalues(NaN)": (lambda: hermitian_eigenvalues(np.full((2, 2), math.nan)),
+                                   InvariantViolation, "h has a non-finite entry"),
+    "von_neumann_entropy(NaN)": (lambda: von_neumann_entropy(np.full((2, 2), math.nan)),
+                                 InvariantViolation, "rho has a non-finite entry"),
+    "von_neumann_entropy(not Hermitian)": (
+        lambda: von_neumann_entropy(np.array([[0.5, 0.1], [0.0, 0.5]])), NonHermitianError,
+        re.escape("rho is not Hermitian: max |rho - rho^dag| = 1.000e-01")),
+    "extract_xstate(not X)": (lambda: extract_xstate(np.full((4, 4), 0.25)), NotXFormError,
+                              re.escape("rho entry (0, 1) = 2.500e-01+0.000e+00j lies outside")),
     "propagate_exact(ragged)": (lambda: propagate_exact([[1, 0], [0]], CANONICAL, 1.0),
                                 InvariantViolation,
                                 "rho0 must be an array of numbers, got a ragged sequence"),

@@ -220,6 +220,18 @@ class TestXState:
         assert x.validate() is x
         validate_density_matrix(embed_xstate(x), dim=4)
 
+    def test_fields_are_numbers(self):
+        # numpy's promotion of the six fields together took these as 0/1 and real
+        for fields, message in (((True, 0, 0, 0), "field a must be a real number, got True"),
+                                ((0, 0, 0, 1 + 0j), r"field d must be a real number, got \(1\+0j\)"),
+                                ((0, 1, 0, 0, None), "field z must be a complex number, got None"),
+                                ((0, 1, 0, 0, 0, "0"), "field w must be a complex number, got '0'")):
+            with pytest.raises(InvariantViolation, match="^X state " + message):
+                XState(*fields).validate()
+        for x in (XState(np.float64(0.0), np.int64(1), 0, 0.0, z=np.complex64(0), w=0),
+                  XState(0.5, 0.0, 0.0, 0.5, w=np.float32(0.5))):
+            assert x.validate() is x
+
     def test_validate_agrees_with_the_matrix_rule_at_the_boundary(self):
         """Coherences at |z|^2 = bc(1 +- delta), |w|^2 = ad(1 +- delta) and
         populations near 0: an X state is valid exactly when its matrix is."""
@@ -516,6 +528,12 @@ class TestVonNeumannEntropy:
 
 
 class TestHermiticityDefect:
+    def test_infinite_entry_is_nan_without_a_warning(self):
+        # inf - inf: the suite turns numpy's RuntimeWarning into an error
+        assert math.isnan(hermiticity_defect(np.full((4, 4), math.inf)))
+        stack = np.array([np.eye(2), np.full((2, 2), -math.inf)])
+        assert hermiticity_defect(stack)[0] == 0.0 and math.isnan(hermiticity_defect(stack)[1])
+
     def test_exact_values(self):
         assert hermiticity_defect(np.eye(3)) == 0.0
         mat = np.zeros((2, 2), dtype=complex)

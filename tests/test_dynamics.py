@@ -32,6 +32,7 @@ from qmemory import (
     thermal_xstate,
     trace_distance_closed_form,
     trace_distance_pair,
+    trace_distance_rate,
     validate_density_matrix,
 )
 from qmemory import dynamics
@@ -115,7 +116,7 @@ class TestModelParams:
 
 
 FAMILY_FORMS = (population_from_excited, population_from_ground, trace_distance_pair,
-                trace_distance_closed_form)
+                trace_distance_closed_form, trace_distance_rate)
 
 
 def _family_draws(rng, size):
@@ -916,6 +917,8 @@ class TestTrajectoryRecord:
     def test_sample_count_mismatch(self):
         with pytest.raises(InvariantViolation):
             Trajectory(times=np.array([0.0, 1.0]), samples=(XSTATE_10,))
+        with pytest.raises(InvariantViolation, match="one 4x4 state per time"):
+            Trajectory(times=np.array([0.0, 1.0]), samples=np.zeros((1, 4, 4)))
 
     def test_grid_must_increase(self):
         with pytest.raises(InvalidGridError):

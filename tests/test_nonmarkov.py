@@ -34,10 +34,9 @@ from qmemory import (
     trace_distance_rate,
 )
 from qmemory import cli, nonmarkov
-from qmemory.nonmarkov import (
-    CANONICAL_PAIR_LABEL,
+from qmemory.nonmarkov import CANONICAL_PAIR_LABEL, MAX_INTERVALS, canonical_measures
+from qmemory.pairs import (
     MAX_GRID_SIZE,
-    MAX_INTERVALS,
     MAX_SCAN_POINTS,
     _candidate_pairs,
     _pair_weights,
@@ -46,7 +45,6 @@ from qmemory.nonmarkov import (
     _scan_grid,
     _sector_basis,
     _slope_bound,
-    canonical_measures,
 )
 from qmemory.errors import InvalidGridError, InvariantViolation, QmemoryError
 from qmemory.validate import GENERIC_STATE, RNG_SEED
