@@ -52,8 +52,7 @@ _EXPORTS = {
         "BlpResult", "Classification", "IncreaseInterval", "MARKOVIAN",
         "NON_MARKOVIAN", "blp_measure", "blp_measure_maximized",
         "classify_dynamics", "default_scan_step", "default_truncation_time",
-        "first_revival_time", "trace_distance_closed_form", "trace_distance_pair",
-        "trace_distance_rate"),
+        "trace_distance_closed_form", "trace_distance_pair", "trace_distance_rate"),
     "validate": ("CANONICAL_PARAMS", "CheckResult", "GENERIC_XSTATE", "run_validation"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

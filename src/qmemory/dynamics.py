@@ -89,13 +89,9 @@ STEP_RESOLUTION = 1e-3
 # Integrator samples get an extra slack decade on positivity compared to the
 # 1e-10 used for hand-constructed states.
 SAMPLE_POSITIVITY_TOL = 1e-9
-# Most 16x16 step-matrix powers (4 kB each) that one integrate_master call
-# keeps for span lengths that recur later: a span of n steps needs
-# bit_length(n) of them, and a uniform grid keeps two spans' worth at a time.
-_KEPT_POWER_MATRICES = 256
-# Members that integrate_master advances together.  Their stacked terms and
-# powers take a few hundred kB, and two power lists of up to 16 squarings
-# each, for all of them, fit in _KEPT_POWER_MATRICES.
+# Members that integrate_master advances together.  The one power list it
+# keeps holds a 16x16 matrix (4 kB) per member and squaring: 32 kB per
+# squaring for a block, 2.3 MB for the 70 squarings of MAX_SPAN_STEPS.
 _BLOCK_MEMBERS = 8
 # Longest integrator span, in steps of the default policy.  Up to 1e21 such
 # steps every failure on the cross-check grid is a named trace-drift error;
@@ -239,8 +235,8 @@ class Trajectory:
     The drift fields report the worst raw integrator sample before
     Hermitization/renormalization.  ``rk4_steps`` counts the RK4 steps taken
     over all spans and ``span_powers`` the step-matrix power lists built for
-    them: one per distinct span length, however often it recurs, while the
-    powers kept for later spans fit in ``_KEPT_POWER_MATRICES``.
+    them: one per run of consecutive spans of equal length, so one for a
+    uniform grid.
     """
 
     times: np.ndarray
@@ -343,21 +339,11 @@ def superoperator(params: ModelParams) -> np.ndarray:
     Row-major, ``vec(A rho B) = kron(A, B^T) vec(rho)``.  The jump operators
     are real and ``L^dag L`` and the exchange are symmetric, so ``D[L]`` is
     ``kron(L, L) - (kron(L^dag L, I) + kron(I, L^dag L)) / 2`` and the
-    commutator ``kron(H, I) - kron(I, H)``.  Cached per parameter set (the
-    params rule runs first, so no junk reaches the cache's hashing) and
-    returned read-only; ``superoperator.cache_info`` reports the cache.
+    commutator ``kron(H, I) - kron(I, H)``.  Built anew on every call, as a
+    writable array the caller owns.
     """
-    return _cached_superoperator(_params(params, ONE_SET))
-
-
-@lru_cache(maxsize=64)
-def _cached_superoperator(params: ModelParams) -> np.ndarray:
-    liouv = _generators(params.gamma, params.m, params.omega)
-    liouv.setflags(write=False)
-    return liouv
-
-
-superoperator.cache_info = _cached_superoperator.cache_info
+    params = _params(params, ONE_SET)
+    return _generators(params.gamma, params.m, params.omega)
 
 
 # --- RK4 integration ---------------------------------------------------------
@@ -418,10 +404,10 @@ def integrate_master(
     span of ``n`` steps is advanced by the ``n``-th power of the RK4 step
     matrix, taken by repeated squaring: about ``log2(n)`` 16x16 products
     instead of ``4n`` matrix-vector products.  Spans of equal length share
-    one step size and step count, so their powers are built once per call
-    and kept, within a fixed budget, until the last span of that length
-    (``linspace(0, 10, 20)`` has 19 spans of 6 lengths); the samples are
-    those of building every span's powers anew.
+    one step size and step count, so a run of consecutive equal spans builds
+    one power list and the next length replaces it (a uniform grid such as
+    ``linspace(0, 10, 21)`` builds one); the samples are those of building
+    every span's powers anew.
 
     Parameters
     ----------
@@ -432,12 +418,11 @@ def integrate_master(
         ``P``.  A family advances all its members span by span with stacked
         16x16 products, each member with its own step; every member's
         trajectory equals, bit for bit, that member's own call, except that
-        ``span_powers`` counts the power lists the family built, whose kept
-        matrices share one budget.  The first member (in order) whose own
-        call would fail raises its failure.  A member whose rate
-        ``max(gamma (1 + 2m), omega)`` is above :data:`MAX_RK4_RATE` raises
-        :class:`InvariantViolation` naming it: its ``L^4 / 4!`` would
-        overflow.
+        ``span_powers`` counts the power lists its block of members built.
+        The first member (in order) whose own call would fail raises its
+        failure.  A member whose rate ``max(gamma (1 + 2m), omega)`` is
+        above :data:`MAX_RK4_RATE` raises :class:`InvariantViolation` naming
+        it: its ``L^4 / 4!`` would overflow.
     t_grid : strictly increasing finite sample times starting at 0.
     max_step : override for the internal step bound, finite and positive; by
         default the step satisfies ``h <= min(grid spacing, 1e-3 / relaxation
@@ -524,21 +509,15 @@ def _integrate_block(starts, gamma, m, omega, h_bound, times, max_step) -> tuple
     counts = np.maximum(1.0, np.ceil(spans[:, None] / h_bound))
     steps = spans[:, None] / counts
     keys = [(h.tobytes(), n.tobytes()) for h, n in zip(steps, counts)]
-    last_use = {key: i for i, key in enumerate(keys)}
-    kept, kept_matrices, built = {}, 0, 0
+    built = 0
     raw = np.empty((spans.size, size, 16), dtype=complex)
     y = np.broadcast_to(starts.reshape(-1, 16), (size, 16)).astype(complex)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves a non-finite sample
         for i, key in enumerate(keys):
-            increments, stored = kept.pop(key, (None, 0))
-            kept_matrices -= stored
-            if increments is None:
+            if not i or key != keys[i - 1]:  # some member's (h, n) is not the last span's
                 increments = _rk4_increments(terms, steps[i], counts[i])
-                stored, built = len(increments) * size, built + 1
+                built += 1
             y = raw[i] = _rk4_steps(increments, y)
-            if last_use[key] > i and kept_matrices + stored <= _KEPT_POWER_MATRICES:
-                kept[key] = increments, stored
-                kept_matrices += stored
     return _checked_trajectories(starts, times, raw, steps, counts, built, max_step)
 
 

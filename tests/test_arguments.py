@@ -40,7 +40,6 @@ from qmemory import (
     embed_xstate,
     entanglement_entropy,
     extract_xstate,
-    first_revival_time,
     hermitian_eigenvalues,
     hermiticity_defect,
     integrate_master,
@@ -152,7 +151,6 @@ PARAMS.update({
     "thermal_xstate": (thermal_xstate, dict(params=CANONICAL)),
     "default_scan_step": (default_scan_step, dict(params=CANONICAL)),
     "default_truncation_time": (default_truncation_time, dict(params=CANONICAL)),
-    "first_revival_time": (first_revival_time, dict(params=CANONICAL)),
 })
 
 # Junk for a parameter set, down to objects with the right attributes; a

@@ -245,6 +245,13 @@ class TestGenerator:
             rho = random_density(rng, 4)
             assert np.max(np.abs(lindblad_rhs(rho, params) - lindblad_apply(rho, params))) < 1e-14
 
+    def test_superoperator_is_a_fresh_writable_array(self):
+        first, second = superoperator(CANONICAL), superoperator(CANONICAL)
+        assert first is not second and first.flags.writeable
+        first[:] = 0.0
+        for liouv in (second, superoperator(CANONICAL)):
+            assert liouv.tobytes() == probed_superoperator(CANONICAL).tobytes()
+
     def test_thermal_state_is_stationary(self):
         for params in parameter_grid():
             x = thermal_xstate(params)
@@ -692,33 +699,32 @@ class TestIntegrator:
         assert (traj.rk4_steps, traj.span_powers) == (0, 0)
 
     @pytest.mark.parametrize("max_step", [None, 0.5])
-    def test_work_counts(self, max_step):
-        # 19 spans of 6 distinct lengths: 6 power lists, one per length
-        times = np.linspace(0.0, 10.0, 20)
+    def test_uniform_grid_builds_one_power_list(self, max_step):
+        # 20 spans of exactly 0.5: one power list for all of them, and the
+        # samples of a list built anew for every span
+        times = np.linspace(0.0, 10.0, 21)
         h = STEP_RESOLUTION / max(CANONICAL.relaxation_rate, CANONICAL.omega)
         h = h if max_step is None else max_step
-        spans = np.diff(times).tolist()
-        traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, times, max_step=max_step)
-        assert traj.rk4_steps == sum(max(1, math.ceil(span / h)) for span in spans)
-        assert (len(spans), len(set(spans)), traj.span_powers) == (19, 6, 6)
-        # spans that never recur build one list each
-        distinct = np.cumsum([0.0, 0.1, 0.2, 0.4, 0.8])
-        traj = integrate_master(embed_xstate(XSTATE_10), CANONICAL, distinct, max_step=max_step)
-        assert traj.span_powers == 4
-
-    def test_kept_powers_are_bounded(self):
-        # 64 lengths of 600 to 994 steps (10 powers each), then the same 64
-        # again: only as many lists as the budget holds are kept, the rest
-        # are built again, with the same samples (dyadic lengths: every span
-        # is exact)
-        kept = dynamics._KEPT_POWER_MATRICES // 10
-        lengths = 6.0 + np.arange(64) / 16.0
-        times = np.concatenate([[0.0], np.cumsum(np.tile(lengths, 2))])
         rho0 = embed_xstate(XSTATE_10)
-        traj = integrate_master(rho0, CANONICAL, times, max_step=0.01)
-        assert traj.span_powers == 2 * 64 - kept
+        traj = integrate_master(rho0, CANONICAL, times, max_step=max_step)
+        assert (traj.rk4_steps, traj.span_powers) == (20 * max(1, math.ceil(0.5 / h)), 1)
         assert traj.samples.tobytes() == np.array(
-            integrate_per_sample(rho0, CANONICAL, times, 0.01)).tobytes()
+            integrate_per_sample(rho0, CANONICAL, times, max_step)).tobytes()
+
+    @pytest.mark.parametrize("max_step", [None, 0.01])
+    def test_alternating_lengths_build_one_list_per_span(self, max_step):
+        # each span's (h, n) differs from the last one's, so each builds its
+        # own list, with the same samples; a run of equal spans builds one
+        # (dyadic lengths: every sum and difference of times is exact)
+        rho0 = embed_xstate(XSTATE_10)
+        for spans, lists in (([0.5, 0.75] * 10, 20), ([0.5] * 3 + [0.75] * 2 + [0.5] * 3, 3),
+                             ([0.125, 0.25, 0.5, 1.0], 4)):
+            times = np.concatenate([[0.0], np.cumsum(spans)])
+            assert np.diff(times).tolist() == spans
+            traj = integrate_master(rho0, CANONICAL, times, max_step=max_step)
+            assert traj.span_powers == lists
+            assert traj.samples.tobytes() == np.array(
+                integrate_per_sample(rho0, CANONICAL, times, max_step)).tobytes()
 
 
 def _grid_family(*, column=False):
@@ -864,18 +870,20 @@ class TestIntegratorFamily:
         else:
             assert family == [b"".join(outcome) for outcome in outcomes]
 
-    def test_shared_budget_keeps_fewer_power_lists_with_the_same_samples(self):
-        # test_kept_powers_are_bounded's 128 spans for eight copies of one
-        # member: a list holds 8 x 10 matrices, so fewer lists are kept
-        lengths = 6.0 + np.arange(64) / 16.0
-        times = np.concatenate([[0.0], np.cumsum(np.tile(lengths, 2))])
-        rho0 = embed_xstate(XSTATE_10)
-        family = ParamFamily(np.full(8, CANONICAL.gamma), CANONICAL.m, CANONICAL.omega)
-        own = integrate_master(rho0, CANONICAL, times, max_step=0.01)
-        for traj in integrate_master(rho0, family, times, max_step=0.01):
-            assert traj.samples.tobytes() == own.samples.tobytes()
-            assert traj.span_powers == 2 * 64 - dynamics._KEPT_POWER_MATRICES // 80
-        assert own.span_powers == 2 * 64 - dynamics._KEPT_POWER_MATRICES // 10
+    def test_block_builds_one_list_per_run_of_equal_spans(self):
+        # 27 members in blocks of 8, each with its own default step: every
+        # block builds one list on a uniform grid and one per span when two
+        # lengths alternate, and every member's samples are those of a list
+        # built anew for every span
+        rng = np.random.default_rng(313)
+        rho0 = np.array([random_density(rng, 4) for _ in range(27)])
+        alternating = np.concatenate([[0.0], np.cumsum([0.5, 0.75] * 5)])
+        for times, lists in ((np.linspace(0.0, 10.0, 21), 1), (alternating, 10)):
+            trajectories = integrate_master(rho0, _grid_family(), times)
+            for i, (traj, params) in enumerate(zip(trajectories, parameter_grid())):
+                assert traj.span_powers == lists
+                assert traj.samples.tobytes() == np.array(
+                    integrate_per_sample(rho0[i], params, times)).tobytes()
 
     def test_unused_powers_are_not_applied(self):
         # an unstable member that needs one power beside a stable one that

@@ -12,7 +12,6 @@ from qmemory import (
     binary_entropy,
     embed_xstate,
     entanglement_entropy,
-    first_revival_time,
     integrate_master,
     partial_trace_qubit2,
     population_from_excited,
@@ -187,10 +186,13 @@ class TestRevival:
             params = random_params(rng)
             if params.omega == 0.0:
                 continue
-            assert first_revival_time(params) == math.pi / (2.0 * params.omega)
+            # atom 1's states from |10> and |00> coincide at pi / (2 omega)
+            t_rev = math.pi / (2.0 * params.omega)
+            assert population_from_excited(params, t_rev) == pytest.approx(
+                population_from_ground(params, t_rev), abs=1e-15)
 
     def test_value_at_revival(self):
-        assert first_revival_time(CANONICAL) == T_STAR
+        assert math.pi / (2.0 * CANONICAL.omega) == T_STAR
         assert abs(entanglement_entropy(CANONICAL, T_STAR, PUBLISHED) - E_PUBLISHED_T_STAR) < 1e-12
         assert abs(entanglement_entropy(CANONICAL, T_STAR, SUBSYSTEM) - E_SUBSYSTEM_T_STAR) < 1e-12
 
@@ -198,7 +200,7 @@ class TestRevival:
         # strong decay reaches the thermal populations q = 1/4 before the
         # revival, where -2 q log2 q = 1 exactly
         params = ModelParams(gamma=10.0, m=0.5, omega=0.8)
-        t_rev = first_revival_time(params)
+        t_rev = math.pi / (2.0 * params.omega)
         assert abs(entanglement_entropy(params, t_rev, PUBLISHED) - 1.0) < 1e-4
 
 

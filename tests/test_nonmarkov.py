@@ -25,7 +25,6 @@ from qmemory import (
     default_scan_step,
     default_truncation_time,
     entanglement_entropy,
-    first_revival_time,
     population_from_excited,
     population_from_ground,
     propagate_exact,
@@ -409,17 +408,24 @@ class TestResultRecords:
 
 
 class TestRevivalTime:
+    """The distance first touches zero at pi / (2 omega), where its rate
+    turns from negative to positive."""
+
     def test_quarter_period_across_parameters(self):
         for gamma in (0.1, 0.2, 0.5):
             for m in (0.0, 0.5, 2.0):
                 for omega in (0.3, 0.8, 1.5):
                     params = ModelParams(gamma, m, omega)
-                    t_rev = first_revival_time(params)
-                    assert t_rev is not None
-                    assert t_rev * omega == pytest.approx(math.pi / 2, abs=1e-9)
+                    t_rev = math.pi / (2.0 * omega)
+                    assert trace_distance_closed_form(params, t_rev) <= 1e-30
+                    before = np.linspace(0.0, t_rev * (1.0 - 1e-6), 200)
+                    assert np.max(trace_distance_rate(params, before)) < 0.0
+                    assert trace_distance_rate(params, t_rev * (1.0 + 1e-6)) > 0.0
 
     def test_uncoupled_never_revives(self):
-        assert first_revival_time(ModelParams(0.2, 0.5, 0.0)) is None
+        params = ModelParams(0.2, 0.5, 0.0)
+        t = np.linspace(0.0, default_truncation_time(params), 2001)
+        assert np.max(trace_distance_rate(params, t)) <= 0.0
 
 
 class TestClassification:

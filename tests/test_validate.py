@@ -1,5 +1,7 @@
 """Self-check suite: all checks pass, and a coarse integrator makes them fail."""
+import dataclasses
 import inspect
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +23,9 @@ from qmemory import (
 from qmemory import validate
 from qmemory.densmat import embed_xstate
 from qmemory.dynamics import lindblad_rhs, parameter_grid, thermal_xstate
+from qmemory.errors import InvariantViolation
 from qmemory.nonmarkov import (
+    blp_measure,
     default_truncation_time,
     trace_distance_closed_form,
     trace_distance_pair,
@@ -164,8 +168,29 @@ class TestFamilyChecks:
 
     def test_coarse_step_populations_abort_is_the_first_member_failure(self):
         by_name = {r.name: r for r in run_validation(max_step=0.5)}
-        assert by_name["populations-vs-integrator"].detail == (
-            "aborted: sample(t=0.526316) has eigenvalue -5.431e-07 below 0 beyond slack 1e-09")
+        with pytest.raises(InvariantViolation) as info:
+            populations_check_loop(0.5)
+        assert by_name["populations-vs-integrator"].detail == f"aborted: {info.value}" == (
+            "aborted: sample(t=0.5) has eigenvalue -5.845e-06 below 0 beyond slack 1e-09")
+
+    def test_integrator_checks_share_one_uniform_grid(self, monkeypatch):
+        # one span length, so each block of members builds one power list
+        times = validate._CHECK_TIMES
+        assert (times[0], times[-1], np.unique(np.diff(times)).tolist()) == (0.0, 10.0, [0.5])
+        grids = []
+
+        def recording(integrate):
+            def call(rho0, params, t_grid, *args, **kwargs):
+                grids.append(t_grid)
+                return integrate(rho0, params, t_grid, *args, **kwargs)
+            return call
+
+        monkeypatch.setattr(validate, "_integrate", recording(validate._integrate))
+        monkeypatch.setattr(validate, "integrate_master", recording(validate.integrate_master))
+        for check in (validate._check_exact_vs_integrator, validate._check_populations,
+                      validate._check_entanglement):
+            assert check(None)[0]
+        assert len(grids) == 3 and all(grid is times for grid in grids)
 
 
 def _one_shot_riemann(params, dt):
@@ -205,6 +230,19 @@ class TestRiemannOracle:
             assert np.all(np.abs(sigma - rate_at_t) <= bound)
             count += len(t)
         assert count == len(np.arange(0.0, default_truncation_time(params), 1e-4))
+
+    def test_scaled_gains_fail_the_check(self, monkeypatch):
+        # interval gains 0.9% too large: the check reaches 9.8e-10, and its
+        # tolerance must not let an error of this size pass
+        def scaled(params):
+            result = blp_measure(params)
+            gains = tuple(1.009 * gain for gain in result.gains)
+            return dataclasses.replace(result, gains=gains, n_value=math.fsum(gains))
+
+        assert validate._check_measure_riemann()[0]
+        monkeypatch.setattr(validate, "blp_measure", scaled)
+        passed, detail, _ = validate._check_measure_riemann()
+        assert not passed, detail
 
     def test_flipped_omega_term_fails_the_check(self, monkeypatch):
         # sigma's Omega term enters only through the imaginary part of the
