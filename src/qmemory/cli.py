@@ -137,8 +137,9 @@ def _add_arguments(p: argparse.ArgumentParser, command: str) -> None:
                             "gamma-family output (columns gamma,t,E)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every subcommand."""
+def build_parser(commands=tuple(_COMMANDS)) -> argparse.ArgumentParser:
+    """The parser of every subcommand, each listed with its help line; only
+    those named in ``commands`` get their flags."""
     parser = _Parser(
         prog="qmemory",
         description=(
@@ -150,29 +151,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command",
                                 parser_class=_Parser)
     for name, text in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=text), name)
+        command = sub.add_parser(name, help=text)
+        if name in commands:
+            _add_arguments(command, name)
     return parser
 
 
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """``build_parser().parse_args(argv)``, building one subcommand's parser
-    where that settles the outcome.
-
-    When ``argv`` starts with a subcommand, the full parser hands every later
-    argument to that subcommand's parser, named ``qmemory <command>``, so
-    that parser alone prints the same help, usage and errors.  Arguments it
-    leaves over are the top level's to reject: the full parser then parses
-    again and prints that error.
-    """
-    command = argv[0] if argv else None
-    if command in _COMMANDS:
-        parser = _Parser(prog=f"qmemory {command}")
-        _add_arguments(parser, command)
-        args, extras = parser.parse_known_args(argv[1:])
-        if not extras:
-            args.command = command
-            return args
-    return build_parser().parse_args(argv)
+    """``build_parser().parse_args(argv)``, with the flags of the named
+    subcommand alone.  The top level's flags take no value, so the first
+    argument that names a subcommand is the subcommand argparse runs, if it
+    runs one."""
+    return build_parser([arg for arg in argv if arg in _COMMANDS][:1]).parse_args(argv)
 
 
 # --- config resolution -------------------------------------------------------
@@ -220,13 +210,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
-    try:
-        variant = EntanglementVariant(merged["variant"])
-    except ValueError:
-        tokens = ", ".join(repr(v.value) for v in EntanglementVariant)
-        raise InvariantViolation(
-            f"variant must be one of {tokens}, got {merged['variant']!r}"
-        ) from None
+    variant = EntanglementVariant(merged["variant"])
     params = ModelParams(gamma=merged["gamma"], m=merged["m"], omega=merged["omega"])
     return RunConfig(
         params=params,

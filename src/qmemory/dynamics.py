@@ -78,8 +78,8 @@ from .densmat import (
     validate_density_matrix,
 )
 from .errors import (
-    DimensionMismatchError, InvalidGridError, InvariantViolation, _matrix, _params, _real,
-    _real_array)
+    DimensionMismatchError, InvalidGridError, InvariantViolation, _broadcast, _matrix, _params,
+    _real, _real_array)
 
 logger = logging.getLogger(__name__)
 
@@ -193,12 +193,7 @@ class ParamFamily:
             v.setflags(write=False)
             object.__setattr__(self, name, v)
             values.append(v)
-        try:
-            shape = np.broadcast_shapes(*(v.shape for v in values))
-        except ValueError:
-            raise DimensionMismatchError(
-                f"gamma, m and omega of shapes {[v.shape for v in values]} do not broadcast"
-            ) from None
+        shape = _broadcast("gamma, m and omega", *(v.shape for v in values))
         object.__setattr__(self, "shape", shape)
         g, m, omega = values
         with np.errstate(invalid="ignore", over="ignore"):  # NaN and inf fail a bound
@@ -227,10 +222,25 @@ ONE_SET = (ModelParams,)
 ANY_SET = (ModelParams, ParamFamily)
 
 
+def _grid(name: str, value) -> np.ndarray:
+    """``value`` as a float array, once it is a nonempty 1-D array of finite
+    times that starts at 0 and strictly increases: the rule of every time
+    grid.  Raises :class:`InvalidGridError` naming ``name`` otherwise."""
+    times = _real_array(name, value, error=InvalidGridError)
+    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
+        raise InvalidGridError(f"{name} must be a nonempty 1-D array of finite times")
+    if times[0] != 0.0:
+        raise InvalidGridError(f"{name} must start at 0, got {float(times[0])!r}")
+    if not np.all(np.diff(times) > 0):
+        raise InvalidGridError(f"{name} must be strictly increasing")
+    return times
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Time grid plus the integrator samples: an ``(n, 4, 4)`` stack of
-    density matrices, one per grid point.
+    density matrices, one per grid point.  The times pass the rule of
+    :func:`integrate_master`'s ``t_grid``.
 
     The drift fields report the worst raw integrator sample before
     Hermitization/renormalization.  ``rk4_steps`` counts the RK4 steps taken
@@ -247,11 +257,7 @@ class Trajectory:
     span_powers: int = 0
 
     def __post_init__(self) -> None:
-        times = _real_array("times", self.times, error=InvalidGridError)
-        if times.ndim != 1 or times.size == 0:
-            raise InvalidGridError("times must be a nonempty 1-D array")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise InvalidGridError("times must be strictly increasing")
+        times = _grid("times", self.times)
         samples = _matrix("samples", self.samples, 4, stack=True)
         if samples.shape[:-2] != times.shape:
             raise InvariantViolation(
@@ -453,14 +459,8 @@ def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
             f"integrate_master takes a 1-D family, got shape {params.shape}")
     starts = _initial_states(rho0, params)
     size = params.shape[0] if isinstance(params, ParamFamily) else 1
-    times = _real_array("t_grid", t_grid, error=InvalidGridError)
-    if times.ndim != 1 or times.size == 0 or not np.all(np.isfinite(times)):
-        raise InvalidGridError("t_grid must be a nonempty 1-D array of finite times")
-    if times[0] != 0.0:
-        raise InvalidGridError(f"t_grid must start at 0, got {times[0]!r}")
+    times = _grid("t_grid", t_grid)
     spans = np.diff(times)
-    if not np.all(spans > 0):
-        raise InvalidGridError("t_grid must be strictly increasing")
     if max_step is not None:
         max_step = _real("max_step", max_step, strict=True, error=InvalidGridError)
 
@@ -622,17 +622,18 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
 
     The closed forms accept exactly these times; raises
     :class:`InvariantViolation` naming ``params`` when it is neither a
-    :class:`ModelParams` nor a :class:`ParamFamily`, then naming the first
-    time that fails.  For a
-    :class:`ParamFamily` the times are broadcast against the members (a
-    read-only view, one time per member), and the first member (in C order)
-    whose own time fails raises what that member's own call with all of its
-    times raises.
+    :class:`ModelParams` nor a :class:`ParamFamily`, then naming ``time``.
+    For a :class:`ParamFamily` the times are broadcast against the members (a
+    read-only view, one time per member); times that do not broadcast raise
+    :class:`DimensionMismatchError` naming ``time``.  The first member (in C
+    order; a :class:`ModelParams` is one member) with a failing time raises
+    what that member's own call with all of its times raises: its first time
+    that is not finite and nonnegative, else the overflow of its phase.
     """
     family = isinstance(_params(params, ANY_SET), ParamFamily)
     tt = _real_array("time", t)
     if family:
-        tt = np.broadcast_to(tt, np.broadcast_shapes(tt.shape, params.shape))
+        tt = np.broadcast_to(tt, _broadcast("time and members", tt.shape, params.shape))
     if tt.ndim == 0:  # one float: no array reductions, which cost microseconds
         earliest = latest = float(tt)
     elif tt.size:
@@ -642,22 +643,20 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
     omega = float(params.omega.max()) if family else params.omega
     if earliest >= 0.0 and math.isfinite(2.0 * omega * latest):
         return tt
-    if family:  # the largest coupling and time may belong to different members
-        times, omegas = tt.ravel(), np.broadcast_to(params.omega, tt.shape).ravel()
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad = ~(np.isfinite(times) & (times >= 0.0) & np.isfinite(2.0 * omegas * times))
-        if not bad.any():
-            return tt
-        # the first failing time's member, with all of its own times
-        members = np.broadcast_to(
-            np.arange(math.prod(params.shape)).reshape(params.shape), tt.shape).ravel()
-        first = int(np.argmax(bad))
-        tt, omega = times[members == members[first]], float(omegas[first])
-        latest = float(tt.max())
-    bad = tt[~(np.isfinite(tt) & (tt >= 0.0))]
+    times, omegas = tt.ravel(), np.broadcast_to(params.omega, tt.shape).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~(np.isfinite(times) & (times >= 0.0) & np.isfinite(2.0 * omegas * times))
+    if not bad.any():  # the largest coupling and time belong to different members
+        return tt
+    first = int(np.argmax(bad))
+    shape = params.shape if family else ()  # a ModelParams is one member
+    members = np.broadcast_to(np.arange(math.prod(shape)).reshape(shape), tt.shape).ravel()
+    own = times[members == members[first]]
+    bad = own[~(np.isfinite(own) & (own >= 0.0))]
     if bad.size:
         raise InvariantViolation(f"time must be finite and nonnegative, got {float(bad[0])!r}")
-    raise InvariantViolation(f"phase 2 omega t overflows at t={latest!r}, omega={omega!r}")
+    raise InvariantViolation(
+        f"phase 2 omega t overflows at t={float(own.max())!r}, omega={float(omegas[first])!r}")
 
 
 def relaxation_envelope(params: ModelParams | ParamFamily, tt: np.ndarray) -> np.ndarray:

@@ -34,10 +34,20 @@ from .errors import InvariantViolation, _real, _real_array
 
 
 class EntanglementVariant(Enum):
-    """Which published formula to evaluate; values double as CLI tokens."""
+    """Which published formula to evaluate; values double as CLI tokens.
+
+    ``EntanglementVariant(value)`` is the rule of every ``variant`` argument:
+    it returns a member, given one or its token, and raises
+    :class:`InvariantViolation` naming ``variant`` for anything else.
+    """
 
     PUBLISHED = "eq13"
     SUBSYSTEM = "entropy"
+
+    @classmethod
+    def _missing_(cls, value):
+        tokens = ", ".join(repr(v.value) for v in cls)
+        raise InvariantViolation(f"variant must be one of {tokens}, got {value!r}")
 
 
 def binary_entropy(p) -> float | np.ndarray:
@@ -50,19 +60,18 @@ def binary_entropy(p) -> float | np.ndarray:
     return float(value) if value.ndim == 0 else value
 
 
-def _reading(p_plus, p_minus, variant: EntanglementVariant):
-    """The entanglement of ``variant`` from the two excited populations."""
-    if variant is EntanglementVariant.PUBLISHED:
+def _reading(p_plus, p_minus, variant: EntanglementVariant | str):
+    """The entanglement of ``variant`` (a member or its token) from the two
+    excited populations."""
+    if EntanglementVariant(variant) is EntanglementVariant.PUBLISHED:
         return _neg_p_log2_p(p_plus) + _neg_p_log2_p(p_minus)
-    if variant is EntanglementVariant.SUBSYSTEM:
-        return binary_entropy(p_plus)
-    raise InvariantViolation(f"unknown variant {variant!r}")  # pragma: no cover
+    return binary_entropy(p_plus)
 
 
 def entanglement_entropy(
     params: ModelParams | ParamFamily,
     t,
-    variant: EntanglementVariant = EntanglementVariant.PUBLISHED,
+    variant: EntanglementVariant | str = EntanglementVariant.PUBLISHED,
 ):
     """Entanglement at time ``t`` (scalar or array), in bits.
 
@@ -82,7 +91,7 @@ def entanglement_entropy(
 
 def steady_entanglement(
     m: float,
-    variant: EntanglementVariant = EntanglementVariant.PUBLISHED,
+    variant: EntanglementVariant | str = EntanglementVariant.PUBLISHED,
 ) -> float:
     """Long-time entanglement plateau, a function of the occupation ``m`` only.
 

@@ -2,7 +2,8 @@
 argument of the public API passes: :func:`_real` for a real scalar,
 :func:`_number` for one entry of a state, :func:`_real_array` for an array
 (or a scalar that may be one), :func:`_matrix` for a matrix or a stack of
-matrices and :func:`_params` for a parameter set."""
+matrices, :func:`_params` for a parameter set and :func:`_broadcast` for
+arrays that must broadcast together."""
 import math
 
 import numpy as np
@@ -127,3 +128,13 @@ def _params(value, kinds):
         return value
     raise InvariantViolation(f"params must be a {' or a '.join(k.__name__ for k in kinds)}, "
                              f"got {type(value).__name__}")
+
+
+def _broadcast(names, *shapes) -> tuple:
+    """The broadcast of ``shapes``, the shapes of the arguments ``names``;
+    raises :class:`DimensionMismatchError` naming them when they do not
+    broadcast."""
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise DimensionMismatchError(f"{names} of shapes {list(shapes)} do not broadcast") from None

@@ -308,6 +308,7 @@ def canonical_measures(params: ParamFamily) -> np.ndarray:
     order) with more than :data:`MAX_INTERVALS` intervals raises its own
     call's :class:`InvalidGridError`.
     """
+    _params(params, (ParamFamily,))
     gamma, m, omega, rate, t_max = (
         np.broadcast_to(v, params.shape).ravel()
         for v in (params.gamma, params.m, params.omega, params.relaxation_rate,

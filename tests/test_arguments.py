@@ -4,9 +4,11 @@ Every numeric argument of the public API passes one of three rules: a real
 scalar (Python or numpy int or float, never a bool), an array of integer or
 float dtype, or a square matrix (or stack of them) of integer, float or
 complex dtype.  A ``params`` argument must be a ``ModelParams``, or a
-``ParamFamily`` where the function takes one.  Anything else, and any value
-out of range, is rejected with a :class:`QmemoryError` whose message names
-the argument.  The result records follow the same rules.
+``ParamFamily`` where the function takes one, and a family's times must
+broadcast against its members.  A ``variant`` is an ``EntanglementVariant``
+or its token.  Anything else, and any value out of range, is rejected with a
+:class:`QmemoryError` whose message names the argument.  The result records
+follow the same rules.
 """
 import dataclasses
 import inspect
@@ -22,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 import qmemory
 from qmemory import (
     MARKOVIAN,
+    EntanglementVariant,
     XSTATE_10,
     BlpResult,
     Classification,
@@ -68,6 +71,7 @@ from qmemory.errors import (
     NonHermitianError,
     NotXFormError,
 )
+from qmemory.nonmarkov import canonical_measures
 
 from helpers import CANONICAL
 
@@ -303,6 +307,76 @@ def test_junk_params_rejected_by_name(name):
                 fn(**{**valid, "params": value})
 
 
+# Public callables that take a family and times: one valid call (every
+# argument by keyword).  Times that do not broadcast against the members are
+# rejected by name.
+FAMILY_TIMES = {
+    "population_from_excited": (population_from_excited, dict(params=FAMILY, t=1.0)),
+    "population_from_ground": (population_from_ground, dict(params=FAMILY, t=1.0)),
+    "propagate_exact": (propagate_exact, dict(rho0=RHO, params=FAMILY, t=1.0)),
+    "entanglement_entropy": (entanglement_entropy, dict(params=FAMILY, t=1.0)),
+    "trace_distance_closed_form": (trace_distance_closed_form, dict(params=FAMILY, t=1.0)),
+    "trace_distance_pair": (trace_distance_pair, dict(params=FAMILY, t=1.0)),
+    "trace_distance_rate": (trace_distance_rate, dict(params=FAMILY, t=1.0)),
+}
+
+
+def test_family_times_cover_every_family_with_times():
+    for name, parameters in _public_parameters():
+        if "ParamFamily" in str(parameters.get("params", "")) and "t" in parameters:
+            assert name in FAMILY_TIMES, f"{name} takes a family and times but has no row"
+    for name, (fn, valid) in FAMILY_TIMES.items():
+        assert set(valid) <= set(inspect.signature(fn).parameters), name
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_TIMES))
+def test_family_times_that_do_not_broadcast_rejected_by_name(name):
+    fn, valid = FAMILY_TIMES[name]
+    assert np.shape(fn(**valid))[:1] == FAMILY.shape
+    for t in (np.zeros(3), np.zeros((2, 3)), [[0.0, 1.0, 2.0]] * 4):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionMismatchError, match=re.escape(
+                    f"time and members of shapes [{np.shape(t)}, (2,)] do not broadcast")):
+                fn(**{**valid, "t": t})
+
+
+# Public callables that take an entanglement variant: one valid call (every
+# argument by keyword).  A variant is a member or its token.
+VARIANTS = {
+    "entanglement_entropy": (entanglement_entropy, dict(params=CANONICAL, t=1.0)),
+    "steady_entanglement": (steady_entanglement, dict(m=0.5)),
+}
+VARIANT_JUNK = [None, "x", "EQ13", "PUBLISHED", " eq13", "", 0, 1.0, True, ["eq13"],
+                np.str_("eq14"), EntanglementVariant]
+
+
+def test_variants_cover_every_variant_parameter():
+    for name, parameters in _public_parameters():
+        if "variant" in parameters:
+            assert name in VARIANTS, f"{name} takes a variant but has no row"
+    for name, (fn, valid) in VARIANTS.items():
+        assert set(valid) <= set(inspect.signature(fn).parameters), name
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_variant_tokens_are_the_members(name):
+    fn, valid = VARIANTS[name]
+    for variant in EntanglementVariant:
+        expected = fn(**valid, variant=variant)
+        assert fn(**valid, variant=variant.value) == expected
+        assert fn(**valid, variant=np.str_(variant.value)) == expected
+
+
+@pytest.mark.parametrize("name", sorted(VARIANTS))
+def test_junk_variant_rejected_by_name(name):
+    fn, valid = VARIANTS[name]
+    for value in VARIANT_JUNK:
+        with pytest.raises(InvariantViolation, match=re.escape(
+                f"variant must be one of 'eq13', 'entropy', got {value!r}")):
+            fn(**valid, variant=value)
+
+
 # Inputs that raised a bare TypeError or ValueError, or were taken as numbers:
 # each a call, its error class and a pattern of its message.
 PROBES = {
@@ -413,6 +487,11 @@ PROBES.update({
         "time must be an array of numbers, got a ragged sequence"),
     "hermiticity_defect(1.0)": (lambda: hermiticity_defect(1.0), DimensionMismatchError,
                                 re.escape("mat must be square, got shape ()")),
+    "canonical_measures(ModelParams)": (
+        lambda: canonical_measures(CANONICAL), InvariantViolation,
+        "params must be a ParamFamily, got ModelParams"),
+    "canonical_measures(None)": (lambda: canonical_measures(None), InvariantViolation,
+                                 "params must be a ParamFamily, got NoneType"),
     "validate_density_matrix(bool 4x4)": (
         lambda: validate_density_matrix(np.eye(4, dtype=bool)), InvariantViolation,
         "rho must be an array of numbers, got dtype bool"),

@@ -188,6 +188,13 @@ class TestConfigFile:
         meta, _, _ = parse_csv(out.read_text())
         assert meta["variant"] == "entropy"
 
+    def test_unknown_variant_in_config_named(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("variant = eq12\n")
+        assert cli.main(["entanglement", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "qmemory: error: variant must be one of 'eq13', 'entropy', got 'eq12'\n")
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("alpha = 2\n")

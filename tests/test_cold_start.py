@@ -148,3 +148,28 @@ def test_one_subcommand_parses_as_the_full_parser(argv):
     from qmemory import cli
 
     assert _outcome(cli.parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--foo", "blp", "--gamma", "0.3"], ["--", "blp", "--gamma", "0.3"], ["x", "blp"],
+    ["--version", "sweep"], ["-h", "entanglement"], ["--fo", "validate", "x"],
+    ["blp", "--out", "sweep", "--gamma", "0.3"], ["--", "--", "blp"],
+], ids=lambda argv: " ".join(argv) or "(none)")
+def test_arguments_before_the_subcommand_parse_as_the_full_parser(argv):
+    from qmemory import cli
+
+    assert _outcome(cli.parse_args, argv) == _outcome(cli.build_parser().parse_args, argv)
+
+
+def test_only_the_named_subcommands_get_flags():
+    import argparse
+
+    from qmemory import cli
+
+    (sub,) = (a for a in cli.build_parser(["sweep"])._actions
+              if isinstance(a, argparse._SubParsersAction))
+    flags = {name: [o for a in p._actions for o in a.option_strings]
+             for name, p in sub.choices.items()}
+    assert list(flags) == list(cli._COMMANDS)
+    assert "--param" in flags["sweep"] and "--gamma" in flags["sweep"]
+    assert all(flags[name] == ["-h", "--help"] for name in flags if name != "sweep")

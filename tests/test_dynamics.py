@@ -936,6 +936,21 @@ class TestTrajectoryRecord:
         with pytest.raises(InvalidGridError, match="nonempty 1-D"):
             Trajectory(times=np.array([[0.0, 1.0]]), samples=(XSTATE_10,))
 
+    @pytest.mark.parametrize("times", [[0.0, math.inf], [0.0, math.nan], [-5.0, 1.0],
+                                       [0.5, 1.0], [0.0, 2.0, 1.0], [], [[0.0]]], ids=str)
+    def test_grid_rule_is_the_integrators(self, times):
+        # one rule for every time grid: integrate_master's, naming times
+        with pytest.raises(InvalidGridError) as integrator:
+            integrate_master(embed_xstate(XSTATE_10), CANONICAL, times)
+        expected = str(integrator.value).replace("t_grid", "times")
+        samples = np.zeros(np.shape(times) + (4, 4))
+        with pytest.raises(InvalidGridError, match=f"^{re.escape(expected)}$"):
+            Trajectory(times=times, samples=samples)
+
+    def test_grid_start_is_reported_as_a_float(self):
+        with pytest.raises(InvalidGridError, match=r"^times must start at 0, got -5\.0$"):
+            Trajectory(times=np.array([-5.0, 1.0]), samples=np.zeros((2, 4, 4)))
+
 
 class TestPublishedSolution:
     def test_initial_value_defects(self):

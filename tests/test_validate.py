@@ -20,7 +20,7 @@ from qmemory import (
     run_validation,
     validate_density_matrix,
 )
-from qmemory import validate
+from qmemory import dynamics, entangle, nonmarkov, validate
 from qmemory.densmat import embed_xstate
 from qmemory.dynamics import lindblad_rhs, parameter_grid, thermal_xstate
 from qmemory.errors import InvariantViolation
@@ -107,6 +107,93 @@ class TestNegativeControl:
             "populations-vs-integrator",
             "entanglement-consistency",
         }
+
+
+# Plausible defects of the package, at least one per check: description ->
+# (the check it is aimed at, module, function, text, defective text, every
+# check that fails with it, in report order).  Each is applied by replacing
+# its text once in the function's source, and only by monkeypatch.
+DEFECTS = {
+    "coherence factors with expm1(-1.9 mu t)": (
+        "exact-propagator-vs-integrator", dynamics, "coherence_factors",
+        "np.expm1(-2.0 * mu * tt)", "np.expm1(-1.9 * mu * tt)",
+        ("exact-propagator-vs-integrator",)),
+    "relaxation envelope at gamma in place of R": (
+        "populations-vs-integrator", dynamics, "relaxation_envelope",
+        "rate = params.relaxation_rate", "rate = params.gamma",
+        ("populations-vs-integrator", "distance-rate-vs-finite-difference",
+         "memory-measure-vs-riemann", "entanglement-consistency")),
+    "excited population at cos(omega t), the published frequency": (
+        "distance-pair-vs-closed-form", dynamics, "population_from_excited",
+        "np.cos(2.0 * params.omega * tt)", "np.cos(params.omega * tt)",
+        ("populations-vs-integrator", "distance-pair-vs-closed-form",
+         "entanglement-consistency")),
+    "sigma with the sign of its omega term flipped": (
+        "distance-rate-vs-finite-difference", nonmarkov, "trace_distance_rate",
+        "+ params.omega * np.sin", "- params.omega * np.sin",
+        ("distance-rate-vs-finite-difference",)),
+    "peak phase with atan(R / omega)": (
+        "memory-measure-vs-riemann", nonmarkov, "_peak_phase",
+        "2.0 * params.omega", "params.omega",
+        ("memory-measure-vs-riemann",)),
+    "m dropped from the generator's raising term": (
+        "thermal-state-stationarity", dynamics, "_generators",
+        "m * gamma * raising", "gamma * raising",
+        ("exact-propagator-vs-integrator", "populations-vs-integrator",
+         "thermal-state-stationarity", "steady-state-convergence",
+         "entanglement-consistency")),
+    "sinh(mu t) / mu divided by Re mu": (
+        "semigroup-property", dynamics, "coherence_factors",
+        "-lead * fall / mu", "-lead * fall / mu.real",
+        ("exact-propagator-vs-integrator", "semigroup-property")),
+    "truncation window 3/R in place of 30/R": (
+        "steady-state-convergence", nonmarkov, "default_truncation_time",
+        "30.0 /", "3.0 /",
+        ("memory-measure-vs-riemann", "steady-state-convergence",
+         "entanglement-consistency")),
+    "published solution's norm not squared": (
+        "published-solution-discrepancy", dynamics, "propagate_xstate_published",
+        "norm = (2.0 * m + 1.0) ** 2", "norm = (2.0 * m + 1.0)",
+        ("published-solution-discrepancy",)),
+    "subsystem entropy of the ground-start population": (
+        "entanglement-consistency", entangle, "_reading",
+        "binary_entropy(p_plus)", "binary_entropy(p_minus)",
+        ("entanglement-consistency",)),
+}
+
+
+def _apply(monkeypatch, module, name, text, defective):
+    """Replace ``text`` once in the source of ``module.name`` and install the
+    result wherever a package module binds that function."""
+    original = getattr(module, name)
+    source = inspect.getsource(original)
+    assert source.count(text) == 1, (name, text)
+    namespace = dict(vars(module))
+    exec("from __future__ import annotations\n" + source.replace(text, defective), namespace)
+    bound = [mod for key, mod in sys.modules.items()
+             if key.split(".")[0] == "qmemory" and vars(mod).get(name) is original]
+    assert module in bound
+    for mod in bound:
+        monkeypatch.setattr(mod, name, namespace[name])
+
+
+class TestMutations:
+    def test_every_check_has_a_defect(self):
+        aimed = {check for check, *_ in DEFECTS.values()}
+        assert aimed == set(EXPECTED_NAMES)
+        for check, *_, failing in DEFECTS.values():
+            assert check in failing
+            assert list(failing) == [name for name in EXPECTED_NAMES if name in failing]
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_defect_fails_its_check(self, monkeypatch, defect):
+        check, module, name, text, defective, failing = DEFECTS[defect]
+        _apply(monkeypatch, module, name, text, defective)
+        assert tuple(r.name for r in run_validation() if not r.passed) == failing
+
+    def test_clean_run_passes_after_the_defects(self):
+        # every defect is undone with its test: the package passes 10/10
+        assert [r.passed for r in run_validation()] == [True] * len(EXPECTED_NAMES)
 
 
 def _sequential_draws():
