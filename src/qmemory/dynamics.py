@@ -41,10 +41,10 @@ closed form:
 Two quantities recur everywhere: the relaxation rate ``gamma (1 + 2m)`` and
 the thermal occupation ``q = m / (1 + 2m)`` of a single atom.
 
-A :class:`ParamFamily` holds many parameter sets as arrays.  The closed forms
-:func:`checked_times`, :func:`relaxation_envelope`, :func:`coherence_factors`,
-:func:`propagate_exact` and the two populations (and ``nonmarkov``'s two
-canonical distances) accept it wherever they accept :class:`ModelParams`:
+A :class:`ParamFamily` holds many parameter sets as arrays.  The public
+closed forms, :func:`propagate_exact` and the two populations (and
+``nonmarkov``'s two canonical distances), and their time rule
+:func:`checked_times` accept it wherever they accept :class:`ModelParams`:
 they broadcast its arrays against the times, and every member's value
 equals, bit for bit, that member's own call at its own time.
 :func:`integrate_master` takes a 1-D family on one shared time grid and
@@ -134,8 +134,27 @@ def parameter_grid() -> tuple["ModelParams", ...]:
     )
 
 
+class _Rates:
+    """The two derived rates of a parameter record, one rule for
+    :class:`ModelParams` and, per member, for :class:`ParamFamily`."""
+
+    __slots__ = ()
+
+    @property
+    def relaxation_rate(self):
+        """Population relaxation rate ``gamma (1 + 2m)``; also the decay rate
+        of the ``w`` and ``z`` coherences."""
+        return self.gamma * (1.0 + 2.0 * self.m)
+
+    @property
+    def thermal_occupation(self):
+        """Single-atom excited population ``q = m / (1 + 2m)`` in the thermal
+        fixed point."""
+        return self.m / (1.0 + 2.0 * self.m)
+
+
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(_Rates):
     """Model parameters: decay rate ``gamma > 0``, mean reservoir occupancy
     ``m >= 0``, exchange coupling ``omega >= 0``, each a real number (see
     :func:`~qmemory.errors._real`) stored as a Python float."""
@@ -150,29 +169,17 @@ class ModelParams:
             raise InvariantViolation(f"gamma = {gamma!r} is below the limit of {MIN_GAMMA:g}")
         m = _real("m", self.m, MAX_PARAMETER)
         omega = _real("omega", self.omega, MAX_PARAMETER)
-        if gamma * (1.0 + 2.0 * m) > MAX_PARAMETER:
-            raise InvariantViolation(f"gamma (1 + 2m) = {gamma * (1.0 + 2.0 * m)!r} "
-                                     f"is above the limit of {MAX_PARAMETER:g}")
         if gamma is not self.gamma or m is not self.m or omega is not self.omega:  # converted
             object.__setattr__(self, "gamma", gamma)
             object.__setattr__(self, "m", m)
             object.__setattr__(self, "omega", omega)
-
-    @property
-    def relaxation_rate(self) -> float:
-        """Population relaxation rate ``gamma (1 + 2m)``; also the decay rate
-        of the ``w`` and ``z`` coherences."""
-        return self.gamma * (1.0 + 2.0 * self.m)
-
-    @property
-    def thermal_occupation(self) -> float:
-        """Single-atom excited population ``q = m / (1 + 2m)`` in the thermal
-        fixed point."""
-        return self.m / (1.0 + 2.0 * self.m)
+        if self.relaxation_rate > MAX_PARAMETER:
+            raise InvariantViolation(f"gamma (1 + 2m) = {self.relaxation_rate!r} "
+                                     f"is above the limit of {MAX_PARAMETER:g}")
 
 
 @dataclass(frozen=True, eq=False)
-class ParamFamily:
+class ParamFamily(_Rates):
     """Many parameter sets at once: ``gamma``, ``m`` and ``omega`` as
     read-only float arrays that broadcast against each other, one member per
     element of their broadcast :attr:`shape`.
@@ -204,16 +211,6 @@ class ParamFamily:
             first = np.unravel_index(int(np.argmin(ok)), shape)
             ModelParams(*(float(np.broadcast_to(v, shape)[first]) for v in values))
             raise AssertionError("unreachable: ModelParams accepted a rejected member")
-
-    @property
-    def relaxation_rate(self) -> np.ndarray:
-        """``gamma (1 + 2m)`` per member, as :attr:`ModelParams.relaxation_rate`."""
-        return self.gamma * (1.0 + 2.0 * self.m)
-
-    @property
-    def thermal_occupation(self) -> np.ndarray:
-        """``m / (1 + 2m)`` per member, as :attr:`ModelParams.thermal_occupation`."""
-        return self.m / (1.0 + 2.0 * self.m)
 
 
 # What the params rule (errors._params) accepts: one parameter set, or a
@@ -464,8 +461,9 @@ def _integrate(rho0, params, t_grid, max_step) -> tuple[Trajectory, ...]:
     if max_step is not None:
         max_step = _real("max_step", max_step, strict=True, error=InvalidGridError)
 
-    gamma, m, omega = (np.broadcast_to(v, (size,)) for v in (params.gamma, params.m, params.omega))
-    rate = np.maximum(gamma * (1.0 + 2.0 * m), omega)
+    gamma, m, omega, rate = (np.broadcast_to(v, (size,)) for v in (
+        params.gamma, params.m, params.omega, params.relaxation_rate))
+    rate = np.maximum(rate, omega)
     h_default = STEP_RESOLUTION / rate
     h_bound = h_default if max_step is None else np.full(size, max_step)
     # Members fail in member order: the members before the first rejected
@@ -577,7 +575,7 @@ def _checked_trajectories(starts, times, raw, steps, counts, built, max_step):
 
 # --- closed-form propagator --------------------------------------------------
 
-def coherence_root(params: ModelParams | ParamFamily):
+def _coherence_root(params: ModelParams | ParamFamily):
     """``mu+ = sqrt(R^2/4 - omega^2 - i gamma omega)``, principal branch: the
     k = 1 rates are ``-R +- mu+`` and ``-R +- conj(mu+)``, ``0 < Re mu+ <= R/2``.
 
@@ -600,15 +598,16 @@ def _root(rate: float, gamma: float, omega: float) -> complex:
     return scale * cmath.sqrt(complex(0.25 * rate * rate - omega * omega, -gamma * omega))
 
 
-def coherence_factors(params: ModelParams | ParamFamily, t):
-    """``e^{-R t} cosh(mu+ t)`` and ``e^{-R t} sinh(mu+ t) / mu+`` (scalar or array ``t``).
+def _coherence_factors(params: ModelParams | ParamFamily, t):
+    """``e^{-R t} cosh(mu+ t)`` and ``e^{-R t} sinh(mu+ t) / mu+`` at checked
+    times ``t`` (scalar or array; see :func:`checked_times`).
 
     Taken as ``e^{(mu+ - R) t}`` times ``(1 + e^{-2 mu+ t}) / 2`` and ``(1 -
     e^{-2 mu+ t}) / (2 mu+)``: every exponential decays, and ``expm1`` keeps
     the second exact for small ``mu+ t``.  Conjugate them for ``mu-``.  For a
     :class:`ParamFamily`, ``t`` must broadcast against its members.
     """
-    mu = coherence_root(params)
+    mu = _coherence_root(params)
     tt = np.asarray(t, dtype=float)
     lead = 0.5 * np.exp((mu - params.relaxation_rate) * tt)
     fall = np.expm1(-2.0 * mu * tt)  # e^{-2 mu+ t} - 1
@@ -659,7 +658,7 @@ def checked_times(params: ModelParams | ParamFamily, t) -> np.ndarray:
         f"phase 2 omega t overflows at t={float(own.max())!r}, omega={float(omegas[first])!r}")
 
 
-def relaxation_envelope(params: ModelParams | ParamFamily, tt: np.ndarray) -> np.ndarray:
+def _relaxation_envelope(params: ModelParams | ParamFamily, tt: np.ndarray) -> np.ndarray:
     """``e^{-R t}`` at checked times ``tt``, ``R = gamma (1 + 2m)``.
 
     Times beyond ``_DECAY_CUTOFF / R``, where the envelope rounds to 0, are
@@ -698,7 +697,7 @@ def propagate_exact(rho0: np.ndarray, params: ModelParams | ParamFamily, t) -> n
     with np.errstate(over="ignore"):  # R t beyond the float range: the decays are 0
         decay = np.exp(-rate * tt)
         rise = -np.expm1(-rate * tt)  # 1 - decay
-        cosh, sinh = coherence_factors(params, tt)
+        cosh, sinh = _coherence_factors(params, tt)
     t_ee, t_eg = q + (1.0 - q) * decay, q * rise
     t_ge, t_gg = (1.0 - q) * rise, (1.0 - q) + q * decay
     a0, b0, c0, d0 = (rho0[..., k, k].real for k in range(4))
@@ -798,7 +797,7 @@ def population_from_excited(params: ModelParams | ParamFamily, t):
     tt = checked_times(params, t)
     m = params.m
     osc = 1.0 + (1.0 + 2.0 * m) * np.cos(2.0 * params.omega * tt)
-    value = (2.0 * m + osc * relaxation_envelope(params, tt)) / (2.0 * (1.0 + 2.0 * m))
+    value = (2.0 * m + osc * _relaxation_envelope(params, tt)) / (2.0 * (1.0 + 2.0 * m))
     return float(value) if tt.ndim == 0 else value
 
 
@@ -810,7 +809,7 @@ def population_from_ground(params: ModelParams | ParamFamily, t):
     :func:`checked_times`).
     """
     tt = checked_times(params, t)
-    value = params.thermal_occupation * (1.0 - relaxation_envelope(params, tt))
+    value = params.thermal_occupation * (1.0 - _relaxation_envelope(params, tt))
     return float(value) if tt.ndim == 0 else value
 
 

@@ -35,10 +35,10 @@ from .dynamics import (
     ONE_SET,
     ModelParams,
     ParamFamily,
+    _relaxation_envelope,
     checked_times,
     population_from_excited,
     population_from_ground,
-    relaxation_envelope,
 )
 from .errors import InvalidGridError, InvariantViolation, _params, _real
 
@@ -193,7 +193,7 @@ def trace_distance_closed_form(params: ModelParams | ParamFamily, t):
     :func:`~qmemory.dynamics.checked_times`).
     """
     tt = checked_times(params, t)
-    value = relaxation_envelope(params, tt) * _cos_squared(params, tt)
+    value = _relaxation_envelope(params, tt) * _cos_squared(params, tt)
     return float(value) if tt.ndim == 0 else value
 
 
@@ -205,7 +205,7 @@ def trace_distance_rate(params: ModelParams | ParamFamily, t):
     and a :class:`ParamFamily` (see :func:`~qmemory.dynamics.checked_times`).
     """
     tt = checked_times(params, t)
-    value = -relaxation_envelope(params, tt) * (
+    value = -_relaxation_envelope(params, tt) * (
         params.relaxation_rate * _cos_squared(params, tt)
         + params.omega * np.sin(2.0 * params.omega * tt)
     )

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from . import nonmarkov
-from .dynamics import ONE_SET, ModelParams, coherence_factors, coherence_root
+from .dynamics import ONE_SET, ModelParams, _coherence_factors, _coherence_root
 from .errors import InvalidGridError, InvariantViolation, _params, _real
 from .nonmarkov import BlpResult
 
@@ -92,7 +92,7 @@ def _sector_basis(params: ModelParams, t: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore"):  # R t beyond the float range: the decays are 0
         envelope = np.exp(-params.relaxation_rate * t)
-        cosh, sinh = coherence_factors(params, t)
+        cosh, sinh = _coherence_factors(params, t)
     leading = cosh + 0.5 * params.relaxation_rate * sinh
     return np.stack([envelope, envelope * np.cos(2.0 * params.omega * t),
                      leading.real, leading.imag, sinh.real, sinh.imag])
@@ -183,7 +183,7 @@ def _slope_bound(params: ModelParams):
     and with it every gain, after ``t_max``.
     """
     rate, omega = params.relaxation_rate, params.omega
-    mu = coherence_root(params)
+    mu = _coherence_root(params)
     rho, y = mu.real, abs(mu.imag)
     slow, fast = rate - rho, rate + rho
     rise = math.hypot(rate, 2.0 * omega)

@@ -6,18 +6,24 @@ vs partial-traced integrator states, analytic distance rate vs finite
 differences, interval-sum memory measure vs a fine Riemann sum of the
 positive part of sigma, ...).  That Riemann sum evaluates sigma from its own
 complex-exponential identity, block by block from tables built once per
-call, and does not call :func:`~qmemory.nonmarkov.trace_distance_rate`.  The
-distance check evaluates both routes over its 1000 random parameter draws
-as one :class:`~qmemory.dynamics.ParamFamily`, in one array pass.  The
-exact, populations, semigroup and steady-state checks evaluate the 27-point
-parameter grid (or the semigroup's 50 draws from it) as families too: one
-integrator call and one propagator call each, whose every member equals its
-own call bit for bit, and whose first failure is the one a loop over the
-members raises first.  The stationarity check applies the 27 generators to
-their thermal states in one stacked product.  One check is special: the
-verbatim transcription of the published closed-form solution is *expected*
-to disagree with the derived propagator in specific, frozen ways (see ``published-solution-discrepancy``); that check passes when
-the disagreement is exactly the documented one.
+call, and does not call :func:`~qmemory.nonmarkov.trace_distance_rate`; it
+is the reference for the interval sum and for the closed-form N that
+``blp`` and ``sweep`` print.  Every check is one family pass: a closed form
+is called once with a :class:`~qmemory.dynamics.ParamFamily` or an array of
+times, never in a loop over parameter points or times.  The distance check
+evaluates its 1000 random parameter draws as one family, the distance-rate
+check its three points as a column against 50 times, and the exact,
+populations, semigroup and steady-state checks the 27-point parameter grid
+(or the semigroup's 50 draws from it): one integrator call and one
+propagator call each, whose every member equals its own call bit for bit,
+and whose first failure is the one a loop over the members raises first.
+The entanglement check takes the closed-form entropy at all its times in
+one call and its plateau at three decay rates in one call per variant.  The
+stationarity check applies the 27 generators to their thermal states in one
+stacked product.  One check is special: the verbatim transcription of the
+published closed-form solution is *expected* to disagree with the derived
+propagator in specific, frozen ways (see ``published-solution-discrepancy``);
+that check passes when the disagreement is exactly the documented one.
 
 ``run_validation(max_step=...)`` exists so a test harness can deliberately
 degrade the integrator step and confirm the oracle checks actually fail.
@@ -56,6 +62,8 @@ from .entangle import EntanglementVariant, entanglement_entropy, steady_entangle
 from .errors import QmemoryError
 from .nonmarkov import (
     blp_measure,
+    canonical_measures,
+    classify_dynamics,
     default_truncation_time,
     trace_distance_closed_form,
     trace_distance_pair,
@@ -80,23 +88,13 @@ _CHECK_TIMES = np.linspace(0.0, 10.0, 21)
 _RIEMANN_BLOCK = 1 << 15
 
 
-@functools.cache
-def _generic_state() -> np.ndarray:
-    """A fixed full-rank state outside the X family: GENERIC_XSTATE mixed half
-    and half with a pure state whose amplitudes are all nonzero, so that every
-    coherence sector k = -2..2 is populated.  Built on first use, so that
-    importing the package runs no eigensolve."""
-    pure = np.array([0.5, 0.4 + 0.3j, -0.3 + 0.2j, 0.6])
-    state = 0.5 * embed_xstate(GENERIC_XSTATE) + 0.5 * np.outer(
-        pure, pure.conj()) / np.vdot(pure, pure).real
-    state.setflags(write=False)
-    return state
-
-
-def __getattr__(name: str):
-    if name == "GENERIC_STATE":
-        return _generic_state()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# A fixed full-rank state outside the X family, read-only: GENERIC_XSTATE
+# mixed half and half with a pure state whose amplitudes are all nonzero, so
+# that every coherence sector k = -2..2 is populated.
+_PURE = np.array([0.5, 0.4 + 0.3j, -0.3 + 0.2j, 0.6])
+GENERIC_STATE = 0.5 * embed_xstate(GENERIC_XSTATE) + 0.5 * np.outer(
+    _PURE, _PURE.conj()) / np.vdot(_PURE, _PURE).real
+GENERIC_STATE.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -144,8 +142,8 @@ def _samples(trajectories) -> np.ndarray:
 # result as one member's trajectory.
 def _check_exact_vs_integrator(max_step):
     tol = 1e-8
-    trajectories = _integrate(_generic_state(), _grid_family(), _CHECK_TIMES, max_step)
-    exact = propagate_exact(_generic_state(), _grid_family(column=True), trajectories[0].times)
+    trajectories = _integrate(GENERIC_STATE, _grid_family(), _CHECK_TIMES, max_step)
+    exact = propagate_exact(GENERIC_STATE, _grid_family(column=True), trajectories[0].times)
     worst = float(np.max(np.abs(_samples(trajectories) - exact)))
     return worst <= tol, f"worst |rho_rk4 - rho_exact| = {worst:.3e} (tol {tol:.0e})", ()
 
@@ -182,12 +180,12 @@ def _check_distance_rate():
     tol = 1e-8
     h = 1e-6
     t = np.linspace(h, 10.0, 50)
-    worst = 0.0
-    for params in (CANONICAL_PARAMS, ModelParams(0.5, 2.0, 0.3), ModelParams(0.1, 0.0, 1.2)):
-        fd = (
-            trace_distance_closed_form(params, t + h) - trace_distance_closed_form(params, t - h)
-        ) / (2.0 * h)
-        worst = max(worst, float(np.max(np.abs(fd - trace_distance_rate(params, t)))))
+    # the canonical point and two more, as a column against the row of times
+    family = ParamFamily(gamma=[[0.2], [0.5], [0.1]], m=[[0.5], [2.0], [0.0]],
+                         omega=[[0.8], [0.3], [1.2]])
+    fd = (trace_distance_closed_form(family, t + h)
+          - trace_distance_closed_form(family, t - h)) / (2.0 * h)
+    worst = float(np.max(np.abs(fd - trace_distance_rate(family, t))))
     return worst <= tol, f"worst |sigma_fd - sigma| = {worst:.3e} (tol {tol:.0e})", ()
 
 
@@ -247,12 +245,16 @@ def _check_measure_riemann():
     # ten points of the parameter space
     rel_tol = 1e-7
     params = CANONICAL_PARAMS
-    result = blp_measure(params)
+    interval_sum = blp_measure(params).n_value
+    # the closed-form N that blp and sweep print, for one point and a family
+    closed = classify_dynamics(params).n_value
+    family = canonical_measures(ParamFamily(params.gamma, params.m, params.omega))
     riemann = _riemann_measure(params, 1e-4)
-    rel = abs(result.n_value - riemann) / riemann
+    rel = max(abs(n - riemann) for n in (interval_sum, closed, float(family))) / riemann
     return (
         rel <= rel_tol,
-        f"interval sum {result.n_value:.8f} vs Riemann {riemann:.8f} (rel {rel:.2e})",
+        f"interval sum {interval_sum:.8f}, closed form {closed:.8f} vs Riemann "
+        f"{riemann:.8f} (rel {rel:.2e})",
         (),
     )
 
@@ -278,7 +280,7 @@ def _check_semigroup():
     index, t, s = (np.array(v) for v in zip(*draws))
     family = _grid_family(index, column=True)
     first, direct = np.moveaxis(
-        propagate_exact(_generic_state(), family, np.column_stack([t, t + s])), 1, 0)
+        propagate_exact(GENERIC_STATE, family, np.column_stack([t, t + s])), 1, 0)
     staged = propagate_exact(first[:, None], family, s[:, None])[:, 0]
     worst = float(np.max(np.abs(direct - staged)))
     return worst <= tol, f"worst semigroup defect = {worst:.3e} (tol {tol:.0e})", ()
@@ -331,21 +333,18 @@ def _check_entanglement(max_step):
     tol_steady = 1e-4
     params = CANONICAL_PARAMS
     traj = integrate_master(embed_xstate(XSTATE_10), params, _CHECK_TIMES, max_step=max_step)
-    worst = 0.0
-    for t, rho in zip(traj.times, traj.samples):
-        s_numeric = von_neumann_entropy(partial_trace_qubit2(rho))
-        s_closed = entanglement_entropy(params, float(t), EntanglementVariant.SUBSYSTEM)
-        worst = max(worst, abs(s_numeric - s_closed))
+    numeric = [von_neumann_entropy(rho) for rho in partial_trace_qubit2(traj.samples)]
+    closed = entanglement_entropy(params, traj.times, EntanglementVariant.SUBSYSTEM)
+    worst = float(np.max(np.abs(np.array(numeric) - closed)))
     if worst > tol_entropy:
         return False, f"subsystem entropy mismatch {worst:.3e} (tol {tol_entropy:.0e})", ()
     # Decay-rate independence of the plateau, for both variants.
-    worst_steady = 0.0
-    for variant in EntanglementVariant:
-        steady = steady_entanglement(0.5, variant)
-        for gamma in (0.1, 0.2, 0.5):
-            p = ModelParams(gamma=gamma, m=0.5, omega=0.8)
-            value = entanglement_entropy(p, default_truncation_time(p), variant)
-            worst_steady = max(worst_steady, abs(value - steady))
+    family = ParamFamily(gamma=[0.1, 0.2, 0.5], m=0.5, omega=0.8)
+    t_end = default_truncation_time(family)
+    worst_steady = max(
+        float(np.max(np.abs(entanglement_entropy(family, t_end, variant)
+                            - steady_entanglement(0.5, variant))))
+        for variant in EntanglementVariant)
     return (
         worst_steady <= tol_steady,
         f"entropy oracle ok ({worst:.1e}); plateau gamma-spread {worst_steady:.1e}",

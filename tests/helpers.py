@@ -288,19 +288,20 @@ def integrate_per_sample(rho0: np.ndarray, params: ModelParams, times, max_step=
 #
 # The exact, populations, semigroup, stationarity and steady-state checks as
 # they ran before they took families: one call per grid member.  The distance-rate
-# check as it ran before it took arrays: one scalar call per time.  Each
-# returns ``(passed, detail, table)`` as the library's check does, and raises
-# what its first failing call raises.
+# check as it ran before it took arrays: one scalar call per time.  The
+# entanglement check as it ran before it took arrays and families: one scalar
+# call per time and per decay rate.  Each returns ``(passed, detail, table)``
+# as the library's check does, and raises what its first failing call raises.
 
 def exact_check_loop(max_step):
     from qmemory.dynamics import integrate_master, parameter_grid, propagate_exact
-    from qmemory.validate import _CHECK_TIMES, _generic_state
+    from qmemory.validate import _CHECK_TIMES, GENERIC_STATE
 
     tol = 1e-8
     worst = 0.0
     for params in parameter_grid():
-        traj = integrate_master(_generic_state(), params, _CHECK_TIMES, max_step=max_step)
-        exact = propagate_exact(_generic_state(), params, traj.times)
+        traj = integrate_master(GENERIC_STATE, params, _CHECK_TIMES, max_step=max_step)
+        exact = propagate_exact(GENERIC_STATE, params, traj.times)
         worst = max(worst, float(np.max(np.abs(traj.samples - exact))))
     return worst <= tol, f"worst |rho_rk4 - rho_exact| = {worst:.3e} (tol {tol:.0e})", ()
 
@@ -343,7 +344,7 @@ def distance_rate_check_loop():
 
 def semigroup_check_loop():
     from qmemory.dynamics import parameter_grid, propagate_exact
-    from qmemory.validate import RNG_SEED, _generic_state
+    from qmemory.validate import GENERIC_STATE, RNG_SEED
 
     tol = 1e-11
     rng = np.random.default_rng(RNG_SEED + 1)
@@ -352,7 +353,7 @@ def semigroup_check_loop():
     for _ in range(50):
         params = grid[int(rng.integers(len(grid)))]
         t, s = float(rng.uniform(0.0, 5.0)), float(rng.uniform(0.0, 5.0))
-        first, direct = propagate_exact(_generic_state(), params, np.array([t, t + s]))
+        first, direct = propagate_exact(GENERIC_STATE, params, np.array([t, t + s]))
         staged = propagate_exact(first, params, s)
         worst = max(worst, float(np.max(np.abs(direct - staged))))
     return worst <= tol, f"worst semigroup defect = {worst:.3e} (tol {tol:.0e})", ()
@@ -392,6 +393,39 @@ def steady_check_loop(max_step):
     rho_th = embed_xstate(thermal_xstate(params))
     worst = max(worst, float(np.max(np.abs(traj.samples[-1] - rho_th))))
     return worst <= tol, f"worst |steady - thermal| = {worst:.3e} (tol {tol:.0e})", ()
+
+
+def entanglement_check_loop(max_step):
+    from qmemory.densmat import embed_xstate, partial_trace_qubit2, von_neumann_entropy
+    from qmemory.dynamics import XSTATE_10, integrate_master
+    from qmemory.entangle import EntanglementVariant, entanglement_entropy, steady_entanglement
+    from qmemory.nonmarkov import default_truncation_time
+    from qmemory.validate import _CHECK_TIMES, CANONICAL_PARAMS
+
+    tol_entropy = 1e-8
+    tol_steady = 1e-4
+    params = CANONICAL_PARAMS
+    traj = integrate_master(embed_xstate(XSTATE_10), params, _CHECK_TIMES, max_step=max_step)
+    worst = 0.0
+    for t, rho in zip(traj.times, traj.samples):
+        s_numeric = von_neumann_entropy(partial_trace_qubit2(rho))
+        s_closed = entanglement_entropy(params, float(t), EntanglementVariant.SUBSYSTEM)
+        worst = max(worst, abs(s_numeric - s_closed))
+    if worst > tol_entropy:
+        return False, f"subsystem entropy mismatch {worst:.3e} (tol {tol_entropy:.0e})", ()
+    # Decay-rate independence of the plateau, for both variants.
+    worst_steady = 0.0
+    for variant in EntanglementVariant:
+        steady = steady_entanglement(0.5, variant)
+        for gamma in (0.1, 0.2, 0.5):
+            p = ModelParams(gamma=gamma, m=0.5, omega=0.8)
+            value = entanglement_entropy(p, default_truncation_time(p), variant)
+            worst_steady = max(worst_steady, abs(value - steady))
+    return (
+        worst_steady <= tol_steady,
+        f"entropy oracle ok ({worst:.1e}); plateau gamma-spread {worst_steady:.1e}",
+        (),
+    )
 
 
 def trapezoid(y, x) -> float:

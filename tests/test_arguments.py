@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import qmemory
 from qmemory import (
     MARKOVIAN,
     EntanglementVariant,
@@ -64,6 +63,8 @@ from qmemory import (
     validate_density_matrix,
     von_neumann_entropy,
 )
+from qmemory import densmat, dynamics, entangle, errors, nonmarkov, pairs, validate
+from qmemory.dynamics import checked_times
 from qmemory.errors import (
     DimensionMismatchError,
     InvalidGridError,
@@ -72,10 +73,12 @@ from qmemory.errors import (
     NotXFormError,
 )
 from qmemory.nonmarkov import canonical_measures
+from qmemory.pairs import maximize
 
 from helpers import CANONICAL
 
 RHO = embed_xstate(XSTATE_10)
+FAMILY = ParamFamily([0.2, 0.3], 0.5, 0.8)
 TRAJECTORY = dict(times=[0.0, 1.0], samples=np.stack([RHO, RHO]))
 
 # Public callables that take a real scalar or a time: one valid call (every
@@ -109,6 +112,9 @@ TABLE = {
     "trace_distance_pair": (trace_distance_pair, dict(params=CANONICAL, t=1.0), ("t",)),
     "trace_distance_rate": (trace_distance_rate, dict(params=CANONICAL, t=1.0), ("t",)),
     "run_validation": (run_validation, dict(max_step=None), ("max_step",)),
+    "maximize": (maximize, dict(params=CANONICAL, grid_size=2, dt=0.05, t_max=10.0),
+                 ("dt", "t_max")),
+    "checked_times": (checked_times, dict(params=CANONICAL, t=1.0), ("t",)),
     # the records: constructors that check are rejected by name, the others return
     "XState": (XState, dict(a=0.0, b=1.0, c=0.0, d=0.0), ("a", "b", "c", "d")),
     "Trajectory": (Trajectory, dict(TRAJECTORY, max_trace_drift=0.0, max_hermiticity_defect=0.0),
@@ -155,6 +161,7 @@ PARAMS.update({
     "thermal_xstate": (thermal_xstate, dict(params=CANONICAL)),
     "default_scan_step": (default_scan_step, dict(params=CANONICAL)),
     "default_truncation_time": (default_truncation_time, dict(params=CANONICAL)),
+    "canonical_measures": (canonical_measures, dict(params=FAMILY)),
 })
 
 # Junk for a parameter set, down to objects with the right attributes; a
@@ -163,7 +170,6 @@ PARAMS_JUNK = [None, "x", 0.2, True, (0.2, 0.5, 0.8), [0.2, 0.5, 0.8], np.array(
                {"gamma": 0.2, "m": 0.5, "omega": 0.8}, ModelParams,
                types.SimpleNamespace(gamma=0.2, m=0.5, omega=0.8, relaxation_rate=0.4,
                                      thermal_occupation=0.25)]
-FAMILY = ParamFamily([0.2, 0.3], 0.5, 0.8)
 
 # The word a message uses for a parameter, where it is not the name itself.
 MESSAGE_WORDS = {"t": "time", "p": "probability", "x": "X state", "x0": "X state"}
@@ -200,16 +206,22 @@ def _names(message: str, param: str) -> bool:
     return re.search(rf"(?<![\w]){re.escape(word)}(?![\w])", message) is not None
 
 
+# The modules whose public callables the tables below must cover.
+MODULES = (densmat, dynamics, entangle, errors, nonmarkov, pairs, validate)
+
+
 def _public_parameters():
-    """``(name, parameters)`` of each public callable, the records included."""
-    for name in qmemory.__all__:
-        obj = getattr(qmemory, name)
-        if not callable(obj):
-            continue
-        try:
-            yield name, inspect.signature(obj).parameters
-        except (TypeError, ValueError):
-            continue
+    """``(name, parameters)`` of each public callable that a library module
+    defines, the records included, by name within each module."""
+    for module in MODULES:
+        for name, obj in sorted(vars(module).items()):
+            defined = getattr(obj, "__module__", None) == module.__name__
+            if name.startswith("_") or not callable(obj) or not defined:
+                continue
+            try:
+                yield name, inspect.signature(obj).parameters
+            except (TypeError, ValueError):
+                continue
 
 
 def _returned_or_named(fn, kwargs, param):
@@ -303,7 +315,8 @@ def test_junk_params_rejected_by_name(name):
     for value in junk:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(InvariantViolation, match="^params must be a ModelParams"):
+            with pytest.raises(InvariantViolation,
+                               match="^params must be a (ModelParams|ParamFamily)"):
                 fn(**{**valid, "params": value})
 
 
@@ -318,6 +331,7 @@ FAMILY_TIMES = {
     "trace_distance_closed_form": (trace_distance_closed_form, dict(params=FAMILY, t=1.0)),
     "trace_distance_pair": (trace_distance_pair, dict(params=FAMILY, t=1.0)),
     "trace_distance_rate": (trace_distance_rate, dict(params=FAMILY, t=1.0)),
+    "checked_times": (checked_times, dict(params=FAMILY, t=1.0)),
 }
 
 

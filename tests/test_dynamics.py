@@ -41,7 +41,7 @@ from qmemory.dynamics import (
     MAX_SPAN_STEPS,
     MIN_GAMMA,
     STEP_RESOLUTION,
-    coherence_root,
+    _coherence_root,
 )
 from qmemory.errors import DimensionMismatchError, InvalidGridError, InvariantViolation
 
@@ -403,10 +403,10 @@ class TestExactPropagator:
         rho0 = random_density(rng, 4)
         times = np.linspace(0.0, 12.0, 9)
         reference = propagate_exact(rho0, ModelParams(1.0, 0.3, omega), times)
-        mu = coherence_root(ModelParams(1.0, 0.3, omega))
+        mu = _coherence_root(ModelParams(1.0, 0.3, omega))
         for scale in (1e-170, MIN_GAMMA, 1e70):
             params = ModelParams(scale, 0.3, scale * omega)
-            assert coherence_root(params) == pytest.approx(scale * mu, rel=1e-14)
+            assert _coherence_root(params) == pytest.approx(scale * mu, rel=1e-14)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = propagate_exact(rho0, params, times / scale)
